@@ -20,13 +20,14 @@ the buffer in time t, a Poisson tail.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArityError, ContourInvalid, CutoffTooSmall, DivisionByZero
+from .errors import ArityError, CapExceeded, ContourInvalid, CutoffTooSmall, DivisionByZero
 from .rowops import KIND_A, SparseState, apply_double_row, as_config, config_max
-from .symfun import ContourSpec, validate_contours
+from .symfun import ContourSpec, nested_trapezoid, validate_contours
 from .weights import ModelParams
 
 
@@ -151,28 +152,40 @@ def leakage_bound(mu, params: AsepParams) -> float:
 
 def transition_distribution_exact(mu, params: AsepParams, series_tol: float = 1e-13):
     """Distribution at time t from mu on the truncated chain, by
-    uniformization: e^(tL) = sum_k pois(Lambda t; k) (I + L/Lambda)^k."""
+    uniformization: e^(tL) = sum_k pois(Lambda t; k) (I + L/Lambda)^k.
+
+    Raises CapExceeded rather than return an under-summed vector: when
+    exp(-Lambda t) underflows (Lambda t > ~708) or the series has not
+    reached series_tol after 1000 (1 + Lambda t) terms.
+    """
     S = params.sites
     lam_rate = S * (1.0 + params.q) + params.alpha + params.gamma
+    lt = lam_rate * params.t
+    weight = math.exp(-lt)
+    if weight < sys.float_info.min:
+        raise CapExceeded(
+            f"uniformization weight exp(-{lt:.4g}) underflows; shorten t or lower the rates"
+        )
     L = generator_matrix(params)
     dim = L.shape[0]
     P = np.eye(dim) + L / lam_rate
     v = np.zeros(dim)
     v[_config_to_mask(mu, S)] = 1.0
-    lt = lam_rate * params.t
     out = np.zeros(dim)
-    weight = math.exp(-lt)
     out += weight * v
     acc = weight
     k = 0
+    max_terms = 1000 * (1 + int(lt))
     while 1.0 - acc > series_tol:
+        if k == max_terms:
+            raise CapExceeded(
+                f"uniformization missed mass {1.0 - acc:.3e} after {k} terms"
+            )
         k += 1
         v = v @ P
         weight *= lt / k
         out += weight * v
         acc += weight
-        if k > 1000 * (1 + int(lt)):
-            break
     return out
 
 
@@ -317,20 +330,8 @@ def transition_prob_formula(
             val = val * np.exp((1 - q) ** 2 * w * t / ((1 - w) * (1 - q * w)))
         return val
 
-    w0, dw0 = contours.nodes_of(0, nodes)
-
-    def level(i, ws, dws):
-        if i == 0:
-            f = integrand([w0] + ws)
-            acc = np.sum(f * dw0)
-            for dw in dws:
-                acc = acc * dw
-            return acc
-        w_i, dw_i = contours.nodes_of(i, nodes)
-        return sum(level(i - 1, [w_i[k]] + ws, [dw_i[k]] + dws) for k in range(len(w_i)))
-
-    val = alpha**n * math.exp(-alpha * t) * level(n - 1, [], [])
-    return complex(val).real
+    val = alpha**n * math.exp(-alpha * t) * nested_trapezoid(contours, integrand, nodes)
+    return val.real
 
 
 # ---------------------------------------------------------------------------

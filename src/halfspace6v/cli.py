@@ -186,7 +186,6 @@ def _verify_local_relations(args) -> tuple[bool, dict]:
 
 
 def _verify_operators(args) -> tuple[bool, dict]:
-    rng = random.Random(args.seed)
     out = {}
     all_ok = True
     p = weights.ModelParams(
@@ -352,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--backend", default=RATIONAL, choices=(RATIONAL, COMPLEX))
     ap.add_argument("--output", help="also write the result to this path")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=1, help="worker cap (advisory)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     z = sub.add_parser("z", help="triangular partition function")

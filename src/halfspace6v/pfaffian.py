@@ -1,98 +1,100 @@
 """Pfaffians of skew-symmetric matrices over both backends.
 
-The exact backend expands recursively along the first row with memoisation
-on index subsets (practical up to order ~12); the float backend reduces to
-skew tridiagonal form by a Parlett-Reid congruence with partial pivoting,
-which is valid for complex skew-symmetric matrices as well.  Also houses
-the Pfaffian summation identity Pf(A+B) and the Stembridge factorisation
-used by the triangular partition function.
+One skew LTL^T (Parlett-Reid) elimination serves every backend: exact
+entries stay exact (pivot on the first nonzero entry), floats and complex
+numbers pivot on the largest modulus, and an ndarray of shape (..., n, n)
+is eliminated lane by lane in one pass.  Also houses the exact determinant
+used as the independent Pf^2 = det oracle, the Pfaffian summation
+identity Pf(A+B) and the Stembridge factorisation used by the triangular
+partition function.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
 
 from .errors import DivisionByZero, NotSkewSymmetric
 from .scalars import is_exact
 
 
 def check_skew(M, tol: float = 0.0) -> int:
-    """Validate skew-symmetry (and even order for Pfaffian use); return n."""
-    n = len(M)
-    if any(len(row) != n for row in M):
+    """Validate skew-symmetry of a matrix or a stack of them; return the order."""
+    if not isinstance(M, np.ndarray) and any(len(row) != len(M) for row in M):
         raise NotSkewSymmetric("matrix is not square")
-    for i in range(n):
-        if abs(M[i][i]) > tol:
-            raise NotSkewSymmetric(f"nonzero diagonal entry at ({i},{i})")
-        for j in range(i + 1, n):
-            if abs(M[i][j] + M[j][i]) > tol:
-                raise NotSkewSymmetric(f"M[{i}][{j}] != -M[{j}][{i}]")
+    A = np.asarray(M)
+    n = A.shape[-1]
+    if A.ndim < 2 or A.shape[-2] != n:
+        raise NotSkewSymmetric("matrix is not square")
+    if np.any(np.abs(np.diagonal(A, axis1=-2, axis2=-1)) > tol):
+        raise NotSkewSymmetric("nonzero diagonal entry")
+    if np.any(np.abs(A + np.swapaxes(A, -1, -2)) > tol):
+        raise NotSkewSymmetric("M[i][j] != -M[j][i]")
     return n
 
 
 def pfaffian(M, validate: bool = True, tol: float = 0.0):
     """Pfaffian of an even-order skew-symmetric matrix.
 
-    Dispatches on the entry type: exact rationals/ints use the recursive
-    expansion, floats/complex the O(n^3) tridiagonalisation.
+    M is a nested list (exact rationals/ints give an exact Fraction, floats
+    or complex numbers a complex) or an ndarray of shape (..., n, n), whose
+    Pfaffians come back as a complex array of shape (...).
     """
-    n = len(M)
+    batched = isinstance(M, np.ndarray)
+    if not batched and len(M) == 0:
+        return 1
     if validate:
         check_skew(M, tol=tol)
+    exact = not batched and all(is_exact(v) for row in M for v in row)
+    if exact:
+        A = np.array([[Fraction(v) for v in row] for row in M], dtype=object)
+    else:
+        A = np.array(M, dtype=complex)
+    n = A.shape[-1]
     if n % 2 != 0:
         raise NotSkewSymmetric("Pfaffian requires even order (border odd inputs)")
-    if n == 0:
-        return 1
-    if all(is_exact(v) for row in M for v in row):
-        memo = {}
-        return _pf_exact(M, tuple(range(n)), memo)
-    return _pf_parlett_reid([list(map(complex, row)) for row in M])
+    lead = A.shape[:-2]
+    pf = _skew_ltlt(A.reshape(math.prod(lead), n, n), exact)
+    return pf.reshape(lead) if batched else pf[0]
 
 
-def _pf_exact(M, idx, memo):
-    if not idx:
-        return Fraction(1)
-    got = memo.get(idx)
-    if got is not None:
-        return got
-    i0 = idx[0]
-    rest = idx[1:]
-    total = Fraction(0)
-    for pos, j in enumerate(rest):
-        a = M[i0][j]
-        if a == 0:
-            continue
-        sub = rest[:pos] + rest[pos + 1 :]
-        term = a * _pf_exact(M, sub, memo)
-        total += term if pos % 2 == 0 else -term
-    memo[idx] = total
-    return total
+def _skew_ltlt(A, exact: bool):
+    """Pfaffians of the stack A (lanes, n, n), reduced in place.
 
-
-def _pf_parlett_reid(A):
-    """Pfaffian via LTL^T congruence with partial pivoting (float/complex)."""
-    n = len(A)
-    pf = 1.0 + 0.0j
+    Step k moves the pivot row into place k+1 (a swap negates the
+    Pfaffian), takes the factor A[k, k+1] and replaces the trailing block
+    by its Schur complement.  A lane whose pivot column is zero has
+    Pfaffian 0; its trailing block is left alone.
+    """
+    lanes, n, _ = A.shape
+    one = Fraction(1) if exact else 1.0
+    lane = np.arange(lanes)
+    pf = np.full(lanes, one, dtype=A.dtype)
     for k in range(0, n - 1, 2):
-        pivot = max(range(k + 1, n), key=lambda r: abs(A[r][k]))
-        if abs(A[pivot][k]) == 0.0:
-            return 0.0 + 0.0j
-        if pivot != k + 1:
-            A[pivot], A[k + 1] = A[k + 1], A[pivot]
-            for row in A:
-                row[pivot], row[k + 1] = row[k + 1], row[pivot]
-            pf = -pf
-        pf *= A[k][k + 1]
+        below = A[:, k + 1 :, k]
+        p = k + 1 + np.argmax(below != 0 if exact else np.abs(below), axis=1)
+        swap = p != k + 1
+        if swap.any():
+            rows = A[lane, p].copy()
+            A[lane, p] = A[:, k + 1]
+            A[:, k + 1] = rows
+            cols = A[lane, :, p].copy()
+            A[lane, :, p] = A[:, :, k + 1]
+            A[:, :, k + 1] = cols
+            pf = np.where(swap, -pf, pf)
+        pivot = A[:, k, k + 1]
+        pf = pf * pivot
         if k + 2 < n:
-            inv = 1.0 / A[k][k + 1]
-            tau = [A[k][j] * inv for j in range(k + 2, n)]
-            col = [A[j][k + 1] for j in range(k + 2, n)]
-            for r in range(k + 2, n):
-                Ar = A[r]
-                tr, cr = tau[r - k - 2], col[r - k - 2]
-                for c in range(k + 2, n):
-                    Ar[c] += tr * col[c - k - 2] - cr * tau[c - k - 2]
+            live = pivot != 0
+            inv = np.where(live, one / np.where(live, pivot, one), 0 * one)
+            tau = A[:, k, k + 2 :] * inv[:, None]
+            col = A[:, k + 2 :, k + 1]
+            A[:, k + 2 :, k + 2 :] += (
+                tau[:, :, None] * col[:, None, :] - col[:, :, None] * tau[:, None, :]
+            )
     return pf
 
 

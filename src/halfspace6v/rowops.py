@@ -102,26 +102,30 @@ def _row_moves(kind, x, yj, q, b, t, eta_in, eta_out_fixed=None):
 
     Left channel (b, t) and incoming vertical edge eta_in are fixed; yields
     tuples (eta_out, b_right, t_right, weight).  eta_out_fixed restricts the
-    outgoing vertical edge (None = free).
+    outgoing vertical edge (None = free).  A weight pole (e.g. x = y_j/q)
+    raises DegeneratePoint.
     """
     z_bot = x / yj
     z_top = x * yj
     top_variant = _TOP_VARIANT[kind]
     out = []
-    # rotated entries are keyed by (vert_in, right_in); iterate right_in
-    for b_right in (0, 1):
-        for (m, b_left), fn_bot in bulk_entries(eta_in, b_right, ROTATED):
-            if b_left != b:
-                continue
-            w_bot = fn_bot(z_bot, q)
-            if _is_zero(w_bot):
-                continue
-            for (eta_out, t_right), fn_top in bulk_entries(m, t, top_variant):
-                if eta_out_fixed is not None and eta_out != eta_out_fixed:
+    try:
+        # rotated entries are keyed by (vert_in, right_in); iterate right_in
+        for b_right in (0, 1):
+            for (m, b_left), fn_bot in bulk_entries(eta_in, b_right, ROTATED):
+                if b_left != b:
                     continue
-                w = w_bot * fn_top(z_top, q)
-                if not _is_zero(w):
-                    out.append((eta_out, b_right, t_right, w))
+                w_bot = fn_bot(z_bot, q)
+                if _is_zero(w_bot):
+                    continue
+                for (eta_out, t_right), fn_top in bulk_entries(m, t, top_variant):
+                    if eta_out_fixed is not None and eta_out != eta_out_fixed:
+                        continue
+                    w = w_bot * fn_top(z_top, q)
+                    if not _is_zero(w):
+                        out.append((eta_out, b_right, t_right, w))
+    except ZeroDivisionError as exc:
+        raise DegeneratePoint(f"row weight pole at x={x}, y_j={yj}: {exc}") from exc
     return out
 
 

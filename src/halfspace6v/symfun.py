@@ -11,12 +11,13 @@ concentric circles with numerically validated constraints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, permutations
 
 import numpy as np
 
 from .errors import ArityError, ContourInvalid, DegeneratePoint, QuadratureNotConverged
+from .pfaffian import pfaffian
 from .rowops import (
     KIND_A,
     KIND_B,
@@ -112,6 +113,39 @@ class ContourSpec:
     @property
     def n(self):
         return len(self.circles)
+
+
+# Lanes per integrand call: at least 2^15 keeps the n = 2 orthogonality grid
+# (160^2 nodes) in one operator-stack call; the cap bounds the memory of
+# three-fold grids (64^3 nodes run as 8 calls).
+QUADRATURE_LANES = 1 << 15
+
+
+def nested_trapezoid(contours: ContourSpec, integrand, nodes: int):
+    """Trapezoid rule on the product of the circles of `contours`.
+
+    Returns the sum over the grid of `nodes` points per circle of
+    integrand(ws) * prod_i dw_i/(2 pi i), where ws holds one lane array per
+    circle (inner first).  The grid is evaluated QUADRATURE_LANES lanes at
+    a time.  A value that is not finite (a node on a pole; array inputs
+    bypass the scalar pole checks) raises ContourInvalid.
+    """
+    lines = [contours.nodes_of(i, nodes) for i in range(contours.n)]
+    size = nodes**contours.n
+    total = 0j
+    for start in range(0, size, QUADRATURE_LANES):
+        grid = np.unravel_index(
+            np.arange(start, min(start + QUADRATURE_LANES, size)), (nodes,) * contours.n
+        )
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            f = integrand([w[k] for (w, _), k in zip(lines, grid)])
+        if not np.all(np.isfinite(f)):
+            raise ContourInvalid("a quadrature node sits on a pole of the integrand")
+        measure = 1
+        for (_, dw), k in zip(lines, grid):
+            measure = measure * dw[k]
+        total += np.sum(f * measure)
+    return complex(total)
 
 
 def validate_contours(
@@ -218,53 +252,38 @@ def nested_contours(
 # ---------------------------------------------------------------------------
 
 
-def _pf_matchings(size):
-    """(sign, pairing) list for a Pfaffian of the given even size."""
-    if size == 0:
-        return [(1, ())]
-    out = []
-
-    def rec(idx, acc, sign):
-        if not idx:
-            out.append((sign, tuple(acc)))
-            return
-        i0 = idx[0]
-        rest = idx[1:]
-        for pos, j in enumerate(rest):
-            rec(
-                rest[:pos] + rest[pos + 1 :],
-                acc + [(i0, j)],
-                sign * (1 if pos % 2 == 0 else -1),
-            )
-
-    rec(tuple(range(size)), [], 1)
-    return out
-
-
-_MATCHINGS = {s: _pf_matchings(s) for s in (0, 2, 4, 6)}
-
-
 def z_triangular_vec(values, params: ModelParams):
     """z_subset_kuperberg over mixed scalar/ndarray alphabet entries.
 
-    Pfaffians are expanded over perfect matchings (sizes <= 6), so every
-    operation broadcasts; used in quadrature integrands where the alphabet
-    mixes fixed x's with contour nodes.
+    The Kuperberg kernel is built once as an array over the broadcast lanes
+    and each even subset's Pfaffian is one batched pfaffian call; used in
+    quadrature integrands where the alphabet mixes fixed x's with contour
+    nodes.
     """
     xs = list(values)
     m = len(xs)
     q = complex(params.q)
-    hs = [h_func(x, params) for x in xs]
+    # complex boundary parameters: rational ones would make h an object array
+    cparams = replace(
+        params, a=complex(params.a), c=None if params.c is None else complex(params.c)
+    )
+    hs = [h_func(x, cparams) for x in xs]
     H = 1
     for h in hs:
         H = H * (1 - h)
     if params.c_infinite:
         return H
     inv_ac = -1.0 / complex(params.a * params.c)
+    X = np.stack(np.broadcast_arrays(*[np.asarray(x, dtype=complex) for x in xs]), axis=-1)
+    Xi, Xj = X[..., :, None], X[..., None, :]
+    kernel = np.divide(
+        (1 - q) * (Xi - Xj),
+        (1 - Xi * Xj) * (1 - q * Xi * Xj),
+        out=np.zeros(X.shape + (m,), dtype=complex),
+        where=~np.eye(m, dtype=bool),
+    )
     total = 0
     for r in range(0, m // 2 + 1):
-        if 2 * r not in _MATCHINGS and 2 * r > 6:
-            raise ArityError("vectorised route supports subsets up to size 6")
         for S in combinations(range(m), 2 * r):
             comp = [i for i in range(m) if i not in S]
             term = inv_ac**r
@@ -279,19 +298,8 @@ def z_triangular_vec(values, params: ModelParams):
                     pref = pref * xs[i]
                     for j in S[ai + 1 :]:
                         pref = pref * (1 - xs[i] * xs[j]) / (xs[i] - xs[j])
-                pf = 0
-                for sign, pairs in _MATCHINGS[2 * r]:
-                    p = sign
-                    for (ai, bj) in pairs:
-                        xi, xj = xs[S[ai]], xs[S[bj]]
-                        p = (
-                            p
-                            * (1 - q)
-                            * (xi - xj)
-                            / ((1 - xi * xj) * (1 - q * xi * xj))
-                        )
-                    pf = pf + p
-                term = term * pref * pf
+                sub = kernel[..., S, :][..., S]
+                term = term * pref * pfaffian(sub, validate=False)
             total = total + term
     return H * total
 
@@ -377,31 +385,13 @@ def g_contour(
     if contours.n != n:
         raise ContourInvalid(f"need {n} contours, got {contours.n}")
 
-    def evaluate(N):
-        # innermost circle vectorised, outer circles explicit
-        w0, dw0 = contours.nodes_of(0, N)
+    def integrand(ws):
+        zval = z_triangular_vec(xs + [1.0 / w for w in ws], params)
+        return zval * _g_integrand_factors(ws, xs, nu, params)
 
-        def level(i, ws, dws):
-            if i == 0:
-                ws_all = [w0] + ws
-                zval = z_triangular_vec(
-                    xs + [1.0 / w for w in ws_all], params
-                )
-                f = zval * _g_integrand_factors(ws_all, xs, nu, params)
-                acc = np.sum(f * dw0)
-                for dw in dws:
-                    acc = acc * dw
-                return acc
-            w_i, dw_i = contours.nodes_of(i, N)
-            return sum(
-                level(i - 1, [w_i[k]] + ws, [dw_i[k]] + dws) for k in range(len(w_i))
-            )
-
-        return level(n - 1, [], [])
-
-    out = evaluate(nodes)
+    out = nested_trapezoid(contours, integrand, nodes)
     if check_convergence:
-        out2 = evaluate(2 * nodes)
+        out2 = nested_trapezoid(contours, integrand, 2 * nodes)
         if abs(out2 - out) > tol * max(1.0, abs(out2)):
             raise QuadratureNotConverged(
                 f"node doubling moved the result by {abs(out2 - out):.3e}"
@@ -625,35 +615,9 @@ def orthogonality_check(
     max_part = max(config_max(nu), config_max(kappa), 1)
     if contour is None:
         contour = default_orthogonality_contour(params, max_part, nodes)
-    center, radius = contour.circles[0]
     N = contour.nodes if nodes is None else nodes
-    theta = 2.0 * np.pi * np.arange(N) / N
-    w_line = center + radius * np.exp(1j * theta)
-    dw_line = radius * np.exp(1j * theta) / N
-
-    grids = np.meshgrid(*([w_line] * n), indexing="ij")
-    ws = [g.ravel() for g in grids]
-    dgrids = np.meshgrid(*([dw_line] * n), indexing="ij")
-    dws = [g.ravel() for g in dgrids]
-
     q = complex(params.q)
     a = complex(params.a)
-    val = np.ones_like(ws[0])
-    for i in range(n):
-        for j in range(i + 1, n):
-            wi, wj = ws[i], ws[j]
-            val = val * (wj - wi) / (q * wj - wi) * (1 - q * wi * wj) / (1 - wi * wj)
-    for i in range(n):
-        w = ws[i]
-        # (a - w), not (w - a): the orientation the degenerate Cauchy
-        # identity produces, normalising the diagonal to +1
-        val = val * (a - w) / (w * (1 - a * w)) * (1 - q * w * w) / (1 - w * w)
-        y_nu = complex(params.y_at(nu[i]))
-        val = val * y_nu / (1 - q * w * y_nu)
-        for j in range(1, nu[i]):
-            yj = complex(params.y_at(j))
-            val = val * (1 - w * yj) / (1 - q * w * yj)
-
     fparams = ModelParams(
         q=q,
         a=a,
@@ -661,10 +625,25 @@ def orthogonality_check(
         y=tuple(complex(params.y_at(j)) for j in range(1, max_part + 1)),
         c_infinite=True,
     )
-    stack = OperatorStack([(KIND_B, w) for w in ws], fparams)
-    fval = stack.element(kappa, ())
 
-    measure = np.ones_like(ws[0])
-    for dw in dws:
-        measure = measure * dw
-    return complex(np.sum(val * fval * measure))
+    def integrand(ws):
+        val = np.ones_like(ws[0])
+        for i in range(n):
+            for j in range(i + 1, n):
+                wi, wj = ws[i], ws[j]
+                val = val * (wj - wi) / (q * wj - wi) * (1 - q * wi * wj) / (1 - wi * wj)
+        for i in range(n):
+            w = ws[i]
+            # (a - w), not (w - a): the orientation the degenerate Cauchy
+            # identity produces, normalising the diagonal to +1
+            val = val * (a - w) / (w * (1 - a * w)) * (1 - q * w * w) / (1 - w * w)
+            y_nu = complex(params.y_at(nu[i]))
+            val = val * y_nu / (1 - q * w * y_nu)
+            for j in range(1, nu[i]):
+                yj = complex(params.y_at(j))
+                val = val * (1 - w * yj) / (1 - q * w * yj)
+        stack = OperatorStack([(KIND_B, w) for w in ws], fparams)
+        return val * stack.element(kappa, ())
+
+    circles = ContourSpec(contour.circles[:1] * n, N)
+    return nested_trapezoid(circles, integrand, N)

@@ -18,7 +18,14 @@ from halfspace6v.asep import (
     vertex_limit_check,
     wilson_interval,
 )
-from halfspace6v.errors import ArityError, CutoffTooSmall, DivisionByZero
+from halfspace6v.errors import (
+    ArityError,
+    CapExceeded,
+    ContourInvalid,
+    CutoffTooSmall,
+    DivisionByZero,
+)
+from halfspace6v.symfun import ContourSpec
 from halfspace6v.weights import ModelParams
 
 AP = AsepParams(q=0.25, alpha=0.5, gamma=0.0, t=1.0, sites=8)
@@ -92,6 +99,20 @@ def test_formula_requires_gamma_zero():
 
 def test_formula_n0():
     assert transition_prob_formula((), AP) == math.exp(-0.5)
+
+
+def test_formula_node_on_pole_raises():
+    # centre 3.5, radius 0.5: the theta = 0 node is w = 1/q = 4.0
+    circle = ContourSpec(((3.5 + 0j, 0.5),), 64)
+    with pytest.raises(ContourInvalid):
+        transition_prob_formula((1,), AP, contours=circle, nodes=64)
+
+
+def test_uniformization_term_cap_raises():
+    # a negative tolerance is never met: the series stops at its term cap
+    ap = AsepParams(q=0.25, alpha=0.5, t=0.001, sites=3)
+    with pytest.raises(CapExceeded):
+        transition_distribution_exact((), ap, series_tol=-1.0)
 
 
 def test_formula_vs_exact_reference_point():

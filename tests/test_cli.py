@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -75,6 +76,19 @@ def test_asep_formula_empty(capsys):
     assert code == 0
     val = json.loads(out)["value"]
     assert abs(val - math.exp(-0.5)) < 1e-12
+
+
+def test_asep_exact_uniformization_underflow_exit_two(capsys):
+    start = time.perf_counter()
+    code = main(
+        ["asep", "prob", "--alpha", "800", "--q", "0.25", "--t", "1", "--sites", "8",
+         "--nu", "8,7,6,5,4,3,2,1", "--method", "exact"]
+    )
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert json.loads(captured.err)["error"] == "CapExceeded"
+    assert elapsed < 1.0
 
 
 def test_asep_mc_runs(capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from halfspace6v.errors import GuardViolated, TruncationTooSmall
+from halfspace6v.errors import DegeneratePoint, GuardViolated, TruncationTooSmall
 from halfspace6v.rowops import (
     KIND_A,
     KIND_B,
@@ -22,6 +22,7 @@ from halfspace6v.rowops import (
     stochastic_row_sum,
     verify_operator_identity,
 )
+from halfspace6v.symfun import g_subset
 from halfspace6v.weights import (
     DOTTED,
     ROTATED,
@@ -267,3 +268,13 @@ def test_probability_regime_pointwise():
     assert not in_probability_regime(F(1, 2), bad)
     # pole is reported as out-of-regime, not an exception
     assert not in_probability_regime(F(3), good)
+
+
+def test_stack_pole_raises_degenerate_point():
+    # x_1 = y_1/q is a pole of one row weight; G itself is finite there
+    p = ModelParams(q=F(1, 4), a=F(3), c=F(-2), y=(F(4, 5),))
+    xs = (F(16, 5), F(1, 2))
+    assert partition_G((2, 1), (), xs, p, method="lattice") == F(-1232, 65)
+    assert g_subset((2, 1), xs, p) == F(-1232, 65)
+    with pytest.raises(DegeneratePoint):
+        partition_G((2, 1), (), xs, p, method="stack")

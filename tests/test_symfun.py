@@ -72,6 +72,24 @@ def test_z_triangular_vec_matches_scalar():
     assert abs(complex(ref) - complex(vec)) < 1e-12
 
 
+def test_g_contour_pfaffian_order_8():
+    # L = 7 plus one contour variable: the integrand's subset sum needs a
+    # Pfaffian of order 8
+    p = ModelParams(q=F(1, 10), a=F(10), c=F(-2), y=(F(1),))
+    xs = tuple(F(k, 10) for k in range(3, 10))
+    v = g_contour((1,), xs, p, nodes=64)
+    assert abs(v - float(g_subset((1,), xs, p))) < 1e-8
+
+
+# centre 2.5, radius 0.5: the theta = 0 node is w = 3.0, the pole w = a
+POLE_CIRCLE = ContourSpec(((2.5 + 0j, 0.5),), 64)
+
+
+def test_g_contour_node_on_pole_raises():
+    with pytest.raises(ContourInvalid):
+        g_contour((1,), (F(1, 2),), P, contours=POLE_CIRCLE, nodes=64)
+
+
 def test_g_contour_n0_is_Z():
     xs = (F(1, 2), F(2, 5))
     v = g_contour((), xs, P)
@@ -142,6 +160,11 @@ def test_orthogonality_diagonal_and_off():
     assert abs(orthogonality_check((1,), (1,), ORTH_PARAMS, nodes=128) - 1) < 1e-6
     assert abs(orthogonality_check((), (1,), ORTH_PARAMS, nodes=128)) < 1e-6
     assert abs(orthogonality_check((2,), (1,), ORTH_PARAMS, nodes=128)) < 1e-6
+
+
+def test_orthogonality_node_on_pole_raises():
+    with pytest.raises(ContourInvalid):
+        orthogonality_check((1,), (1,), ORTH_PARAMS, nodes=64, contour=POLE_CIRCLE)
 
 
 def test_orthogonality_requires_c_infinite():
