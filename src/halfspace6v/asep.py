@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,35 +81,74 @@ def _mask_to_config(mask: int) -> tuple:
     return tuple(sorted((i + 1 for i in range(mask.bit_length()) if mask >> i & 1), reverse=True))
 
 
-def _moves(mask: int, params: AsepParams):
-    """(target_mask, rate) pairs out of `mask`; right moves past S suppressed."""
+# The move table describes every move of the truncated chain once.  A move
+# type (flip, fixed, need, rate) leaves mask m when m & fixed == need and goes
+# to m ^ flip: the boundary loss (gamma) and gain (alpha) at site 1, then per
+# site s = 1..S the right hop and the left hop.  That is the order in which
+# the event loop lists a mask's moves.  Zero rates are left out.
+
+MAX_ARRAY_BYTES = 1 << 29
+"""Cap on the arrays an ASEP route allocates: the move table of
+uniformization or a dense 2^S x 2^S matrix.  Larger requests raise
+CapExceeded before anything is allocated."""
+
+# table bytes per edge (source, target, rate, and two edge-length temporaries
+# of one sparse mat-vec) and per state (the mat-vec's state-length vectors)
+_EDGE_BYTES = 40
+_STATE_BYTES = 40
+
+
+def _move_types(params: AsepParams) -> list:
     S, q = params.sites, params.q
-    out = []
-    if mask & 1:
-        if params.gamma:
-            out.append((mask & ~1, params.gamma))
-    elif params.alpha:
-        out.append((mask | 1, params.alpha))
+    types = []
+    if params.gamma:
+        types.append((1, 1, 1, params.gamma))
+    if params.alpha:
+        types.append((1, 1, 0, params.alpha))
     for s in range(1, S + 1):
         bit = 1 << (s - 1)
-        if not mask & bit:
-            continue
-        if s + 1 <= S and not mask & (bit << 1):
-            out.append((mask & ~bit | (bit << 1), 1.0))
-        if s - 1 >= 1 and not mask & (bit >> 1):
-            if q:
-                out.append((mask & ~bit | (bit >> 1), q))
-    return out
+        if s < S:
+            types.append((3 * bit, 3 * bit, bit, 1.0))
+        if s > 1 and q:
+            types.append((3 * bit >> 1, 3 * bit >> 1, bit, q))
+    return types
+
+
+def _check_bytes(nbytes: int, what: str) -> None:
+    if nbytes > MAX_ARRAY_BYTES:
+        raise CapExceeded(
+            f"{what} needs about {nbytes / 2**20:,.0f} MiB, over the "
+            f"{MAX_ARRAY_BYTES >> 20} MiB cap; lower the number of sites"
+        )
+
+
+def _move_table(params: AsepParams):
+    """Edge arrays (src, tgt, rate) of every move, one block per move type."""
+    types = _move_types(params)
+    dim = 1 << params.sites
+    edges = sum(dim >> fixed.bit_count() for _, fixed, _, _ in types)
+    _check_bytes(_EDGE_BYTES * edges + _STATE_BYTES * dim, f"the {params.sites}-site move table")
+    src, tgt, rate = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
+    for flip, fixed, need, r in types:
+        # the fixed bits are contiguous: spread a free counter around them
+        low = (fixed & -fixed).bit_length() - 1
+        free = np.arange(dim >> fixed.bit_count())
+        m = (free & ((1 << low) - 1)) | (free >> low << (low + fixed.bit_count())) | need
+        src.append(m)
+        tgt.append(m ^ flip)
+        rate.append(np.full(m.size, float(r)))
+    return np.concatenate(src), np.concatenate(tgt), np.concatenate(rate)
 
 
 def generator_matrix(params: AsepParams) -> np.ndarray:
-    """Dense rate matrix L with L[m, m'] = rate(m -> m'), zero row sums."""
+    """Dense rate matrix L with L[m, m'] = rate(m -> m'), zero row sums,
+    assembled from the move table (for tests and small S)."""
     dim = 1 << params.sites
+    _check_bytes(8 * dim * dim, f"the dense {params.sites}-site generator")
+    src, tgt, rate = _move_table(params)
     L = np.zeros((dim, dim))
-    for m in range(dim):
-        for m2, r in _moves(m, params):
-            L[m, m2] += r
-            L[m, m] -= r
+    L[src, tgt] = rate
+    np.fill_diagonal(L, -np.bincount(src, weights=rate, minlength=dim))
     return L
 
 
@@ -119,10 +159,10 @@ def generator_apply(f: dict, params: AsepParams) -> dict:
     vec = np.zeros(dim)
     for cfg, v in f.items():
         vec[_config_to_mask(cfg, params.sites)] = v
-    out = vec @ generator_matrix(params)
-    return {
-        _mask_to_config(m): out[m] for m in range(dim) if out[m] != 0.0
-    }
+    src, tgt, rate = _move_table(params)
+    inflow = np.bincount(tgt, weights=rate * vec[src], minlength=dim)
+    out = inflow - np.bincount(src, weights=rate, minlength=dim) * vec
+    return {_mask_to_config(int(m)): out[m] for m in np.flatnonzero(out)}
 
 
 def _poisson_tail(lam: float, k: int) -> float:
@@ -166,13 +206,15 @@ def transition_distribution_exact(mu, params: AsepParams, series_tol: float = 1e
         raise CapExceeded(
             f"uniformization weight exp(-{lt:.4g}) underflows; shorten t or lower the rates"
         )
-    L = generator_matrix(params)
-    dim = L.shape[0]
-    P = np.eye(dim) + L / lam_rate
+    start = _config_to_mask(mu, S)
+    src, tgt, rate = _move_table(params)
+    dim = 1 << S
+    # one step of the uniformized chain, v <- v (I + L / Lambda), on the table
+    jump = rate / lam_rate
+    stay = 1.0 - np.bincount(src, weights=rate, minlength=dim) / lam_rate
     v = np.zeros(dim)
-    v[_config_to_mask(mu, S)] = 1.0
-    out = np.zeros(dim)
-    out += weight * v
+    v[start] = 1.0
+    out = weight * v
     acc = weight
     k = 0
     max_terms = 1000 * (1 + int(lt))
@@ -182,7 +224,7 @@ def transition_distribution_exact(mu, params: AsepParams, series_tol: float = 1e
                 f"uniformization missed mass {1.0 - acc:.3e} after {k} terms"
             )
         k += 1
-        v = v @ P
+        v = stay * v + np.bincount(tgt, weights=jump * v[src], minlength=dim)
         weight *= lt / k
         out += weight * v
         acc += weight
@@ -210,26 +252,6 @@ def transition_prob_exact(mu, nu, params: AsepParams, leak_tol: float = 1e-4):
 # ---------------------------------------------------------------------------
 
 
-def _simulate_one(mask: int, params: AsepParams, rng) -> int:
-    t = 0.0
-    while True:
-        moves = _moves(mask, params)
-        total = sum(r for _, r in moves)
-        if total == 0.0:
-            return mask
-        t += rng.exponential(1.0 / total)
-        if t >= params.t:
-            return mask
-        u = rng.random() * total
-        acc = 0.0
-        for m2, r in moves:
-            acc += r
-            if u <= acc:
-                mask = m2
-                break
-    return mask
-
-
 def wilson_interval(successes: int, n: int, z: float = 3.0):
     """Wilson score interval (z sigma) for a binomial proportion."""
     if n == 0:
@@ -241,21 +263,62 @@ def wilson_interval(successes: int, n: int, z: float = 3.0):
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def _mask_moves(mask: int, types: list) -> tuple:
+    """Targets, cumulative rates and 1/total rate of the moves out of mask,
+    in table order (None for a mask with no moves)."""
+    targets, rates, cum, acc = [], [], [], 0.0
+    for flip, fixed, need, r in types:
+        if mask & fixed == need:
+            targets.append(mask ^ flip)
+            rates.append(r)
+            acc += r
+            cum.append(acc)
+    # sum() rather than acc: from Python 3.12 on, sum() of floats is compensated
+    total = sum(rates)
+    return (targets, cum, total, 1.0 / total) if total else None
+
+
 def simulate_gillespie(mu, params: AsepParams, samples: int, seed: int = 0):
     """Empirical time-t distribution from `samples` independent replicas.
 
-    Each replica draws from its own counter-based stream keyed by
-    (seed, replica), so results are reproducible regardless of execution
-    order.  Returns {config: (p_hat, lo, hi)} with 3-sigma Wilson bounds.
+    Replica r draws from the Philox stream with key (seed << 64) + r and
+    counter 0, so the result depends on (mu, params, samples, seed) alone,
+    not on execution order.  One generator is reset to that key before each
+    replica.  Returns {config: (p_hat, lo, hi)} with 3-sigma Wilson bounds.
     """
     if samples < 1:
         raise ValueError("samples >= 1")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     mask0 = _config_to_mask(mu, params.sites)
+    types = _move_types(params)
+    t_end = params.t
+    memo: dict = {}
+    bitgen = np.random.Philox(key=seed << 64)
+    rng = np.random.Generator(bitgen)
+    # the setter copies this dict in: its counter and buffer stay at their
+    # start values, and key word 0 (the low 64 bits) is the replica
+    state = bitgen.state
+    key = state["state"]["key"]
     counts: dict[int, int] = {}
     for rep in range(samples):
-        rng = np.random.Generator(np.random.Philox(key=(seed << 64) + rep))
-        final = _simulate_one(mask0, params, rng)
-        counts[final] = counts.get(final, 0) + 1
+        key[0] = rep
+        bitgen.state = state
+        mask, t = mask0, 0.0
+        while True:
+            if mask not in memo:
+                memo[mask] = _mask_moves(mask, types)
+            moves = memo[mask]
+            if moves is None:
+                break
+            targets, cum, total, scale = moves
+            t += rng.exponential(scale)
+            if t >= t_end:
+                break
+            i = bisect_left(cum, rng.random() * total)
+            if i < len(targets):
+                mask = targets[i]
+        counts[mask] = counts.get(mask, 0) + 1
     out = {}
     for mask, cnt in counts.items():
         lo, hi = wilson_interval(cnt, samples)
@@ -343,6 +406,7 @@ def vertex_row_kernel(x, params: ModelParams, sites: int) -> np.ndarray:
     """Dense one-sweep kernel M[mask, mask'] = <mask| A(x) |mask'> on the
     truncated window, homogeneous y."""
     dim = 1 << sites
+    _check_bytes(8 * dim * dim, f"the dense {sites}-site row kernel")
     M = np.zeros((dim, dim))
     for m in range(dim):
         bra = SparseState({_mask_to_config(m): 1.0})

@@ -449,13 +449,21 @@ def g_lattice(nu, x_alphabet, params: ModelParams):
     off their boundary vertices, and run right through the vertical lines
     y_1..y_{nu_1} (argument x_i y_j) where paths may exit into nu.  All
     remaining horizontal edges must be empty, which truncates exactly.
+    A weight pole (e.g. x y_j q = 1) raises DegeneratePoint.
     """
     nu = as_config(nu)
     xs = tuple(x_alphabet)
+    if not xs:
+        return 1 if nu == () else 0
+    try:
+        return _staircase(nu, xs, params)
+    except ZeroDivisionError as exc:
+        raise DegeneratePoint(f"weight pole in the lattice route: {exc}") from exc
+
+
+def _staircase(nu, xs, params: ModelParams):
     L = len(xs)
     q = params.q
-    if L == 0:
-        return 1 if nu == () else 0
     occupied = set(nu)
 
     states = {(): 1}

@@ -42,18 +42,27 @@ def g_subset(nu, x_alphabet, params: ModelParams):
 
     The complement alphabet carries the triangular factor Z_{L-n}; each
     chosen row i in K carries h(x_i), cross factors against the complement,
-    and a permutation-summed product of y-dependent column factors.
+    and a permutation-summed product of y-dependent column factors.  A
+    weight pole (e.g. x_i y_j q = 1) raises DegeneratePoint.
     """
     nu = as_config(nu)
     xs = tuple(x_alphabet)
     L, n = len(xs), len(nu)
     if L < n:
         raise ArityError(f"need L >= |nu|, got L={L} < {n}")
-    q = params.q
     for i in range(L):
         for j in range(i + 1, L):
             if xs[i] == xs[j]:
                 raise DegeneratePoint("coinciding x entries")
+    try:
+        return _subset_sum(nu, xs, params)
+    except ZeroDivisionError as exc:
+        raise DegeneratePoint(f"weight pole in the subset formula: {exc}") from exc
+
+
+def _subset_sum(nu, xs, params: ModelParams):
+    L, n = len(xs), len(nu)
+    q = params.q
     total = 0
     for K in combinations(range(L), n):
         comp = [i for i in range(L) if i not in K]

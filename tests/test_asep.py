@@ -1,10 +1,14 @@
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halfspace6v.asep import (
+    MAX_ARRAY_BYTES,
     AsepParams,
     asep_contours,
     generator_apply,
@@ -16,6 +20,7 @@ from halfspace6v.asep import (
     transition_prob_exact,
     transition_prob_formula,
     vertex_limit_check,
+    vertex_row_kernel,
     wilson_interval,
 )
 from halfspace6v.errors import (
@@ -184,3 +189,135 @@ def test_vertex_limit_finite_c():
     rep = vertex_limit_check((), (1,), vp, t=0.5, L_list=(8, 16), sites=7)
     assert rep["gamma"] > 0
     assert rep["rows"][1][3] < rep["rows"][0][3]
+
+
+def _dense_generator(params):
+    """Reference generator: one Python loop over masks and their moves."""
+    S, q = params.sites, params.q
+    L = np.zeros((1 << S, 1 << S))
+    for m in range(1 << S):
+        moves = []
+        if m & 1:
+            if params.gamma:
+                moves.append((m & ~1, params.gamma))
+        elif params.alpha:
+            moves.append((m | 1, params.alpha))
+        for s in range(1, S + 1):
+            bit = 1 << (s - 1)
+            if not m & bit:
+                continue
+            if s < S and not m & (bit << 1):
+                moves.append((m & ~bit | bit << 1, 1.0))
+            if s > 1 and not m & (bit >> 1) and q:
+                moves.append((m & ~bit | bit >> 1, q))
+        for m2, r in moves:
+            L[m, m2] += r
+            L[m, m] -= r
+    return L
+
+
+def _dense_uniformization(mask, params, tol=1e-13):
+    L = _dense_generator(params)
+    lam = params.sites * (1.0 + params.q) + params.alpha + params.gamma
+    P = np.eye(L.shape[0]) + L / lam
+    v = np.zeros(L.shape[0])
+    v[mask] = 1.0
+    weight = math.exp(-lam * params.t)
+    out, acc, k = weight * v, weight, 0
+    while 1.0 - acc > tol:
+        k += 1
+        v = v @ P
+        weight *= lam * params.t / k
+        out += weight * v
+        acc += weight
+    return out
+
+
+rates = st.one_of(st.just(0.0), st.floats(0.05, 2.0))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    st.integers(1, 8), rates, rates, rates, st.floats(0.0, 1.5), st.integers(0, 255)
+)
+def test_table_uniformization_matches_dense_reference(sites, q, alpha, gamma, t, start):
+    ap = AsepParams(q=q, alpha=alpha, gamma=gamma, t=t, sites=sites)
+    mask = start % (1 << sites)
+    mu = tuple(s + 1 for s in reversed(range(sites)) if mask >> s & 1)
+    assert np.array_equal(generator_matrix(ap), _dense_generator(ap))
+    got = transition_distribution_exact(mu, ap)
+    assert np.abs(got - _dense_uniformization(mask, ap)).max() <= 1e-14
+
+
+def test_generator_apply_matches_dense_reference():
+    ap = AsepParams(q=0.4, alpha=0.7, gamma=0.3, t=0.0, sites=5)
+    f = {(): 0.5, (2, 1): 1.0, (5, 3): -0.25}
+    vec = np.zeros(32)
+    for cfg, v in f.items():
+        vec[sum(1 << (p - 1) for p in cfg)] = v
+    ref = vec @ _dense_generator(ap)
+    out = generator_apply(f, ap)
+    assert len(out) == np.count_nonzero(ref)
+    for cfg, v in out.items():
+        assert abs(v - ref[sum(1 << (p - 1) for p in cfg)]) <= 1e-15
+
+
+# Histograms of simulate_gillespie((2, 1), GOLDEN_AP, 2000, seed) as first
+# recorded with one freshly constructed Philox generator per replica.
+GOLDEN_AP = AsepParams(q=0.25, alpha=0.5, gamma=0.3, t=1.0, sites=6)
+GOLDEN = {
+    42: {
+        (3, 1): 399, (4, 2): 89, (2, 1): 641, (3,): 124, (3, 2): 162, (5,): 21,
+        (2,): 155, (5, 2, 1): 8, (5, 3): 8, (4, 3): 19, (5, 2): 42, (4,): 47,
+        (4, 3, 1): 7, (5, 1): 42, (4, 1): 150, (1,): 14, (6, 1): 14,
+        (3, 2, 1): 25, (4, 2, 1): 15, (6, 2): 3, (5, 3, 1): 1, (6,): 4,
+        (6, 2, 1): 3, (4, 3, 2): 2, (6, 3): 2, (): 2, (6, 3, 1): 1,
+    },
+    2**64 - 1: {
+        (4, 1): 157, (4, 3, 1): 3, (2, 1): 634, (3, 1): 366, (6, 1): 17,
+        (2,): 154, (3,): 112, (5, 2): 27, (3, 2): 194, (4, 2): 84,
+        (4, 2, 1): 20, (5, 2, 1): 10, (3, 2, 1): 28, (4,): 57, (1,): 16,
+        (6, 2, 1): 4, (5, 4): 5, (5,): 22, (5, 3): 7, (6, 4): 3, (5, 1): 42,
+        (4, 3): 22, (6, 3): 4, (6, 2): 5, (6,): 5, (): 1, (6, 3, 1): 1,
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN))
+def test_gillespie_golden_histogram(seed):
+    emp = simulate_gillespie((2, 1), GOLDEN_AP, samples=2000, seed=seed)
+    expected = {
+        cfg: (c / 2000, *wilson_interval(c, 2000)) for cfg, c in GOLDEN[seed].items()
+    }
+    assert emp == expected
+    assert list(emp) == list(expected)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_gillespie_seed_out_of_range(seed):
+    with pytest.raises(ValueError, match="seed must lie"):
+        simulate_gillespie((), AP, samples=1, seed=seed)
+
+
+def test_sixteen_sites_within_leakage_of_fourteen():
+    ap = AsepParams(q=0.25, alpha=0.5, gamma=0.2, t=2.0, sites=14)
+    p14, leak14 = transition_prob_exact((2, 1), (3, 1), ap)
+    p16, leak16 = transition_prob_exact((2, 1), (3, 1), replace(ap, sites=16))
+    assert leak16 < leak14 < 1e-4
+    assert abs(p16 - p14) <= leak14 + leak16
+
+
+def test_move_table_over_cap_raises_before_allocating():
+    # 24 sites: about 8 GiB of edges, refused from the edge count alone
+    with pytest.raises(CapExceeded, match="MiB"):
+        transition_distribution_exact((), AsepParams(q=0.25, alpha=0.5, t=1.0, sites=24))
+
+
+def test_dense_arrays_over_cap_raise_before_allocating():
+    # a dense 2^15 x 2^15 array is 8 GiB
+    assert 8 * 4**15 > MAX_ARRAY_BYTES
+    vp = ModelParams(q=0.25, a=3.0, c_infinite=True, y=(1.0,))
+    with pytest.raises(CapExceeded, match="MiB"):
+        vertex_row_kernel(0.9, vp, 15)
+    with pytest.raises(CapExceeded, match="MiB"):
+        generator_matrix(AsepParams(q=0.25, alpha=0.5, sites=15))

@@ -91,6 +91,23 @@ def test_asep_exact_uniformization_underflow_exit_two(capsys):
     assert elapsed < 1.0
 
 
+def test_asep_sim_seed_out_of_range_exit_two(capsys):
+    code = main(["asep", "sim", "--alpha", "0.5", "--t", "0.5", "--samples", "10", "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ValueError" and "seed must lie" in err["message"]
+
+
+def test_asep_limit_dense_kernel_cap_exit_two(capsys):
+    # the 16-site dense kernel would be 32 GiB: refused before allocating
+    code = main(["asep", "limit", "--nu", "1", "--q", "0.25", "--a", "3.0",
+                 "--t", "0.25", "--sites", "16", "--L", "8"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert json.loads(captured.err)["error"] == "CapExceeded"
+
+
 def test_asep_mc_runs(capsys):
     code, out = run(
         capsys,

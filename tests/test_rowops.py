@@ -278,3 +278,13 @@ def test_stack_pole_raises_degenerate_point():
     assert g_subset((2, 1), xs, p) == F(-1232, 65)
     with pytest.raises(DegeneratePoint):
         partition_G((2, 1), (), xs, p, method="stack")
+
+
+def test_lattice_and_subset_pole_raise_degenerate_point():
+    # x_1 y_1 q = 1 is a pole of the weights both routes multiply out
+    p = ModelParams(q=F(2), a=F(1, 3), c=F(1, 4), y=(F(1),))
+    xs = (F(1), F(1, 2))
+    with pytest.raises(DegeneratePoint):
+        g_lattice((1,), xs, p)
+    with pytest.raises(DegeneratePoint):
+        g_subset((1,), xs, p)
