@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArityError, CapExceeded, ContourInvalid, CutoffTooSmall, DivisionByZero
-from .rowops import KIND_A, SparseState, apply_double_row, as_config, config_max
+from .rowops import KIND_A, _column_moves, as_config, config_max
 from .symfun import ContourSpec, nested_trapezoid, validate_contours
-from .weights import ModelParams
+from .weights import ModelParams, boundary_weight
 
 
 @dataclass(frozen=True)
@@ -404,16 +404,40 @@ def transition_prob_formula(
 
 def vertex_row_kernel(x, params: ModelParams, sites: int) -> np.ndarray:
     """Dense one-sweep kernel M[mask, mask'] = <mask| A(x) |mask'> on the
-    truncated window, homogeneous y."""
-    dim = 1 << sites
-    _check_bytes(8 * dim * dim, f"the dense {sites}-site row kernel")
-    M = np.zeros((dim, dim))
-    for m in range(dim):
-        bra = SparseState({_mask_to_config(m): 1.0})
-        out = apply_double_row(bra, KIND_A, x, sites, params)
-        for cfg, w in out.items():
-            M[m, _config_to_mask(cfg, sites)] = w.real if isinstance(w, complex) else float(w)
-    return M
+    truncated window (bit s-1 <-> site s, y_j per column).
+
+    Contracted column by column: K[mask, mask', ch] over sites 1..j grows
+    from the boundary weights, shape (1, 1, 4), by one column tensor per
+    site, and the last column contracts straight into the target channel
+    (0, 0).  The peak is the 4-channel array of S-1 sites next to the
+    output, 2 * 4^S entries, and it is checked before allocating.  Raises
+    ValueError when a kernel entry has a nonzero imaginary part.
+    """
+    # T[eta_in, eta_out, ch, ch'] per distinct y_j, channel ch = 2 b + t
+    tensors = {}
+    for yj in {params.y_at(j) for j in range(1, sites + 1)}:
+        T = tensors[yj] = np.zeros((2, 2, 4, 4), complex)
+        for (b, t, eta_in), moves in _column_moves(KIND_A, x, yj, params.q).items():
+            for eta_out, b2, t2, w in moves:
+                T[eta_in, eta_out, 2 * b + t, 2 * b2 + t2] += complex(w)
+    K = np.array([[[complex(boundary_weight(b, t, x, params)) for b in (0, 1) for t in (0, 1)]]])
+    real = not any(np.any(a.imag) for a in (K, *tensors.values()))
+    if real:
+        K = K.real
+        tensors = {yj: T.real for yj, T in tensors.items()}
+    _check_bytes(2 * K.itemsize * 4**sites, f"the dense {sites}-site row kernel")
+    for j in range(1, sites + 1):
+        T = tensors[params.y_at(j)]
+        n = K.shape[0]
+        if j < sites:
+            K = np.einsum("abc,decf->daebf", K, T).reshape(2 * n, 2 * n, 4)
+        else:
+            K = np.einsum("abc,dec->daeb", K, T[..., 0]).reshape(2 * n, 2 * n)
+    if not real:
+        if np.any(K.imag):
+            raise ValueError(f"the row kernel at x={x} has complex entries")
+        K = K.real
+    return K
 
 
 def vertex_limit_check(mu, nu, vertex_params: ModelParams, t: float, L_list, sites: int = 8) -> dict:

@@ -18,7 +18,8 @@ Matrix elements of operator products are evaluated two ways:
 
 apply_double_row is the plain one-sweep Markov kernel on a truncated site
 window; its coefficients are exact for every output supported inside the
-window.
+window.  It reads its moves from one table per column (_column_moves), the
+table that asep.vertex_row_kernel contracts into a dense kernel.
 """
 
 from __future__ import annotations
@@ -97,13 +98,12 @@ def _is_zero(v) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _row_moves(kind, x, yj, q, b, t, eta_in, eta_out_fixed=None):
+def _row_moves(kind, x, yj, q, b, t, eta_in):
     """All moves of one double row at one column.
 
     Left channel (b, t) and incoming vertical edge eta_in are fixed; yields
-    tuples (eta_out, b_right, t_right, weight).  eta_out_fixed restricts the
-    outgoing vertical edge (None = free).  A weight pole (e.g. x = y_j/q)
-    raises DegeneratePoint.
+    tuples (eta_out, b_right, t_right, weight).  A weight pole (e.g.
+    x = y_j/q) raises DegeneratePoint.
     """
     z_bot = x / yj
     z_top = x * yj
@@ -119,14 +119,24 @@ def _row_moves(kind, x, yj, q, b, t, eta_in, eta_out_fixed=None):
                 if _is_zero(w_bot):
                     continue
                 for (eta_out, t_right), fn_top in bulk_entries(m, t, top_variant):
-                    if eta_out_fixed is not None and eta_out != eta_out_fixed:
-                        continue
                     w = w_bot * fn_top(z_top, q)
                     if not _is_zero(w):
                         out.append((eta_out, b_right, t_right, w))
     except ZeroDivisionError as exc:
         raise DegeneratePoint(f"row weight pole at x={x}, y_j={yj}: {exc}") from exc
     return out
+
+
+def _column_moves(kind, x, yj, q) -> dict:
+    """The move table of one double row at one column with parameter y_j:
+    {(b, t, eta_in): _row_moves(...)} for every left channel (b, t) and
+    incoming vertical edge eta_in, with the outgoing edge free."""
+    return {
+        (b, t, eta_in): _row_moves(kind, x, yj, q, b, t, eta_in)
+        for b in (0, 1)
+        for t in (0, 1)
+        for eta_in in (0, 1)
+    }
 
 
 def apply_double_row(bra, kind, spectral, n_columns, params: ModelParams):
@@ -136,18 +146,22 @@ def apply_double_row(bra, kind, spectral, n_columns, params: ModelParams):
     infinite-lattice kernel weight(mu -> nu); outputs escaping the window are
     dropped.
     """
-    if isinstance(bra, dict):
-        items = bra.items()
-    else:
+    if not isinstance(bra, dict):
         raise TypeError("bra must be a SparseState / dict")
-    out = SparseState()
-    target = _TARGET[kind]
-    q = params.q
-    for mu, coeff in items:
+    for mu in bra:
         if config_max(mu) > n_columns:
             raise TruncationTooSmall(
                 f"bra support {config_max(mu)} exceeds n_columns={n_columns}"
             )
+    # columns past the y-prefix share the tail's table
+    n_tables = min(n_columns, len(params.y))
+    tables = [
+        _column_moves(kind, spectral, params.y_at(j), params.q)
+        for j in range(1, n_tables + 1)
+    ]
+    out = SparseState()
+    target = _TARGET[kind]
+    for mu, coeff in bra.items():
         occupied = set(mu)
         # frontier: (channel, grown nu prefix) -> weight
         frontier = {}
@@ -158,10 +172,10 @@ def apply_double_row(bra, kind, spectral, n_columns, params: ModelParams):
                     frontier[(b, t), ()] = w
         for j in range(1, n_columns + 1):
             eta_in = 1 if j in occupied else 0
-            yj = params.y_at(j)
+            moves = tables[min(j, n_tables) - 1]
             new = {}
             for ((b, t), prefix), w in frontier.items():
-                for eta_out, b2, t2, wm in _row_moves(kind, spectral, yj, q, b, t, eta_in):
+                for eta_out, b2, t2, wm in moves[b, t, eta_in]:
                     key = ((b2, t2), prefix + (j,) if eta_out else prefix)
                     val = w * wm
                     if key in new:

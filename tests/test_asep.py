@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -30,6 +31,7 @@ from halfspace6v.errors import (
     CutoffTooSmall,
     DivisionByZero,
 )
+from halfspace6v.rowops import KIND_A, SparseState, apply_double_row, in_probability_regime
 from halfspace6v.symfun import ContourSpec
 from halfspace6v.weights import ModelParams
 
@@ -189,6 +191,71 @@ def test_vertex_limit_finite_c():
     rep = vertex_limit_check((), (1,), vp, t=0.5, L_list=(8, 16), sites=7)
     assert rep["gamma"] > 0
     assert rep["rows"][1][3] < rep["rows"][0][3]
+
+
+def _per_mask_kernel(x, params, sites):
+    """Reference kernel: one apply_double_row sweep per bitmask."""
+    dim = 1 << sites
+    M = np.zeros((dim, dim))
+    for m in range(dim):
+        mu = tuple(s for s in range(sites, 0, -1) if m >> (s - 1) & 1)
+        out = apply_double_row(SparseState.unit(mu), KIND_A, x, sites, params)
+        for nu, w in out.items():
+            M[m, sum(1 << (s - 1) for s in nu)] = w
+    return M
+
+
+KERNEL_PARAMS = [
+    ModelParams(q=0.25, a=3.0, c_infinite=True, y=(1.0,)),
+    ModelParams(q=0.25, a=-1.0, c=2.0, y=(1.0,)),
+    ModelParams(q=0.4, a=-0.5, c=3.0, y=(0.8, 1.25, 0.9, 1.1)),
+]
+
+
+@pytest.mark.parametrize("sites", range(1, 7))
+@pytest.mark.parametrize("vp", KERNEL_PARAMS, ids=["c_inf", "c_finite", "y_inhom"])
+def test_vertex_kernel_matches_per_mask_sweeps(vp, sites):
+    for x in (0.5, 0.97):
+        got = vertex_row_kernel(x, vp, sites)
+        assert np.abs(got - _per_mask_kernel(x, vp, sites)).max() <= 1e-14
+
+
+def test_vertex_kernel_rows_conserve_mass():
+    # every row of one sweep sums to 1 on the half-line; the 6-site kernel
+    # loses exactly what is carried past site 6, which a 10-site window keeps
+    # up to its own loss (about 1e-14 at x = 0.999)
+    vp = KERNEL_PARAMS[1]
+    x = 0.999
+    assert in_probability_regime(x, vp)
+    m6, m10 = vertex_row_kernel(x, vp, 6), vertex_row_kernel(x, vp, 10)
+    assert m10.min() >= 0.0
+    assert np.array_equal(m10[:64, :64], m6)
+    rows = m6.sum(axis=1) + m10[:64, 64:].sum(axis=1)
+    assert np.abs(rows - 1.0).max() <= 1e-12
+
+
+def test_vertex_kernel_complex_entries_raise():
+    vp = KERNEL_PARAMS[0]
+    with pytest.raises(ValueError, match="complex"):
+        vertex_row_kernel(0.9 + 0.05j, vp, 3)
+    # complex weights with zero imaginary parts give the real kernel
+    got = vertex_row_kernel(0.9 + 0j, vp, 3)
+    assert got.dtype == float and np.array_equal(got, vertex_row_kernel(0.9, vp, 3))
+
+
+def test_vertex_kernel_first_refused_size_allocates_nothing():
+    # the contraction holds the 4-channel array of S-1 sites next to the
+    # output: 16 * 4^S bytes, accepted up to 12 sites
+    assert 16 * 4**12 <= MAX_ARRAY_BYTES < 16 * 4**13
+    vp = KERNEL_PARAMS[0]
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="1,024 MiB"):
+            vertex_row_kernel(0.9, vp, 13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def _dense_generator(params):
