@@ -444,7 +444,12 @@ def vertex_limit_check(mu, nu, vertex_params: ModelParams, t: float, L_list, sit
     """Compare G_{nu/mu} at x_i = 1 - (1-q)t/(2L), y = 1 with the ASEP
     transition probability; the error should shrink like 1/L.
 
-    Returns {"rows": [(L, value, reference, abs_error)], "orders": [...]}.
+    Returns {"rows": [(L, value, reference, abs_error)], "orders": [...]}
+    with a number on each truncation: "asep_bound", the leakage bound of
+    the S-site ASEP reference (transition_prob_exact), and "window_leak",
+    {L: 1 - total mass after the L sweeps}, the mass carried past site S by
+    the S-site vertex kernel, which bounds that truncation's error while
+    the kernel is stochastic.
     """
     mu, nu = as_config(mu), as_config(nu)
     q = float(vertex_params.q)
@@ -455,7 +460,7 @@ def vertex_limit_check(mu, nu, vertex_params: ModelParams, t: float, L_list, sit
         c_infinite=vertex_params.c_infinite,
     )
     ap = AsepParams(q=q, alpha=alpha, gamma=gamma, t=t, sites=sites)
-    ref, _ = transition_prob_exact(mu, nu, ap)
+    ref, asep_bound = transition_prob_exact(mu, nu, ap)
     hom = ModelParams(
         q=q,
         a=float(vertex_params.a),
@@ -464,6 +469,7 @@ def vertex_limit_check(mu, nu, vertex_params: ModelParams, t: float, L_list, sit
         c_infinite=vertex_params.c_infinite,
     )
     rows = []
+    window_leak = {}
     for L in L_list:
         x = 1.0 - (1.0 - q) * t / (2.0 * L)
         M = vertex_row_kernel(x, hom, sites)
@@ -473,8 +479,16 @@ def vertex_limit_check(mu, nu, vertex_params: ModelParams, t: float, L_list, sit
             v = v @ M
         val = float(v[_config_to_mask(nu, sites)])
         rows.append((L, val, ref, abs(val - ref)))
+        window_leak[L] = float(1.0 - v.sum())
     orders = []
     for (L1, _, _, e1), (L2, _, _, e2) in zip(rows, rows[1:]):
         if e2 > 0:
             orders.append(math.log(e1 / e2) / math.log(L2 / L1))
-    return {"rows": rows, "orders": orders, "alpha": alpha, "gamma": gamma}
+    return {
+        "rows": rows,
+        "orders": orders,
+        "alpha": alpha,
+        "gamma": gamma,
+        "asep_bound": asep_bound,
+        "window_leak": window_leak,
+    }

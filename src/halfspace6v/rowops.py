@@ -207,7 +207,8 @@ class OperatorStack:
     beyond the supports and the inhomogeneous y-prefix every column carries
     the same transfer matrix T on channel tuples, and the remaining factor
     lim_M T^M e_target is obtained exactly by solving (I - T) on the
-    non-target states.  Spectral parameters may be numpy arrays, in which
+    non-target states.  Spectral parameters may be numpy arrays of
+    different broadcastable shapes (one open-grid axis per row), in which
     case everything broadcasts and the tail solve is batched.
     """
 
@@ -217,6 +218,7 @@ class OperatorStack:
         self.q = params.q
         self._tail = None
         self._column_cache = {}
+        self._moves_cache = {}
 
     @property
     def n_rows(self):
@@ -243,13 +245,12 @@ class OperatorStack:
         eta_t None means the top edge is summed over (free top).
         """
         frontier = {(eta_b, ()): 1}
-        for r, row in enumerate(self.rows):
+        for r in range(self.n_rows):
             b, t = gamma[r]
+            moves = self._column_moves_cached(r, yj)
             new = {}
             for (v, acc), w in frontier.items():
-                for v_out, b2, t2, wm in _row_moves(
-                    row.kind, row.spectral, yj, self.q, b, t, v
-                ):
+                for v_out, b2, t2, wm in moves[b, t, v]:
                     key = (v_out, acc + ((b2, t2),))
                     val = w * wm
                     if key in new:
@@ -266,6 +267,16 @@ class OperatorStack:
             else:
                 out[acc] = w
         return out
+
+    def _column_moves_cached(self, r, yj):
+        """Row r's move table for a column with parameter y_j."""
+        key = (r, yj if not _is_array(yj) else id(yj))
+        got = self._moves_cache.get(key)
+        if got is None:
+            row = self.rows[r]
+            got = _column_moves(row.kind, row.spectral, yj, self.q)
+            self._moves_cache[key] = got
+        return got
 
     def _column_transfer_cached(self, gamma, eta_b, eta_t, yj):
         key = (gamma, eta_b, eta_t, yj if not _is_array(yj) else id(yj))
@@ -344,10 +355,13 @@ class OperatorStack:
         return S
 
     def _zero_like(self):
-        for row in self.rows:
-            if _is_array(row.spectral):
-                return np.zeros_like(row.spectral)
-        return 0
+        """0 of the stack's scalar ring; with array rows, zeros over the
+        lanes that all rows' spectral arrays broadcast to."""
+        arrays = [row.spectral for row in self.rows if _is_array(row.spectral)]
+        if not arrays:
+            return 0
+        shape = np.broadcast_shapes(*(a.shape for a in arrays))
+        return np.zeros(shape, np.result_type(*arrays))
 
     def element(self, mu, nu):
         """<mu| stack |nu> on the semi-infinite lattice (tail exact)."""
@@ -405,26 +419,23 @@ def _solve_dense(M, b):
     """Solve M s = b over the active scalar ring.
 
     Fractions use exact Gaussian elimination with abs-max pivoting; numpy
-    array entries are batched through numpy.linalg.solve.
+    array entries are batched through numpy.linalg.solve over the lanes all
+    entries broadcast to.
     """
     n = len(M)
-    if any(_is_array(v) for row in M for v in row) or any(_is_array(v) for v in b):
-        batch = None
-        for row in M:
-            for v in row:
-                if _is_array(v):
-                    batch = v.shape
-                    break
-            if batch:
-                break
+    entries = [v for row in M for v in row] + list(b)
+    if any(_is_array(v) for v in entries):
+        batch = np.broadcast_shapes(*(np.shape(v) for v in entries))
         Mb = np.empty(batch + (n, n), dtype=complex)
         bb = np.empty(batch + (n,), dtype=complex)
         for i in range(n):
             bb[..., i] = b[i]
             for j in range(n):
                 Mb[..., i, j] = M[i][j]
-        sol = np.linalg.solve(Mb, bb)
-        return [sol[..., i] for i in range(n)]
+        # b as a stack of one-column matrices: numpy >= 2 reads a (..., n)
+        # right-hand side as a matrix unless it is 1-D
+        sol = np.linalg.solve(Mb, bb[..., None])
+        return [sol[..., i, 0] for i in range(n)]
     A = [row[:] + [b[i]] for i, row in enumerate(M)]
     exact = all(isinstance(v, (Fraction, int)) for row in A for v in row)
     if exact:

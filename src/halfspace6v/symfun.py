@@ -11,8 +11,9 @@ concentric circles with numerically validated constraints.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -124,9 +125,9 @@ class ContourSpec:
         return len(self.circles)
 
 
-# Lanes per integrand call: at least 2^15 keeps the n = 2 orthogonality grid
-# (160^2 nodes) in one operator-stack call; the cap bounds the memory of
-# three-fold grids (64^3 nodes run as 8 calls).
+# Grid points per integrand call: at least 2^15 keeps the n = 2 orthogonality
+# grid (160^2 nodes) in one operator-stack call; the cap bounds the memory of
+# three-fold grids (64^3 nodes run as 8 calls of 8 x 64 x 64).
 QUADRATURE_LANES = 1 << 15
 
 
@@ -134,25 +135,28 @@ def nested_trapezoid(contours: ContourSpec, integrand, nodes: int):
     """Trapezoid rule on the product of the circles of `contours`.
 
     Returns the sum over the grid of `nodes` points per circle of
-    integrand(ws) * prod_i dw_i/(2 pi i), where ws holds one lane array per
-    circle (inner first).  The grid is evaluated QUADRATURE_LANES lanes at
-    a time.  A value that is not finite (a node on a pole; array inputs
-    bypass the scalar pole checks) raises ContourInvalid.
+    integrand(ws) * prod_i dw_i/(2 pi i).  ws holds one open-grid array per
+    circle (inner first): variable i has shape (1, .., N_i, .., 1) with its
+    nodes on axis i, so a factor of one variable is computed on its own
+    nodes and only products across variables broadcast to the grid.  The
+    integrand must return an array that broadcasts against that grid.  It
+    is called on blocks of at most QUADRATURE_LANES grid points: the
+    trailing axes whole, the axis before them in slices, the leading axes
+    one index at a time.  A value that is not finite (a node on a pole;
+    array inputs bypass the scalar pole checks) raises ContourInvalid.
     """
-    lines = [contours.nodes_of(i, nodes) for i in range(contours.n)]
-    size = nodes**contours.n
+    n = contours.n
+    lines = [contours.nodes_of(i, nodes) for i in range(n)]
+    blocks = [min(nodes, max(1, QUADRATURE_LANES // nodes ** (n - 1 - i))) for i in range(n)]
     total = 0j
-    for start in range(0, size, QUADRATURE_LANES):
-        grid = np.unravel_index(
-            np.arange(start, min(start + QUADRATURE_LANES, size)), (nodes,) * contours.n
-        )
+    for starts in product(*(range(0, nodes, b) for b in blocks)):
+        cut = [slice(s, s + b) for s, b in zip(starts, blocks)]
+        ws = np.ix_(*(w[c] for (w, _), c in zip(lines, cut)))
+        measure = math.prod(np.ix_(*(dw[c] for (_, dw), c in zip(lines, cut))))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            f = integrand([w[k] for (w, _), k in zip(lines, grid)])
+            f = integrand(ws)
         if not np.all(np.isfinite(f)):
             raise ContourInvalid("a quadrature node sits on a pole of the integrand")
-        measure = 1
-        for (_, dw), k in zip(lines, grid):
-            measure = measure * dw[k]
         total += np.sum(f * measure)
     return complex(total)
 
@@ -611,7 +615,8 @@ def orthogonality_check(
 
     Conjecturally delta_{kappa,nu} in the c -> infinity model.  All n
     integration variables run over the same circle; F is evaluated on the
-    flattened node grid through the vectorised operator stack.
+    open node grid through the vectorised operator stack, each row on its
+    own variable's nodes.
     """
     kappa, nu = as_config(kappa), as_config(nu)
     n = len(nu)

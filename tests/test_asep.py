@@ -193,6 +193,22 @@ def test_vertex_limit_finite_c():
     assert rep["rows"][1][3] < rep["rows"][0][3]
 
 
+def test_vertex_limit_reports_truncations():
+    vp = ModelParams(q=0.25, a=3.0, c_infinite=True, y=(1.0,))
+    reps = {
+        S: vertex_limit_check((), (1,), vp, t=0.4, L_list=(16, 32), sites=S) for S in (6, 8)
+    }
+    ap = AsepParams(q=0.25, alpha=reps[6]["alpha"], gamma=reps[6]["gamma"], t=0.4, sites=6)
+    assert reps[6]["asep_bound"] == transition_prob_exact((), (1,), ap)[1]
+    for L in (16, 32):
+        assert all(0 <= rep["window_leak"][L] < 1 for rep in reps.values())
+        assert reps[6]["window_leak"][L] > reps[8]["window_leak"][L]
+        # the mass missing from the empty row of the L-th kernel power
+        M = vertex_row_kernel(1.0 - 0.75 * 0.4 / (2.0 * L), vp, 6)
+        kept = np.linalg.matrix_power(M, L)[0].sum()
+        assert abs(reps[6]["window_leak"][L] - (1.0 - kept)) < 1e-12
+
+
 def _per_mask_kernel(x, params, sites):
     """Reference kernel: one apply_double_row sweep per bitmask."""
     dim = 1 << sites

@@ -4,8 +4,10 @@ import itertools
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
+from halfspace6v import rowops
 from halfspace6v.errors import DegeneratePoint, GuardViolated, TruncationTooSmall
 from halfspace6v.rowops import (
     KIND_A,
@@ -288,3 +290,35 @@ def test_lattice_and_subset_pole_raise_degenerate_point():
         g_lattice((1,), xs, p)
     with pytest.raises(DegeneratePoint):
         g_subset((1,), xs, p)
+
+
+@pytest.mark.parametrize("kinds", [(KIND_B, KIND_B), (KIND_A, KIND_B), (KIND_A, KIND_A)])
+def test_stack_broadcast_lanes_match_flat_lanes(monkeypatch, kinds):
+    """Rows on open-grid axes (5, 1) and (1, 7) give what the same stack
+    gives on the 35 flattened lanes.  Bdot stacks resolve their tail
+    without a solve; A rows reach the batched tail solve."""
+    p = ModelParams(q=0.25, a=3.0, c=-2.0, y=(1.2, 0.8, 1.0))
+    theta = 2 * np.pi * np.arange(12) / 12
+    w = 0.62 + 0.05j + 0.08 * np.exp(1j * theta)
+    grid = (w[:5].reshape(5, 1), w[3:10].reshape(1, 7))
+    flat = [a.ravel() for a in np.broadcast_arrays(*grid)]
+    solve, solves = rowops._solve_dense, []
+
+    def spy(M, b):
+        solves.append(len(M))
+        return solve(M, b)
+
+    monkeypatch.setattr(rowops, "_solve_dense", spy)
+    open_stack = OperatorStack(list(zip(kinds, grid)), p)
+    flat_stack = OperatorStack(list(zip(kinds, flat)), p)
+    pairs = [((), ()), ((1,), ()), ((2,), (1,)), ((3, 1), ()), ((3, 1), (2,)), ((), (4, 1))]
+    for mu, nu in pairs:
+        got, ref = open_stack.element(mu, nu), flat_stack.element(mu, nu)
+        assert got.shape == (5, 7)
+        assert np.max(np.abs(got.ravel() - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+    for mu in [(), (2,), (3, 1)]:
+        got, ref = open_stack.row_sum(mu), flat_stack.row_sum(mu)
+        assert got.shape == (5, 7)
+        assert np.max(np.abs(got.ravel() - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+    if KIND_A in kinds:
+        assert solves
