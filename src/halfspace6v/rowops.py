@@ -14,7 +14,9 @@ Matrix elements of operator products are evaluated two ways:
   linear system (exact in the rational backend) -- this realises the
   infinite-column limit that products of truncated kernels cannot reach;
 * for an empty initial configuration, the equivalent finite lattice with
-  boundary vertices on a staircase, which is cheap for long alphabets.
+  boundary vertices on a staircase, which is cheap for long alphabets.  It
+  is summed one path line at a time (_line_sweep); its triangle alone
+  (triangle_states) gives the triangular partition function Z_m.
 
 apply_double_row is the plain one-sweep Markov kernel on a truncated site
 window; its coefficients are exact for every output supported inside the
@@ -467,6 +469,59 @@ def _solve_dense(M, b):
 # ---------------------------------------------------------------------------
 
 
+def _line_sweep(states, zs, q, exits):
+    """Pass one path line up through the horizontal lines of every edge state.
+
+    states maps a tuple of horizontal edge states to its weight.  The line
+    enters empty from below and crosses horizontal line k at argument zs[k];
+    lines past len(zs) are not crossed.  exits(v, cur, w) turns each top
+    state (line exit v, edge tuple cur, weight w) into (key, weight) pairs,
+    and equal keys are merged.  A weight pole raises DegeneratePoint.
+    """
+    new = {}
+    try:
+        for hs, w in states.items():
+            frontier = [(0, hs, w)]
+            for k, z in enumerate(zs):
+                nf = []
+                for v, cur, wv in frontier:
+                    for (v2, h2), fn in bulk_entries(v, cur[k], STOCHASTIC):
+                        wt = fn(z, q)
+                        if _is_zero(wt):
+                            continue
+                        nf.append((v2, cur[:k] + (h2,) + cur[k + 1 :], wv * wt))
+                frontier = nf
+            for v, cur, wv in frontier:
+                for key, val in exits(v, cur, wv):
+                    if key in new:
+                        new[key] = new[key] + val
+                    else:
+                        new[key] = val
+    except ZeroDivisionError as exc:
+        raise DegeneratePoint(f"weight pole in the lattice route: {exc}") from exc
+    return {k: v for k, v in new.items() if not _is_zero(v)}
+
+
+def triangle_states(xs, params: ModelParams):
+    """Weighted edge states (h_1..h_L) leaving the triangle of lines x_1..x_L.
+
+    Line i crosses lines 1..i-1 (argument x_i x_j) and turns right at its
+    boundary vertex; equal edge states are merged after every line.  The
+    all-empty entry is the triangular partition function Z_L.
+    """
+    states = {(): 1}
+    for i, xi in enumerate(xs):
+
+        def turn(v, cur, w):
+            for h in (0, 1):
+                kw = boundary_weight(v, h, xi, params)
+                if not _is_zero(kw):
+                    yield cur + (h,), w * kw
+
+        states = _line_sweep(states, [xi * xj for xj in xs[:i]], params.q, turn)
+    return states
+
+
 def g_lattice(nu, x_alphabet, params: ModelParams):
     """G_nu(x_1..x_L) for mu = empty, as a finite staircase partition function.
 
@@ -478,75 +533,17 @@ def g_lattice(nu, x_alphabet, params: ModelParams):
     """
     nu = as_config(nu)
     xs = tuple(x_alphabet)
-    if not xs:
-        return 1 if nu == () else 0
-    try:
-        return _staircase(nu, xs, params)
-    except ZeroDivisionError as exc:
-        raise DegeneratePoint(f"weight pole in the lattice route: {exc}") from exc
-
-
-def _staircase(nu, xs, params: ModelParams):
-    L = len(xs)
-    q = params.q
-    occupied = set(nu)
-
-    states = {(): 1}
-    for i in range(1, L + 1):
-        xi = xs[i - 1]
-        new = {}
-        for hs, w in states.items():
-            frontier = [(0, hs, w)]
-            for j in range(1, i):
-                z = xi * xs[j - 1]
-                nf = []
-                for v, cur, wv in frontier:
-                    hj = cur[j - 1]
-                    for (v2, h2), fn in bulk_entries(v, hj, STOCHASTIC):
-                        wt = fn(z, q)
-                        if _is_zero(wt):
-                            continue
-                        nf.append((v2, cur[: j - 1] + (h2,) + cur[j:], wv * wt))
-                frontier = nf
-            for v, cur, wv in frontier:
-                for h_new in (0, 1):
-                    kw = boundary_weight(v, h_new, xi, params)
-                    if _is_zero(kw):
-                        continue
-                    key = cur + (h_new,)
-                    val = wv * kw
-                    if key in new:
-                        new[key] = new[key] + val
-                    else:
-                        new[key] = val
-        states = {k: v for k, v in new.items() if not _is_zero(v)}
-
-    for jcol in range(1, config_max(nu) + 1):
-        yj = params.y_at(jcol)
-        eta = 1 if jcol in occupied else 0
-        new = {}
-        for hs, w in states.items():
-            frontier = [(0, hs, w)]
-            for i in range(1, L + 1):
-                z = xs[i - 1] * yj
-                nf = []
-                for v, cur, wv in frontier:
-                    for (v2, h2), fn in bulk_entries(v, cur[i - 1], STOCHASTIC):
-                        wt = fn(z, q)
-                        if _is_zero(wt):
-                            continue
-                        nf.append((v2, cur[: i - 1] + (h2,) + cur[i:], wv * wt))
-                frontier = nf
-            for v, cur, wv in frontier:
-                if v != eta:
-                    continue
-                if cur in new:
-                    new[cur] = new[cur] + wv
-                else:
-                    new[cur] = wv
-        states = {k: v for k, v in new.items() if not _is_zero(v)}
-
-    return states.get((0,) * L, 0)
+    states = triangle_states(xs, params)
+    for j in range(1, config_max(nu) + 1):
+        yj = params.y_at(j)
+        eta = 1 if j in nu else 0
+        states = _line_sweep(
+            states,
+            [x * yj for x in xs],
+            params.q,
+            lambda v, cur, w: [(cur, w)] if v == eta else [],
+        )
+    return states.get((0,) * len(xs), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Z_m is the half-quadrant six-vertex partition function with boundary
 vertices on the diagonal, bulk argument x_i x_j at the crossing of lines
 i and j, and all external edges empty.  Routes:
 
-  z_enumerate         direct depth-first enumeration (trusted oracle, m <= cap)
+  z_enumerate         line-by-line sum over the triangle with merged edge
+                      states (trusted oracle, m <= 10)
   z_pfaffian          prefactor * Pf((x_i-x_j)/(1-x_i x_j) Q(x_i, x_j))
   z_subset_kuperberg  even-subset sum over Kuperberg Pfaffians
   z_shuffle           shuffle powers of the closed forms Z_1, Z_2
@@ -25,10 +26,11 @@ from math import factorial
 
 from .errors import CapExceeded, DegeneratePoint
 from .pfaffian import pfaffian
+from .rowops import triangle_states
 from .shuffle import DEFAULT_ARITY_CAP, SymFun, shuffle_power, shuffle_product
-from .weights import STOCHASTIC, ModelParams, boundary_weight, bulk_entries, h_func, h_over_ac
+from .weights import ModelParams, h_func, h_over_ac
 
-ENUM_CAP = 7
+ENUM_CAP = 10
 
 
 @dataclass
@@ -101,52 +103,21 @@ def kernel_Qo(xi, xj, params: ModelParams, u):
 
 
 # ---------------------------------------------------------------------------
-# Route 1: direct enumeration (the oracle)
+# Route 1: line-by-line sum over the triangle (the oracle)
 # ---------------------------------------------------------------------------
 
 
-def z_enumerate(spec: TriangularSpec, cap: int = ENUM_CAP):
-    """Depth-first enumeration of all path configurations of the triangle.
+def z_enumerate(spec: TriangularSpec):
+    """Sum the triangle line by line, merging equal edge states (m <= ENUM_CAP = 10).
 
-    Column i rises through rows 1..i-1 (weights at z = x_i x_j), reflects
-    at its boundary vertex, and runs right; afterwards every horizontal
-    edge must be empty.
+    Line i crosses lines 1..i-1 (weights at z = x_i x_j) and turns at its
+    boundary vertex; Z_m is the weight of the all-empty edge state after
+    line m (rowops.triangle_states).
     """
-    xs, params = spec.x, spec.params
-    m = len(xs)
-    if m > cap:
-        raise CapExceeded(f"enumeration size {m} exceeds cap {cap}")
-    q = params.q
-    total = [0]
-
-    def column(i, hs, weight):
-        # climb column i through existing rows, then turn at the K vertex
-        def climb(j, v, hs, w):
-            if j == i:
-                for h_new in (0, 1):
-                    kw = boundary_weight(v, h_new, xs[i - 1], params)
-                    if kw == 0:
-                        continue
-                    nxt = hs + (h_new,)
-                    if i == m:
-                        if all(h == 0 for h in nxt):
-                            total[0] = total[0] + w * kw
-                    else:
-                        column(i + 1, nxt, w * kw)
-                return
-            z = xs[i - 1] * xs[j - 1]
-            for (v2, h2), fn in bulk_entries(v, hs[j - 1], STOCHASTIC):
-                wt = fn(z, q)
-                if wt == 0:
-                    continue
-                climb(j + 1, v2, hs[: j - 1] + (h2,) + hs[j:], w * wt)
-
-        climb(1, 0, hs, weight)
-
-    if m == 0:
-        return 1
-    column(1, (), 1)
-    return total[0]
+    m = spec.m
+    if m > ENUM_CAP:
+        raise CapExceeded(f"enumeration size {m} exceeds cap {ENUM_CAP}")
+    return triangle_states(spec.x, spec.params).get((0,) * m, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +373,9 @@ def _z_altform_subset(xs, params, u):
 # ---------------------------------------------------------------------------
 
 
-def z_tilde(xs, params: ModelParams, z_route=z_enumerate):
+def z_tilde(xs, params: ModelParams):
     """Polynomial numerator: prod (a-x_i)(c-x_i) prod (1-q x_i x_j) * Z_m."""
-    val = z_route(TriangularSpec(xs, params))
+    val = z_enumerate(TriangularSpec(xs, params))
     for x in xs:
         val = val * (params.a - x) * (params.c - x)
     for i in range(len(xs)):
@@ -477,8 +448,6 @@ def verify_z_properties(spec: TriangularSpec, rng=None) -> dict:
 
 def _sample_points(rng, avoid, count):
     """Distinct random rationals avoiding the degeneracies in `avoid`."""
-    import random
-
     pts = []
     while len(pts) < count:
         v = Fraction(rng.randint(-60, 60), rng.randint(1, 40))

@@ -89,12 +89,15 @@ def test_kuperberg_specialization(m):
 
 def test_c_infinite_factorization():
     pci = ModelParams(q=F(1, 4), a=F(3), c_infinite=True)
-    xs = (F(1, 2), F(2, 5), F(3, 7))
-    expect = F(1)
-    for x in xs:
-        expect *= x * (1 - pci.a * x) / (x - pci.a)
-    assert z_subset_kuperberg(TriangularSpec(xs, pci)) == expect
-    assert z_enumerate(TriangularSpec(xs, pci)) == expect
+    for xs in (
+        (F(1, 2), F(2, 5), F(3, 7)),
+        (F(1, 2), F(2, 5), F(3, 7), F(-4, 9), F(5, 11), F(-6, 13), F(7, 4), F(-8, 5)),
+    ):
+        expect = F(1)
+        for x in xs:
+            expect *= x * (1 - pci.a * x) / (x - pci.a)
+        assert z_subset_kuperberg(TriangularSpec(xs, pci)) == expect
+        assert z_enumerate(TriangularSpec(xs, pci)) == expect
 
 
 def test_degenerate_point_raises():
@@ -104,9 +107,24 @@ def test_degenerate_point_raises():
 
 
 def test_enumeration_cap():
-    xs = tuple(F(1, k + 2) for k in range(8))
+    xs = tuple(F(1, k + 2) for k in range(11))
     with pytest.raises(CapExceeded):
         z_enumerate(TriangularSpec(xs, P))
+
+
+@pytest.mark.parametrize("m", [8, 9])
+def test_enumeration_matches_pfaffian_large(m):
+    p = ModelParams(q=F(1, 4), a=F(3), c=F(-2))
+    xs = sample_alphabet(random.Random(80 + m), m, p)
+    spec = TriangularSpec(xs, p)
+    assert z_enumerate(spec) == z_pfaffian(spec)
+
+
+def test_enumeration_pole_raises_degenerate_point():
+    # q x_1 x_2 = 1 is a pole of the bulk weight where lines 1 and 2 cross
+    p = ModelParams(q=F(1, 4), a=F(3), c=F(-2))
+    with pytest.raises(DegeneratePoint):
+        z_enumerate(TriangularSpec((F(8), F(1, 2), F(2, 7)), p))
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
