@@ -12,7 +12,10 @@ Matrix elements of operator products are evaluated two ways:
 * a column-by-column contraction of the whole stack of double rows whose
   homogeneous far-right tail is summed in closed form by solving a small
   linear system (exact in the rational backend) -- this realises the
-  infinite-column limit that products of truncated kernels cannot reach;
+  infinite-column limit that products of truncated kernels cannot reach.
+  A family of elements (OperatorStack.elements) is contracted in the order
+  of its column patterns, each resuming from the frontier of the column
+  prefix it shares with the previous one;
 * for an empty initial configuration, the equivalent finite lattice with
   boundary vertices on a staircase, which is cheap for long alphabets.  It
   is summed one path line at a time (_line_sweep); its triangle alone
@@ -367,33 +370,61 @@ class OperatorStack:
 
     def element(self, mu, nu):
         """<mu| stack |nu> on the semi-infinite lattice (tail exact)."""
-        return self._contract(mu, nu, free_top=False)
+        return self._contract([(mu, nu)], free_top=False)[0]
+
+    def elements(self, pairs):
+        """[<mu| stack |nu> for (mu, nu) in pairs], contracted as one family."""
+        return self._contract(pairs, free_top=False)
 
     def row_sum(self, mu):
         """sum_nu <mu| stack |nu> over all finite nu (tail exact)."""
-        return self._contract(mu, (), free_top=True)
+        return self._contract([(mu, ())], free_top=True)[0]
 
-    def _contract(self, mu, nu, free_top: bool):
-        mu = as_config(mu)
-        nu = as_config(nu)
-        n_cols = max(config_max(mu), config_max(nu), len(self.params.y))
-        frontier = self._initial_frontier()
-        occ_mu, occ_nu = set(mu), set(nu)
-        for j in range(1, n_cols + 1):
-            eta_b = 1 if j in occ_mu else 0
-            eta_t = None if free_top else (1 if j in occ_nu else 0)
-            yj = self.params.y_at(j)
-            new = {}
-            for gamma, w in frontier.items():
-                for gamma2, wt in self._column_transfer_cached(
-                    gamma, eta_b, eta_t, yj
-                ).items():
-                    val = w * wt
-                    if gamma2 in new:
-                        new[gamma2] = new[gamma2] + val
-                    else:
-                        new[gamma2] = val
-            frontier = {k: v for k, v in new.items() if not _is_zero(v)}
+    def _contract(self, pairs, free_top: bool):
+        """Contract the pairs in the order of their column patterns, the
+        external edges (eta_b, eta_t) of every column.  Each pattern resumes
+        from the frontier after the prefix it shares with the previous one;
+        a frontier is saved only at a depth that a later pattern resumes from
+        (a running minimum of the shared lengths), so one pair saves none."""
+        patterns = []
+        for mu, nu in pairs:
+            mu, nu = as_config(mu), as_config(nu)
+            n_cols = max(config_max(mu), config_max(nu), len(self.params.y))
+            patterns.append(tuple([
+                (int(j in mu), None if free_top else int(j in nu)) for j in range(1, n_cols + 1)
+            ]))
+        order = sorted(range(len(pairs)), key=patterns.__getitem__)
+        shared = [0] + [_common_prefix(patterns[i], patterns[k]) for i, k in zip(order, order[1:])]
+        keep, minima = [None] * len(order), []
+        for k in reversed(range(len(order))):
+            keep[k] = set(minima)
+            while minima and minima[-1] >= shared[k]:
+                minima.pop()
+            minima.append(shared[k])
+        out = [None] * len(pairs)
+        saved = [(0, self._initial_frontier())] if pairs else []
+        for k, i in enumerate(order):
+            depth, frontier = saved[-1] if shared[k] in keep[k] else saved.pop()
+            for j in range(depth + 1, len(patterns[i]) + 1):
+                frontier = self._column_step(frontier, *patterns[i][j - 1], self.params.y_at(j))
+                if j in keep[k]:
+                    saved.append((j, frontier))
+            out[i] = self._close(frontier, free_top)
+        return out
+
+    def _column_step(self, frontier, eta_b, eta_t, yj):
+        new = {}
+        for gamma, w in frontier.items():
+            for gamma2, wt in self._column_transfer_cached(gamma, eta_b, eta_t, yj).items():
+                val = w * wt
+                if gamma2 in new:
+                    new[gamma2] = new[gamma2] + val
+                else:
+                    new[gamma2] = val
+        return {k: v for k, v in new.items() if not _is_zero(v)}
+
+    def _close(self, frontier, free_top: bool):
+        """Sum the frontier against the exact far-right tail."""
         if self._tail is None or self._tail[0] != free_top:
             self._tail = (free_top, self._tail_values(frontier.keys(), free_top))
         else:
@@ -415,6 +446,13 @@ class OperatorStack:
 
 def _is_array(v) -> bool:
     return np is not None and isinstance(v, np.ndarray)
+
+
+def _common_prefix(a, b) -> int:
+    for d, (u, v) in enumerate(zip(a, b)):
+        if u != v:
+            return d
+    return min(len(a), len(b))
 
 
 def _solve_dense(M, b):
@@ -731,9 +769,12 @@ def verify_operator_identity(
     """
     configs = list(_all_configs(support))
 
+    def table(stack, bras, kets):
+        pairs = [(m, n) for m in bras for n in kets]
+        return dict(zip(pairs, stack.elements(pairs)))
+
     def elements(rows):
-        stack = OperatorStack(rows, params)
-        return {(m, n): stack.element(m, n) for m in configs for n in configs}
+        return table(OperatorStack(rows, params), configs, configs)
 
     worst = 0
     if identity == "aa_commute":
@@ -781,22 +822,24 @@ def verify_operator_identity(
         x1, x2 = x
         if enforce_guard:
             guard_aa(x1, x2, params).require()
-        stack = OperatorStack([(KIND_A, x1), (KIND_A, x2)], params)
+        direct = elements([(KIND_A, x1), (KIND_A, x2)])
         s1 = OperatorStack([(KIND_A, x1)], params)
         s2 = OperatorStack([(KIND_A, x2)], params)
         residuals = []
         for cut in (support + 2, support + 4, support + 6):
             kappas = list(_all_configs(cut))
+            second = table(s2, kappas, configs)
             worst_cut = 0.0
             for mu in configs:
+                first = table(s1, [mu], kappas)
                 for nu in configs:
                     total = 0
                     for kappa in kappas:
-                        a = s1.element(mu, kappa)
+                        a = first[mu, kappa]
                         if _is_zero(a):
                             continue
-                        total = total + a * s2.element(kappa, nu)
-                    worst_cut = max(worst_cut, abs(stack.element(mu, nu) - total))
+                        total = total + a * second[kappa, nu]
+                    worst_cut = max(worst_cut, abs(direct[mu, nu] - total))
             residuals.append(worst_cut)
         decreasing = all(
             residuals[i + 1] <= residuals[i] or residuals[i + 1] < tol

@@ -546,21 +546,17 @@ def cauchy_check(mu, nu, x_alphabet, z_alphabet, params: ModelParams, cutoff: in
     kappas = sorted(
         _configs_bounded(cutoff, len(mu) + len(xs)), key=lambda k: (config_max(k), k)
     )
+    g_stack = OperatorStack([(KIND_A, x) for x in xs], params)
     f_stack = OperatorStack([(KIND_B, z) for z in zs], params)
-    g_stack = None if mu == () else OperatorStack([(KIND_A, x) for x in xs], params)
+    gs = g_stack.elements([(mu, kappa) for kappa in kappas])
+    terms = [(k, g) for k, g in zip(kappas, gs) if g != 0]
+    fs = f_stack.elements([(kappa, nu) for kappa, _ in terms])
     residuals = []
     lhs = 0
     for cut in range(0, cutoff + 1):
-        for kappa in kappas:
-            if config_max(kappa) != cut:
-                continue
-            if g_stack is None:
-                g = partition_G(kappa, mu, xs, params)
-            else:
-                g = g_stack.element(mu, kappa)
-            if g == 0:
-                continue
-            lhs = lhs + g * f_stack.element(kappa, nu)
+        for (kappa, g), f in zip(terms, fs):
+            if config_max(kappa) == cut:
+                lhs = lhs + g * f
         residuals.append((cut, float(abs(lhs - rhs))))
     final = residuals[-1][1]
     tail = [r for _, r in residuals[-6:]]

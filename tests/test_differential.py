@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from halfspace6v.errors import DegeneratePoint
 from halfspace6v.pfaffian import det_exact, pfaffian
-from halfspace6v.rowops import partition_G
+from halfspace6v.rowops import KIND_A, KIND_B, OperatorStack, as_config, partition_G
 from halfspace6v.symfun import g_subset, z_triangular_vec
 from halfspace6v.triangular import (
     TriangularSpec,
@@ -158,3 +158,57 @@ def test_g_routes_agree(point, nu):
         # a pole of the weights (x y q = 1, ...): every route raises
         reject()
     assert routes[0] == routes[1] == routes[2], routes
+
+
+# y-prefix of three distinct columns, so family patterns diverge inside it
+P_STACK = ModelParams(q=F(1, 3), a=F(2), c=F(5), y=(F(3, 4), F(5, 4), F(1)))
+stack_configs = st.lists(st.integers(1, 4), max_size=2, unique=True).map(as_config)
+
+
+@st.composite
+def stack_rows(draw, backend):
+    """1-2 rows of A(x) / Bdot(z): Fraction, complex, or complex lanes on
+    one open-grid axis per row."""
+    kinds = draw(st.lists(st.sampled_from((KIND_A, KIND_B)), min_size=1, max_size=2))
+    rows = []
+    for r, kind in enumerate(kinds):
+        pool = (F(1, 2), F(2, 5), F(1, 3)) if kind == KIND_A else (F(1, 5), F(1, 4))
+        v = draw(st.sampled_from(pool))
+        if backend != "fraction":
+            v = complex(v) * (1 + 0.05j)
+        if backend == "grid":
+            shape = [1] * len(kinds)
+            shape[r] = 2
+            v = (v + np.array([0, 0.01 * (r + 1)])).reshape(shape)
+        rows.append((kind, v))
+    return rows
+
+
+@settings(SETTINGS, max_examples=20)
+@pytest.mark.parametrize("backend", ["fraction", "complex", "grid"])
+@given(data=st.data())
+def test_stack_elements_equal_fresh_elements(backend, data):
+    """A family of pairs, shuffled and with repeats, gives what a fresh stack
+    gives per pair; open-grid lanes give what the flattened lanes give."""
+    rows = data.draw(stack_rows(backend))
+    pairs = data.draw(st.lists(st.tuples(stack_configs, stack_configs), min_size=1, max_size=6))
+    family = data.draw(st.permutations(pairs + pairs[:2]))
+    if backend == "grid":
+        flat = [a.ravel() for a in np.broadcast_arrays(*(v for _, v in rows))]
+        ref_rows = [(kind, v) for (kind, _), v in zip(rows, flat)]
+    else:
+        ref_rows = rows
+    stack = OperatorStack(rows, P_STACK)
+    got = stack.elements(family)
+    refs = [OperatorStack(ref_rows, P_STACK).element(mu, nu) for mu, nu in family]
+    assert stack.elements([]) == []
+    mu = family[0][0]
+    got.append(stack.row_sum(mu))
+    refs.append(OperatorStack(ref_rows, P_STACK).row_sum(mu))
+    if all(kind == KIND_A for kind, _ in rows) and backend == "fraction":
+        assert refs[-1] == 1
+    for g, ref in zip(got, refs):
+        if backend == "fraction":
+            assert g == ref
+        else:
+            assert np.max(np.abs(np.ravel(g) - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -282,6 +283,15 @@ def test_stack_pole_raises_degenerate_point():
         partition_G((2, 1), (), xs, p, method="stack")
 
 
+def test_stack_elements_pole_raises_degenerate_point():
+    # the pole of the test above is in every column table: a family raises
+    # it too, whichever pair it contracts first
+    p = ModelParams(q=F(1, 4), a=F(3), c=F(-2), y=(F(4, 5),))
+    stack = OperatorStack([(KIND_A, F(16, 5)), (KIND_A, F(1, 2))], p)
+    with pytest.raises(DegeneratePoint):
+        stack.elements([((), ()), ((), (2, 1)), ((1,), (2,))])
+
+
 def test_lattice_and_subset_pole_raise_degenerate_point():
     # x_1 y_1 q = 1 is a pole of the weights both routes multiply out
     p = ModelParams(q=F(2), a=F(1, 3), c=F(1, 4), y=(F(1),))
@@ -322,3 +332,21 @@ def test_stack_broadcast_lanes_match_flat_lanes(monkeypatch, kinds):
         assert np.max(np.abs(got.ravel() - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
     if KIND_A in kinds:
         assert solves
+
+
+def test_single_element_keeps_no_prefix_frontiers():
+    """One element call holds only its running frontier: with the column and
+    tail caches warm, its peak memory does not grow with the column count."""
+    p = ModelParams(q=0.25, a=3.0, c=-2.0, y=(1.0,))
+    w = 0.62 + 0.05j + 0.08 * np.exp(2j * np.pi * np.arange(64) / 64)
+    stack = OperatorStack([(KIND_A, w.reshape(64, 1)), (KIND_A, w.reshape(1, 64))], p)
+    short, long = ((2,), (1,)), ((6,), (5,))  # 2 and 6 contracted columns
+    for mu, nu in (short, long):
+        stack.element(mu, nu)
+    peaks = []
+    for mu, nu in (short, long):
+        tracemalloc.start()
+        stack.element(mu, nu)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
