@@ -29,6 +29,7 @@ from fractions import Fraction
 from . import asep as asep_mod
 from . import rowops, symfun, triangular, weights
 from .errors import HalfSpaceError
+from .pfaffian import det_exact, pfaffian, pfaffian_sum_check, stembridge_check
 from .scalars import COMPLEX, RATIONAL, format_scalar, parse_scalar
 
 RATIONAL_ONLY = {"verify"}
@@ -237,20 +238,18 @@ def _verify_g_recursions(args) -> tuple[bool, dict]:
 
 
 def _verify_pfaffian(args) -> tuple[bool, dict]:
-    from . import pfaffian as pf
-
     rng = random.Random(args.seed)
     out = {}
     all_ok = True
     for n in (2, 4, 6, 8, 10):
         M = _random_skew(rng, n)
-        ok = pf.pfaffian(M) ** 2 == pf.det_exact(M)
+        ok = pfaffian(M) ** 2 == det_exact(M)
         out[f"pf2_det_n{n}"] = ok
         all_ok = all_ok and ok
     A, B = _random_skew(rng, 4), _random_skew(rng, 4)
-    out["sum_identity"] = pf.pfaffian_sum_check(A, B)
+    out["sum_identity"] = pfaffian_sum_check(A, B)
     xs = [Fraction(rng.randint(1, 30), rng.randint(31, 60)) for _ in range(4)]
-    out["stembridge"] = pf.stembridge_check(xs)
+    out["stembridge"] = stembridge_check(xs)
     all_ok = all_ok and out["sum_identity"] and out["stembridge"]
     return all_ok, out
 
@@ -332,14 +331,20 @@ def cmd_asep(args) -> int:
         _emit(payload, args)
         return 0
     if args.mode == "limit":
+        if args.a is None:
+            raise ValueError("asep limit needs the vertex boundary parameter --a")
         vparams = weights.ModelParams(
             q=args.q, a=args.a, c=args.c, y=(1.0,), c_infinite=args.c is None
         )
         L_list = [int(v) for v in args.L.split(",")]
         rep = asep_mod.vertex_limit_check(mu, nu, vparams, args.t, L_list, sites=args.sites)
+        bound, leak = rep["asep_bound"], rep["window_leak"]
         _emit_csv(
-            [(L, f"{v!r}", f"{r!r}", f"{e!r}") for (L, v, r, e) in rep["rows"]],
-            ("L", "value", "reference", "abs_error"),
+            [
+                (L, f"{v!r}", f"{r!r}", f"{e!r}", f"{bound!r}", f"{leak[L]!r}")
+                for (L, v, r, e) in rep["rows"]
+            ],
+            ("L", "value", "reference", "abs_error", "asep_bound", "window_leak"),
             args,
         )
         return 0

@@ -15,7 +15,13 @@ Matrix elements of operator products are evaluated two ways:
   infinite-column limit that products of truncated kernels cannot reach.
   A family of elements (OperatorStack.elements) is contracted in the order
   of its column patterns, each resuming from the frontier of the column
-  prefix it shares with the previous one;
+  prefix it shares with the previous one.  When q, a, c, the y-alphabet and
+  every row's spectral value are rational, the contraction is fraction-free:
+  each move table holds integer numerators over one denominator, every
+  frontier is a map of integers over one denominator (the product of the
+  column denominators so far), and the element is reduced to a Fraction
+  once, at the close.  Any other stack carries denominator 1 and its own
+  scalars through the same operations;
 * for an empty initial configuration, the equivalent finite lattice with
   boundary vertices on a staircase, which is cheap for long alphabets.  It
   is summed one path line at a time (_line_sweep); its triangle alone
@@ -30,10 +36,12 @@ table that asep.vertex_row_kernel contracts into a dense kernel.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArityError, DegeneratePoint, GuardViolated, TruncationTooSmall
+from .scalars import is_exact
 from .weights import (
     DOTTED,
     ROTATED,
@@ -215,12 +223,18 @@ class OperatorStack:
     non-target states.  Spectral parameters may be numpy arrays of
     different broadcastable shapes (one open-grid axis per row), in which
     case everything broadcasts and the tail solve is batched.
+
+    A frontier is a pair (values, den): the weight of channel tuple gamma is
+    values[gamma] / den.  Over the rationals the values are integers (see
+    the module docstring); otherwise den is 1.
     """
 
     def __init__(self, rows, params: ModelParams):
         self.rows = [RowSpec(*r) if not isinstance(r, RowSpec) else r for r in rows]
         self.params = params
         self.q = params.q
+        scalars = [params.q, params.a, params.c, *params.y, *(row.spectral for row in self.rows)]
+        self._exact = all(is_exact(v) for v in scalars if v is not None)
         self._tail = None
         self._column_cache = {}
         self._moves_cache = {}
@@ -228,6 +242,14 @@ class OperatorStack:
     @property
     def n_rows(self):
         return len(self.rows)
+
+    def _over_one_den(self, weights: dict):
+        """(weights as integer numerators, their lcm denominator) for an
+        exact stack; (weights, 1) otherwise."""
+        if not self._exact:
+            return weights, 1
+        den = math.lcm(*(w.denominator for w in weights.values()))
+        return {k: _numerator(w, den) for k, w in weights.items()}, den
 
     def _initial_frontier(self):
         frontier = {}
@@ -242,17 +264,20 @@ class OperatorStack:
                     break
             else:
                 frontier[gamma] = w
-        return frontier
+        return self._over_one_den(frontier)
 
     def _column_transfer(self, gamma, eta_b, eta_t, yj):
-        """dict gamma' -> weight for one column with fixed external edges.
+        """(dict gamma' -> weight numerator, column denominator) for one
+        column with fixed external edges.
 
         eta_t None means the top edge is summed over (free top).
         """
         frontier = {(eta_b, ()): 1}
+        den = 1
         for r in range(self.n_rows):
             b, t = gamma[r]
-            moves = self._column_moves_cached(r, yj)
+            moves, row_den = self._column_moves_cached(r, yj)
+            den *= row_den
             new = {}
             for (v, acc), w in frontier.items():
                 for v_out, b2, t2, wm in moves[b, t, v]:
@@ -271,16 +296,24 @@ class OperatorStack:
                 out[acc] = out[acc] + w
             else:
                 out[acc] = w
-        return out
+        return out, den
 
     def _column_moves_cached(self, r, yj):
-        """Row r's move table for a column with parameter y_j."""
+        """Row r's move table for a column with parameter y_j, with the
+        table's weights over one denominator: (table, den)."""
         key = (r, yj if not _is_array(yj) else id(yj))
         got = self._moves_cache.get(key)
         if got is None:
             row = self.rows[r]
-            got = _column_moves(row.kind, row.spectral, yj, self.q)
-            self._moves_cache[key] = got
+            table = _column_moves(row.kind, row.spectral, yj, self.q)
+            den = 1
+            if self._exact:
+                den = math.lcm(*(w.denominator for ms in table.values() for *_, w in ms))
+                table = {
+                    k: [(e, b, t, _numerator(w, den)) for e, b, t, w in ms]
+                    for k, ms in table.items()
+                }
+            got = self._moves_cache[key] = (table, den)
         return got
 
     def _column_transfer_cached(self, gamma, eta_b, eta_t, yj):
@@ -295,20 +328,23 @@ class OperatorStack:
         return tuple(_TARGET[row.kind] for row in self.rows)
 
     def _tail_values(self, support, free_top: bool):
-        """S[gamma] = lim_M (T^M)[gamma -> target] on the far-right tail."""
+        """S[gamma] = lim_M (T^M)[gamma -> target] on the far-right tail,
+        as (values, den) like a frontier."""
         y = self.params.y_tail
         eta_t = None if free_top else 0
         tgt = self.target()
-        # forward closure of the frontier support (plus target)
+        # forward closure of the frontier support (plus target); every tail
+        # column shares one denominator D, so T = T_int / D
         trans = {}
         todo = list(support) + [tgt]
         seen = set()
+        D = 1
         while todo:
             g = todo.pop()
             if g in seen:
                 continue
             seen.add(g)
-            row = self._column_transfer_cached(g, 0, eta_t, y)
+            row, D = self._column_transfer_cached(g, 0, eta_t, y)
             trans[g] = row
             todo.extend(row.keys())
         if tgt not in trans:
@@ -330,7 +366,7 @@ class OperatorStack:
                     todo.append(g0)
         others = sorted(g for g in live if g != tgt)
         if not others:
-            return {g: (1 if g == tgt else 0) for g in seen}
+            return {g: (1 if g == tgt else 0) for g in seen}, 1
         oidx = {g: i for i, g in enumerate(others)}
         n = len(others)
         zero = self._zero_like()
@@ -344,10 +380,10 @@ class OperatorStack:
                 elif g2 in oidx:
                     j = oidx[g2]
                     A[i][j] = w if A[i][j] is None else A[i][j] + w
-        # (I - A) S = b
+        # (I - T) S = b / D, i.e. (D I - T_int) S = b_int
         M = [
             [
-                (1 if i == j else 0) - (A[i][j] if A[i][j] is not None else 0)
+                (D if i == j else 0) - (A[i][j] if A[i][j] is not None else 0)
                 for j in range(n)
             ]
             for i in range(n)
@@ -357,7 +393,7 @@ class OperatorStack:
         S[tgt] = 1
         for g in others:
             S[g] = sol[oidx[g]]
-        return S
+        return self._over_one_den(S)
 
     def _zero_like(self):
         """0 of the stack's scalar ring; with array rows, zeros over the
@@ -413,35 +449,38 @@ class OperatorStack:
         return out
 
     def _column_step(self, frontier, eta_b, eta_t, yj):
+        values, den = frontier
         new = {}
-        for gamma, w in frontier.items():
-            for gamma2, wt in self._column_transfer_cached(gamma, eta_b, eta_t, yj).items():
+        col_den = 1
+        for gamma, w in values.items():
+            transfer, col_den = self._column_transfer_cached(gamma, eta_b, eta_t, yj)
+            for gamma2, wt in transfer.items():
                 val = w * wt
                 if gamma2 in new:
                     new[gamma2] = new[gamma2] + val
                 else:
                     new[gamma2] = val
-        return {k: v for k, v in new.items() if not _is_zero(v)}
+        return {k: v for k, v in new.items() if not _is_zero(v)}, den * col_den
 
     def _close(self, frontier, free_top: bool):
-        """Sum the frontier against the exact far-right tail."""
+        """Sum the frontier against the exact far-right tail; an exact stack
+        reduces the integer total over its denominator once, here."""
+        values, den = frontier
         if self._tail is None or self._tail[0] != free_top:
-            self._tail = (free_top, self._tail_values(frontier.keys(), free_top))
-        else:
-            missing = [g for g in frontier if g not in self._tail[1]]
-            if missing:
-                self._tail = (
-                    free_top,
-                    self._tail_values(set(self._tail[1]) | set(frontier), free_top),
-                )
-        S = self._tail[1]
-        total = self._zero_like()
-        for gamma, w in frontier.items():
-            s = S.get(gamma)
-            if s is None or _is_zero(s):
-                continue
-            total = total + w * s
-        return total
+            self._tail = (free_top, *self._tail_values(values.keys(), free_top))
+        elif any(g not in self._tail[1] for g in values):
+            support = set(self._tail[1]) | set(values)
+            self._tail = (free_top, *self._tail_values(support, free_top))
+        _, S, s_den = self._tail
+        terms = [w * S[g] for g, w in values.items() if g in S and not _is_zero(S[g])]
+        total = sum(terms, self._zero_like())
+        # with no term the element is the ring's zero (the int 0 when exact)
+        return Fraction(total, den * s_den) if self._exact and terms else total
+
+
+def _numerator(w, den: int) -> int:
+    """Numerator of the rational w over den, a multiple of its denominator."""
+    return w.numerator * (den // w.denominator)
 
 
 def _is_array(v) -> bool:

@@ -68,6 +68,15 @@ def test_verify_local_relations_exit_zero(capsys):
     assert json.loads(out)["ok"] is True
 
 
+@pytest.mark.parametrize(
+    "suite", ["local-relations", "operators", "triangular", "g-recursions", "pfaffian"]
+)
+def test_every_verify_suite_exit_zero(capsys, suite):
+    code, out = run(capsys, ["verify", suite, "--trials", "1"])
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+
+
 def test_asep_formula_empty(capsys):
     code, out = run(
         capsys,
@@ -165,8 +174,19 @@ def test_asep_limit_csv(capsys):
     )
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "L,value,reference,abs_error"
+    assert lines[0] == "L,value,reference,abs_error,asep_bound,window_leak"
     assert len(lines) == 3
+    for line in lines[1:]:
+        asep_bound, window_leak = (float(v) for v in line.split(",")[4:])
+        assert 0 <= asep_bound < 1e-3 and 0 <= window_leak < 1
+
+
+def test_asep_limit_without_a_exit_two(capsys):
+    code = main(["asep", "limit", "--nu", "1", "--q", "0.25", "--t", "0.25", "--L", "8"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ValueError" and "--a" in err["message"]
 
 
 def test_env_var_overrides_backend(capsys, tmp_path, monkeypatch):

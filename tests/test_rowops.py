@@ -350,3 +350,54 @@ def test_single_element_keeps_no_prefix_frontiers():
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+def test_exact_stack_values_and_types():
+    """Skew elements at rational points: the fraction-free contraction gives
+    the values an all-Fraction contraction gave, as Fractions (exact zeros
+    may be ints), never floats."""
+    xs, zs = (F(1, 2), F(2, 5)), (F(1, 3), F(2, 7))
+    kappas = [k for r in range(4) for k in itertools.combinations(range(5, 0, -1), r)]
+    stack = OperatorStack([(KIND_A, x) for x in xs], P_INHOM)
+    family = stack.elements([((1,), kappa) for kappa in kappas])
+    got = [
+        partition_G((3, 2), (1,), xs, P_INHOM),
+        partition_F((2, 1), (1,), zs, P_INHOM),
+        stochastic_row_sum((2,), xs, P_INHOM),
+        OperatorStack([(KIND_B, z) for z in zs], P_INHOM).row_sum((2,)),
+        sum(family),
+    ]
+    expected = [
+        F(17728, 221445),
+        F(159751840, 232427811),
+        F(1),
+        F(17403660, 7043267),
+        F(254584739147, 435160339250),
+    ]
+    assert got == expected
+    for v in got + family:
+        assert isinstance(v, (F, int)), type(v)
+    # every family member resumed from a saved prefix equals its lone contraction
+    assert family == [stack.element((1,), kappa) for kappa in kappas]
+
+
+@pytest.mark.parametrize("spectral", [
+    (F(1, 2), 0.4 + 0.1j),
+    (np.array([0.5, 0.45 + 0.05j]), np.array([[0.4 + 0.1j], [0.3], [0.35 - 0.02j]])),
+])
+def test_mixed_stack_matches_complex_stack(spectral):
+    """A stack that is not all rational (a Fraction row beside a complex
+    row, or ndarray rows under a Fraction q) gives the all-complex stack's
+    values."""
+    p_complex = ModelParams(q=1 / 3, a=2.0, c=5.0, y=(0.75, 1.25, 1.0))
+    kinds = (KIND_A, KIND_B)
+    mixed = OperatorStack(list(zip(kinds, spectral)), P_INHOM)
+    ref = OperatorStack(
+        [(k, s.astype(complex) if isinstance(s, np.ndarray) else complex(s))
+         for k, s in zip(kinds, spectral)],
+        p_complex,
+    )
+    pairs = [((), ()), ((1,), ()), ((2,), (1,)), ((3, 1), (2,)), ((), (4, 1))]
+    for got, want in zip(mixed.elements(pairs) + [mixed.row_sum((2,))],
+                         ref.elements(pairs) + [ref.row_sum((2,))]):
+        assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
