@@ -124,10 +124,6 @@ def det_exact(M):
     return det
 
 
-def principal_submatrix(M, idx):
-    return [[M[r][c] for c in idx] for r in idx]
-
-
 def pfaffian_sum(A, B):
     """Right-hand side of the Pfaffian summation identity:
 
@@ -144,8 +140,8 @@ def pfaffian_sum(A, B):
         for S in combinations(range(n), r):
             comp = tuple(i for i in range(n) if i not in S)
             sgn = sgn_r * (-1) ** (sum(S) + r)  # sum of 1-based indices
-            pa = pfaffian(principal_submatrix(A, S), validate=False)
-            pb = pfaffian(principal_submatrix(B, comp), validate=False)
+            pa = pfaffian([[A[i][j] for j in S] for i in S], validate=False)
+            pb = pfaffian([[B[i][j] for j in comp] for i in comp], validate=False)
             total = total + sgn * pa * pb
     return total
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import DivisionByZero
-
 RATIONAL = "rational"
 COMPLEX = "complex"
 
@@ -61,30 +59,8 @@ def scalar_str(value) -> str:
     return f"{value.real!r}{value.imag:+}j"
 
 
-def as_float(value) -> float:
-    """Real float view of a scalar (imaginary parts must be negligible)."""
-    if isinstance(value, (Fraction, int)):
-        return float(value)
-    value = complex(value)
-    return value.real
-
-
-def checked_div(num, den, context: str = ""):
-    """Division that raises DivisionByZero on an exact zero denominator."""
-    if den == 0:
-        raise DivisionByZero(context or "denominator vanished")
-    return num / den
-
-
 def rand_rational(rng: random.Random, bound: int = 97) -> Fraction:
     """Random rational with small numerator/denominator (|p|, q <= bound)."""
     num = rng.randint(-bound, bound)
     den = rng.randint(1, bound)
     return Fraction(num, den)
-
-
-def rand_rational_nonzero(rng: random.Random, bound: int = 97) -> Fraction:
-    while True:
-        v = rand_rational(rng, bound)
-        if v != 0:
-            return v

@@ -5,8 +5,11 @@ G_nu (empty initial configuration) has a sum-over-subsets evaluation in
 which n of the L spectral parameters are attached to the occupied sites,
 and an equivalent n-fold contour integral whose integrand contains the
 triangular partition function on the extended alphabet (x, 1/w).  The
-contour machinery here realises the abstract nesting/exclusion rules as
-concentric circles with numerically validated constraints.
+two routes share no formula for Z: g_subset takes it from Kuperberg's
+even-subset sum (z_subset_kuperberg), the integrand from the single
+bordered Pfaffian batched over the quadrature nodes (z_triangular_vec).
+The contour machinery here realises the abstract nesting/exclusion rules
+as concentric circles with numerically validated constraints.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .rowops import (
     partition_G,
 )
 from .triangular import TriangularSpec, z_pfaffian, z_subset_kuperberg
-from .weights import ModelParams, h_func
+from .weights import ModelParams, h_func, h_over_ac
 
 # ---------------------------------------------------------------------------
 # Subset formula
@@ -266,12 +269,16 @@ def nested_contours(
 
 
 def z_triangular_vec(values, params: ModelParams):
-    """z_subset_kuperberg over mixed scalar/ndarray alphabet entries.
+    """z_pfaffian over mixed scalar/ndarray alphabet entries.
 
-    The Kuperberg kernel is built once as an array over the broadcast lanes
-    and each even subset's Pfaffian is one batched pfaffian call; used in
-    quadrature integrands where the alphabet mixes fixed x's with contour
-    nodes.
+    A quadrature integrand passes fixed x's with open-grid node arrays.
+    h(x_i), S(x_i, x_j) and Q(x_i, x_j) are computed on their own entries'
+    shapes, and only the assembled kernel (..., n, n) spans the broadcast
+    lanes, so one batched pfaffian call evaluates Z on every lane.  Odd
+    sizes are bordered as in z_pfaffian: the column -(1 - h(x_i)) and the
+    sign (-1)^m are the limit of an appended entry t -> 1, so alphabets
+    containing 1 or 1/q stay finite.  Array entries skip the scalar pole
+    checks.
     """
     xs = list(values)
     m = len(xs)
@@ -281,40 +288,24 @@ def z_triangular_vec(values, params: ModelParams):
         params, a=complex(params.a), c=None if params.c is None else complex(params.c)
     )
     hs = [h_func(x, cparams) for x in xs]
-    H = 1
-    for h in hs:
-        H = H * (1 - h)
     if params.c_infinite:
-        return H
-    inv_ac = -1.0 / complex(params.a * params.c)
-    X = np.stack(np.broadcast_arrays(*[np.asarray(x, dtype=complex) for x in xs]), axis=-1)
-    Xi, Xj = X[..., :, None], X[..., None, :]
-    kernel = np.divide(
-        (1 - q) * (Xi - Xj),
-        (1 - Xi * Xj) * (1 - q * Xi * Xj),
-        out=np.zeros(X.shape + (m,), dtype=complex),
-        where=~np.eye(m, dtype=bool),
-    )
-    total = 0
-    for r in range(0, m // 2 + 1):
-        for S in combinations(range(m), 2 * r):
-            comp = [i for i in range(m) if i not in S]
-            term = inv_ac**r
-            for i in S:
-                term = term * hs[i] / (1 - hs[i])
-                for j in comp:
-                    term = term * (1 - xs[i] * xs[j]) / (xs[i] - xs[j])
-            # Z^K on the subset
-            if r:
-                pref = 1
-                for ai, i in enumerate(S):
-                    pref = pref * xs[i]
-                    for j in S[ai + 1 :]:
-                        pref = pref * (1 - xs[i] * xs[j]) / (xs[i] - xs[j])
-                sub = kernel[..., S, :][..., S]
-                term = term * pref * pfaffian(sub, validate=False)
-            total = total + term
-    return H * total
+        return math.prod(1 - h for h in hs)
+    hoa = [h_over_ac(x, cparams) for x in xs]
+    n = m + m % 2
+    M = np.zeros(np.broadcast_shapes(*(np.shape(x) for x in xs)) + (n, n), dtype=complex)
+    pref = (-1) ** m
+    for i in range(m):
+        for j in range(i + 1, m):
+            xx = xs[i] * xs[j]
+            s = (xs[i] - xs[j]) / (1 - xx)
+            Q = (1 - hs[i]) * (1 - hs[j]) - hs[i] * hoa[j] * (1 - q) * xx / (1 - q * xx)
+            M[..., i, j] = s * Q
+            M[..., j, i] = -M[..., i, j]
+            pref = pref / s
+        if m % 2:
+            M[..., i, m] = hs[i] - 1
+            M[..., m, i] = 1 - hs[i]
+    return pref * pfaffian(M, validate=False)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ i and j, and all external edges empty.  Routes:
 
   z_enumerate         line-by-line sum over the triangle with merged edge
                       states (trusted oracle, m <= 10)
-  z_pfaffian          prefactor * Pf((x_i-x_j)/(1-x_i x_j) Q(x_i, x_j))
+  z_pfaffian          prefactor * Pf((x_i-x_j)/(1-x_i x_j) Q(x_i, x_j)),
+                      bordered at odd m
   z_subset_kuperberg  even-subset sum over Kuperberg Pfaffians
   z_shuffle           shuffle powers of the closed forms Z_1, Z_2
   z_altform           even/odd Pfaffian pair (or its subset form) with a
@@ -138,27 +139,27 @@ def _check_distinct(xs):
 def z_pfaffian(spec: TriangularSpec):
     """Prefactor times Pf((x_i-x_j)/(1-x_i x_j) * Q(x_i, x_j)).
 
-    Odd sizes follow the convention Z_{2l-1}(x) = Z_{2l}(x, 1); the
-    appended point must keep the prefactor non-degenerate.
+    Odd sizes are bordered: Z_{2l-1}(x) is the limit of Z_{2l}(x, t) at
+    t -> 1, where S(x_i, t) -> -1 and Q(x_i, t) -> 1 - h(x_i) (h(1) = 0),
+    so the border column holds -(1 - h(x_i)) and the prefactor gains
+    (-1)^m.  Substituting t = 1 instead would put 0/0 into S when an entry
+    is 1 and into Q when an entry is 1/q, although Z is finite there.
     """
     xs, params = spec.x, spec.params
-    if len(xs) == 0:
-        return 1
-    one = Fraction(1) if isinstance(params.q, (Fraction, int)) else 1.0
-    if len(xs) % 2 == 1:
-        xs = xs + (one,)
+    m = len(xs)
     _check_distinct(xs)
-    n = len(xs)
-    pref = 1
+    n = m + m % 2
+    pref = (-1) ** m
     M = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
+    for i in range(m):
+        for j in range(i + 1, m):
             s = kernel_S(xs[i], xs[j])
             M[i][j] = s * kernel_Q(xs[i], xs[j], params)
-            if i < j:
-                pref = pref / s
+            M[j][i] = -M[i][j]
+            pref = pref / s
+        if m % 2:
+            M[i][m] = h_func(xs[i], params) - 1
+            M[m][i] = -M[i][m]
     return pref * pfaffian(M, validate=False)
 
 

@@ -75,9 +75,50 @@ def test_z_triangular_vec_matches_scalar():
     assert abs(complex(ref) - complex(vec)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "xs",
+    [
+        (F(1), F(1, 3), F(2, 7)),
+        (F(4), F(1, 3), F(2, 7)),
+        (F(2, 5), F(1), F(-3, 7), F(5, 9), F(1, 6)),
+        (F(2, 5), F(4), F(-3, 7), F(5, 9), F(1, 6)),
+    ],
+)
+def test_z_triangular_vec_odd_alphabet_through_1_and_1_over_q(xs):
+    # 1 and 1/q = 4 are where an appended entry 1 would divide 0 by 0
+    p = ModelParams(q=F(1, 4), a=F(3), c=F(-2))
+    ref = complex(z_subset_kuperberg(TriangularSpec(xs, p)))
+    vec = complex(z_triangular_vec([complex(x) for x in xs], p))
+    assert abs(vec - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("c_infinite", [False, True])
+def test_z_triangular_vec_open_grid_matches_lanes(c_infinite):
+    p = ModelParams(q=0.25, a=3.0, c=None if c_infinite else -2.0, c_infinite=c_infinite)
+    w1 = (0.3 + 0.2 * np.exp(2j * np.pi * np.arange(5) / 5))[:, None]
+    w2 = (-0.4 + 0.1 * np.exp(2j * np.pi * np.arange(4) / 4))[None, :]
+    grid = z_triangular_vec([0.55, w1, 0.7, w2, -0.2], p)
+    assert grid.shape == (5, 4)
+    for i in range(5):
+        for j in range(4):
+            lane = z_triangular_vec([0.55, complex(w1[i, 0]), 0.7, complex(w2[0, j]), -0.2], p)
+            assert abs(grid[i, j] - lane) <= 1e-14 * max(1.0, abs(lane))
+
+
+@pytest.mark.parametrize("nodes", [128, 256])
+def test_g_contour_clustered_alphabet(nodes):
+    # seven clustered x's: the integrand's Z is one Pfaffian of order 8, with
+    # none of the cancellation of an even-subset sum
+    p = ModelParams(q=F(1, 10), a=F(3), c=F(-2), y=(F(1),))
+    xs = tuple(F(k, 20) for k in range(9, 16))
+    ref = float(g_subset((1,), xs, p))
+    v = g_contour((1,), xs, p, nodes=nodes, check_convergence=False)
+    assert abs(v - ref) <= 1e-7 * abs(ref)
+
+
 def test_g_contour_pfaffian_order_8():
-    # L = 7 plus one contour variable: the integrand's subset sum needs a
-    # Pfaffian of order 8
+    # L = 7 plus one contour variable: the integrand's Z is a Pfaffian of
+    # order 8
     p = ModelParams(q=F(1, 10), a=F(10), c=F(-2), y=(F(1),))
     xs = tuple(F(k, 10) for k in range(3, 10))
     v = g_contour((1,), xs, p, nodes=64)

@@ -106,6 +106,14 @@ def test_degenerate_point_raises():
         z_pfaffian(TriangularSpec(xs, P))
 
 
+@pytest.mark.parametrize("xs", [(F(1), F(1, 3), F(2, 7)), (F(4), F(1, 3), F(2, 7))])
+def test_pfaffian_odd_alphabet_through_1_and_1_over_q(xs):
+    # the bordered Pfaffian is finite at x = 1 and x = 1/q = 4
+    p = ModelParams(q=F(1, 4), a=F(3), c=F(-2))
+    spec = TriangularSpec(xs, p)
+    assert z_pfaffian(spec) == z_enumerate(spec) == z_subset_kuperberg(spec)
+
+
 def test_enumeration_cap():
     xs = tuple(F(1, k + 2) for k in range(11))
     with pytest.raises(CapExceeded):
