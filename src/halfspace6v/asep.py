@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ArityError, CapExceeded, ContourInvalid, CutoffTooSmall, DivisionByZero
 from .rowops import KIND_A, _column_moves, as_config, config_max
 from .symfun import ContourSpec, nested_trapezoid, validate_contours
-from .weights import ModelParams, boundary_weight
+from .weights import ModelParams, k_table
 
 
 @dataclass(frozen=True)
@@ -420,7 +420,7 @@ def vertex_row_kernel(x, params: ModelParams, sites: int) -> np.ndarray:
         for (b, t, eta_in), moves in _column_moves(KIND_A, x, yj, params.q).items():
             for eta_out, b2, t2, w in moves:
                 T[eta_in, eta_out, 2 * b + t, 2 * b2 + t2] += complex(w)
-    K = np.array([[[complex(boundary_weight(b, t, x, params)) for b in (0, 1) for t in (0, 1)]]])
+    K = np.array([[[complex(w) for row in k_table(x, params) for w in row]]])
     real = not any(np.any(a.imag) for a in (K, *tensors.values()))
     if real:
         K = K.real

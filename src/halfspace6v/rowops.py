@@ -25,7 +25,15 @@ Matrix elements of operator products are evaluated two ways:
 * for an empty initial configuration, the equivalent finite lattice with
   boundary vertices on a staircase, which is cheap for long alphabets.  It
   is summed one path line at a time (_line_sweep); its triangle alone
-  (triangle_states) gives the triangular partition function Z_m.
+  (triangle_states) gives the triangular partition function Z_m.  Every
+  path crosses each line once, so the sweep is fraction-free on the same
+  terms: each crossing table and each boundary turn holds integer
+  numerators over one denominator, all states of a line share the product
+  of them, and G or Z is reduced to a Fraction once.
+
+Local weights come from one table per argument (weights.bulk_table and
+weights.k_table), each entry evaluated once; a bulk-weight pole raises
+DegeneratePoint only when a state uses that entry.
 
 apply_double_row is the plain one-sweep Markov kernel on a truncated site
 window; its coefficients are exact for every output supported inside the
@@ -40,22 +48,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import ArityError, DegeneratePoint, GuardViolated, TruncationTooSmall
-from .scalars import is_exact
+from .scalars import is_exact, is_zero, numerator, over_one_den
 from .weights import (
     DOTTED,
     ROTATED,
     STOCHASTIC,
     ModelParams,
-    boundary_weight,
-    bulk_entries,
-    h_func,
+    bulk_table,
+    k_table,
 )
-
-try:  # numpy only needed for the vectorised complex path
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
 
 KIND_A = "A"
 KIND_B = "Bdot"
@@ -90,7 +94,7 @@ class SparseState(dict):
     def add(self, cfg, value):
         cur = self.get(cfg)
         new = value if cur is None else cur + value
-        if _is_zero(new):
+        if is_zero(new):
             self.pop(cfg, None)
         else:
             self[cfg] = new
@@ -100,56 +104,54 @@ class SparseState(dict):
         return cls({as_config(cfg): 1})
 
 
-def _is_zero(v) -> bool:
-    if np is not None and isinstance(v, np.ndarray):
-        return bool(np.all(v == 0))
-    return v == 0
-
-
 # ---------------------------------------------------------------------------
 # One double row: local column moves
 # ---------------------------------------------------------------------------
 
 
-def _row_moves(kind, x, yj, q, b, t, eta_in):
-    """All moves of one double row at one column.
-
-    Left channel (b, t) and incoming vertical edge eta_in are fixed; yields
-    tuples (eta_out, b_right, t_right, weight).  A weight pole (e.g.
-    x = y_j/q) raises DegeneratePoint.
-    """
-    z_bot = x / yj
-    z_top = x * yj
-    top_variant = _TOP_VARIANT[kind]
-    out = []
-    try:
-        # rotated entries are keyed by (vert_in, right_in); iterate right_in
-        for b_right in (0, 1):
-            for (m, b_left), fn_bot in bulk_entries(eta_in, b_right, ROTATED):
-                if b_left != b:
-                    continue
-                w_bot = fn_bot(z_bot, q)
-                if _is_zero(w_bot):
-                    continue
-                for (eta_out, t_right), fn_top in bulk_entries(m, t, top_variant):
-                    w = w_bot * fn_top(z_top, q)
-                    if not _is_zero(w):
-                        out.append((eta_out, b_right, t_right, w))
-    except ZeroDivisionError as exc:
-        raise DegeneratePoint(f"row weight pole at x={x}, y_j={yj}: {exc}") from exc
-    return out
-
-
 def _column_moves(kind, x, yj, q) -> dict:
     """The move table of one double row at one column with parameter y_j:
-    {(b, t, eta_in): _row_moves(...)} for every left channel (b, t) and
-    incoming vertical edge eta_in, with the outgoing edge free."""
-    return {
-        (b, t, eta_in): _row_moves(kind, x, yj, q, b, t, eta_in)
-        for b in (0, 1)
-        for t in (0, 1)
-        for eta_in in (0, 1)
-    }
+    {(b, t, eta_in): [(eta_out, b_right, t_right, weight)]} for every left
+    channel (b, t) and incoming vertical edge eta_in, with the outgoing edge
+    free.  The lower row's rotated weights (z = x/y_j) and the upper row's
+    weights (z = x*y_j) are each evaluated once.  A weight pole (e.g.
+    x = y_j/q) raises DegeneratePoint.
+    """
+    table = {}
+    try:
+        bot = bulk_table(x / yj, ROTATED, q)
+        top = bulk_table(x * yj, _TOP_VARIANT[kind], q)
+        for b, t, eta_in in itertools.product((0, 1), repeat=3):
+            moves = table[b, t, eta_in] = []
+            # rotated entries are keyed by (vert_in, right_in); iterate right_in
+            for b_right in (0, 1):
+                for m, b_left, w_bot in bot[eta_in, b_right]:
+                    if b_left != b:
+                        continue
+                    for eta_out, t_right, w_top in top[m, t]:
+                        w = w_bot * w_top
+                        if not is_zero(w):
+                            moves.append((eta_out, b_right, t_right, w))
+    except ZeroDivisionError as exc:
+        raise DegeneratePoint(f"row weight pole at x={x}, y_j={yj}: {exc}") from exc
+    return table
+
+
+def _int_table(table: dict, exact: bool):
+    """(table, den) with the table's weights as integer numerators over their
+    lcm den when exact; (table, 1) otherwise.  Entries are tuples whose last
+    item is the weight, and the table keeps its type."""
+    if not exact:
+        return table, 1
+    den = math.lcm(*(e[-1].denominator for es in table.values() for e in es))
+    ints = {k: [(*e[:-1], numerator(e[-1], den)) for e in es] for k, es in table.items()}
+    return type(table)(ints), den
+
+
+def _all_exact(params: ModelParams, values) -> bool:
+    """Whether q, a, c, the y-alphabet and the given values are all rational."""
+    scalars = [params.q, params.a, params.c, *params.y, *values]
+    return all(is_exact(v) for v in scalars if v is not None)
 
 
 def apply_double_row(bra, kind, spectral, n_columns, params: ModelParams):
@@ -172,6 +174,7 @@ def apply_double_row(bra, kind, spectral, n_columns, params: ModelParams):
         _column_moves(kind, spectral, params.y_at(j), params.q)
         for j in range(1, n_tables + 1)
     ]
+    K = k_table(spectral, params)
     out = SparseState()
     target = _TARGET[kind]
     for mu, coeff in bra.items():
@@ -180,9 +183,8 @@ def apply_double_row(bra, kind, spectral, n_columns, params: ModelParams):
         frontier = {}
         for b in (0, 1):
             for t in (0, 1):
-                w = boundary_weight(b, t, spectral, params)
-                if not _is_zero(w):
-                    frontier[(b, t), ()] = w
+                if not is_zero(K[b][t]):
+                    frontier[(b, t), ()] = K[b][t]
         for j in range(1, n_columns + 1):
             eta_in = 1 if j in occupied else 0
             moves = tables[min(j, n_tables) - 1]
@@ -195,7 +197,7 @@ def apply_double_row(bra, kind, spectral, n_columns, params: ModelParams):
                         new[key] = new[key] + val
                     else:
                         new[key] = val
-            frontier = {k: v for k, v in new.items() if not _is_zero(v)}
+            frontier = {k: v for k, v in new.items() if not is_zero(v)}
         for ((b, t), prefix), w in frontier.items():
             if (b, t) == target:
                 out.add(tuple(reversed(prefix)), coeff * w)
@@ -233,8 +235,13 @@ class OperatorStack:
         self.rows = [RowSpec(*r) if not isinstance(r, RowSpec) else r for r in rows]
         self.params = params
         self.q = params.q
-        scalars = [params.q, params.a, params.c, *params.y, *(row.spectral for row in self.rows)]
-        self._exact = all(is_exact(v) for v in scalars if v is not None)
+        self._exact = _all_exact(params, [row.spectral for row in self.rows])
+        # every prefix column's y_j as a small int (equal values share one,
+        # arrays by identity), so the cache keys hash ints
+        classes = {}
+        self._y_class = [
+            classes.setdefault(id(y) if _is_array(y) else y, len(classes)) for y in params.y
+        ]
         self._tail = None
         self._column_cache = {}
         self._moves_cache = {}
@@ -243,40 +250,33 @@ class OperatorStack:
     def n_rows(self):
         return len(self.rows)
 
-    def _over_one_den(self, weights: dict):
-        """(weights as integer numerators, their lcm denominator) for an
-        exact stack; (weights, 1) otherwise."""
-        if not self._exact:
-            return weights, 1
-        den = math.lcm(*(w.denominator for w in weights.values()))
-        return {k: _numerator(w, den) for k, w in weights.items()}, den
-
     def _initial_frontier(self):
+        tables = [k_table(row.spectral, self.params) for row in self.rows]
         frontier = {}
         for gamma in itertools.product(
             itertools.product((0, 1), (0, 1)), repeat=self.n_rows
         ):
             w = 1
-            for r, row in enumerate(self.rows):
-                b, t = gamma[r]
-                w = w * boundary_weight(b, t, row.spectral, self.params)
-                if _is_zero(w):
+            for K, (b, t) in zip(tables, gamma):
+                w = w * K[b][t]
+                if is_zero(w):
                     break
             else:
                 frontier[gamma] = w
-        return self._over_one_den(frontier)
+        return over_one_den(frontier, self._exact)
 
-    def _column_transfer(self, gamma, eta_b, eta_t, yj):
+    def _column_transfer(self, gamma, eta_b, eta_t, col):
         """(dict gamma' -> weight numerator, column denominator) for one
         column with fixed external edges.
 
-        eta_t None means the top edge is summed over (free top).
+        eta_t None means the top edge is summed over (free top); col indexes
+        the column's y_j in the y-alphabet.
         """
         frontier = {(eta_b, ()): 1}
         den = 1
         for r in range(self.n_rows):
             b, t = gamma[r]
-            moves, row_den = self._column_moves_cached(r, yj)
+            moves, row_den = self._column_moves_cached(r, col)
             den *= row_den
             new = {}
             for (v, acc), w in frontier.items():
@@ -287,7 +287,7 @@ class OperatorStack:
                         new[key] = new[key] + val
                     else:
                         new[key] = val
-            frontier = {k: v for k, v in new.items() if not _is_zero(v)}
+            frontier = {k: v for k, v in new.items() if not is_zero(v)}
         out = {}
         for (v, acc), w in frontier.items():
             if eta_t is not None and v != eta_t:
@@ -298,29 +298,22 @@ class OperatorStack:
                 out[acc] = w
         return out, den
 
-    def _column_moves_cached(self, r, yj):
-        """Row r's move table for a column with parameter y_j, with the
+    def _column_moves_cached(self, r, col):
+        """Row r's move table for the column parameter y[col], with the
         table's weights over one denominator: (table, den)."""
-        key = (r, yj if not _is_array(yj) else id(yj))
+        key = (r, self._y_class[col])
         got = self._moves_cache.get(key)
         if got is None:
             row = self.rows[r]
-            table = _column_moves(row.kind, row.spectral, yj, self.q)
-            den = 1
-            if self._exact:
-                den = math.lcm(*(w.denominator for ms in table.values() for *_, w in ms))
-                table = {
-                    k: [(e, b, t, _numerator(w, den)) for e, b, t, w in ms]
-                    for k, ms in table.items()
-                }
-            got = self._moves_cache[key] = (table, den)
+            table = _column_moves(row.kind, row.spectral, self.params.y[col], self.q)
+            got = self._moves_cache[key] = _int_table(table, self._exact)
         return got
 
-    def _column_transfer_cached(self, gamma, eta_b, eta_t, yj):
-        key = (gamma, eta_b, eta_t, yj if not _is_array(yj) else id(yj))
+    def _column_transfer_cached(self, gamma, eta_b, eta_t, col):
+        key = (gamma, eta_b, eta_t, self._y_class[col])
         got = self._column_cache.get(key)
         if got is None:
-            got = self._column_transfer(gamma, eta_b, eta_t, yj)
+            got = self._column_transfer(gamma, eta_b, eta_t, col)
             self._column_cache[key] = got
         return got
 
@@ -330,7 +323,7 @@ class OperatorStack:
     def _tail_values(self, support, free_top: bool):
         """S[gamma] = lim_M (T^M)[gamma -> target] on the far-right tail,
         as (values, den) like a frontier."""
-        y = self.params.y_tail
+        tail_col = len(self.params.y) - 1
         eta_t = None if free_top else 0
         tgt = self.target()
         # forward closure of the frontier support (plus target); every tail
@@ -344,7 +337,7 @@ class OperatorStack:
             if g in seen:
                 continue
             seen.add(g)
-            row, D = self._column_transfer_cached(g, 0, eta_t, y)
+            row, D = self._column_transfer_cached(g, 0, eta_t, tail_col)
             trans[g] = row
             todo.extend(row.keys())
         if tgt not in trans:
@@ -393,7 +386,7 @@ class OperatorStack:
         S[tgt] = 1
         for g in others:
             S[g] = sol[oidx[g]]
-        return self._over_one_den(S)
+        return over_one_den(S, self._exact)
 
     def _zero_like(self):
         """0 of the stack's scalar ring; with array rows, zeros over the
@@ -439,28 +432,29 @@ class OperatorStack:
             minima.append(shared[k])
         out = [None] * len(pairs)
         saved = [(0, self._initial_frontier())] if pairs else []
+        n_y = len(self.params.y)
         for k, i in enumerate(order):
             depth, frontier = saved[-1] if shared[k] in keep[k] else saved.pop()
             for j in range(depth + 1, len(patterns[i]) + 1):
-                frontier = self._column_step(frontier, *patterns[i][j - 1], self.params.y_at(j))
+                frontier = self._column_step(frontier, *patterns[i][j - 1], min(j, n_y) - 1)
                 if j in keep[k]:
                     saved.append((j, frontier))
             out[i] = self._close(frontier, free_top)
         return out
 
-    def _column_step(self, frontier, eta_b, eta_t, yj):
+    def _column_step(self, frontier, eta_b, eta_t, col):
         values, den = frontier
         new = {}
         col_den = 1
         for gamma, w in values.items():
-            transfer, col_den = self._column_transfer_cached(gamma, eta_b, eta_t, yj)
+            transfer, col_den = self._column_transfer_cached(gamma, eta_b, eta_t, col)
             for gamma2, wt in transfer.items():
                 val = w * wt
                 if gamma2 in new:
                     new[gamma2] = new[gamma2] + val
                 else:
                     new[gamma2] = val
-        return {k: v for k, v in new.items() if not _is_zero(v)}, den * col_den
+        return {k: v for k, v in new.items() if not is_zero(v)}, den * col_den
 
     def _close(self, frontier, free_top: bool):
         """Sum the frontier against the exact far-right tail; an exact stack
@@ -472,19 +466,14 @@ class OperatorStack:
             support = set(self._tail[1]) | set(values)
             self._tail = (free_top, *self._tail_values(support, free_top))
         _, S, s_den = self._tail
-        terms = [w * S[g] for g, w in values.items() if g in S and not _is_zero(S[g])]
+        terms = [w * S[g] for g, w in values.items() if g in S and not is_zero(S[g])]
         total = sum(terms, self._zero_like())
         # with no term the element is the ring's zero (the int 0 when exact)
         return Fraction(total, den * s_den) if self._exact and terms else total
 
 
-def _numerator(w, den: int) -> int:
-    """Numerator of the rational w over den, a multiple of its denominator."""
-    return w.numerator * (den // w.denominator)
-
-
 def _is_array(v) -> bool:
-    return np is not None and isinstance(v, np.ndarray)
+    return isinstance(v, np.ndarray)
 
 
 def _common_prefix(a, b) -> int:
@@ -546,56 +535,72 @@ def _solve_dense(M, b):
 # ---------------------------------------------------------------------------
 
 
-def _line_sweep(states, zs, q, exits):
+def _line_sweep(states, crossings, ends):
     """Pass one path line up through the horizontal lines of every edge state.
 
-    states maps a tuple of horizontal edge states to its weight.  The line
-    enters empty from below and crosses horizontal line k at argument zs[k];
-    lines past len(zs) are not crossed.  exits(v, cur, w) turns each top
-    state (line exit v, edge tuple cur, weight w) into (key, weight) pairs,
-    and equal keys are merged.  A weight pole raises DegeneratePoint.
+    states is a frontier (values, den): each tuple of horizontal edge states
+    maps to its weight over den.  The line enters empty from below and
+    crosses horizontal line k by the table crossings[k]; lines past
+    len(crossings) are not crossed.  In ends, table[v] lists the (suffix,
+    weight) pairs by which a top state with line exit v leaves as key
+    cur + suffix, and equal keys are merged.  Crossings and ends are
+    (table, den) pairs, so the line multiplies den by all their
+    denominators.  A weight pole raises DegeneratePoint when a state uses it.
     """
+    values, den = states
+    ends, end_den = ends
+    den *= end_den * math.prod(d for _, d in crossings)
     new = {}
     try:
-        for hs, w in states.items():
+        for hs, w in values.items():
             frontier = [(0, hs, w)]
-            for k, z in enumerate(zs):
+            for k, (table, _) in enumerate(crossings):
                 nf = []
                 for v, cur, wv in frontier:
-                    for (v2, h2), fn in bulk_entries(v, cur[k], STOCHASTIC):
-                        wt = fn(z, q)
-                        if _is_zero(wt):
-                            continue
-                        nf.append((v2, cur[:k] + (h2,) + cur[k + 1 :], wv * wt))
+                    h = cur[k]
+                    for v2, h2, wt in table[v, h]:
+                        nf.append((v2, cur if h2 == h else cur[:k] + (h2,) + cur[k + 1 :], wv * wt))
                 frontier = nf
             for v, cur, wv in frontier:
-                for key, val in exits(v, cur, wv):
+                for suffix, we in ends[v]:
+                    key = cur + suffix
+                    val = wv * we
                     if key in new:
                         new[key] = new[key] + val
                     else:
                         new[key] = val
     except ZeroDivisionError as exc:
         raise DegeneratePoint(f"weight pole in the lattice route: {exc}") from exc
-    return {k: v for k, v in new.items() if not _is_zero(v)}
+    return {k: v for k, v in new.items() if not is_zero(v)}, den
+
+
+def frontier_value(frontier, key):
+    """The weight of key in a frontier (values, den), reduced once to a
+    Fraction from integer numerators; the int 0 if key is absent."""
+    values, den = frontier
+    w = values.get(key)
+    return 0 if w is None else Fraction(w, den) if isinstance(w, int) else w
 
 
 def triangle_states(xs, params: ModelParams):
-    """Weighted edge states (h_1..h_L) leaving the triangle of lines x_1..x_L.
+    """Weighted edge states (h_1..h_L) leaving the triangle of lines x_1..x_L,
+    as a frontier (values, den).
 
     Line i crosses lines 1..i-1 (argument x_i x_j) and turns right at its
     boundary vertex; equal edge states are merged after every line.  The
-    all-empty entry is the triangular partition function Z_L.
+    all-empty entry is the triangular partition function Z_L.  The sweep is
+    fraction-free when q, a, c, y and the x's are rational.
     """
-    states = {(): 1}
+    exact = _all_exact(params, xs)
+    states = {(): 1}, 1
     for i, xi in enumerate(xs):
-
-        def turn(v, cur, w):
-            for h in (0, 1):
-                kw = boundary_weight(v, h, xi, params)
-                if not _is_zero(kw):
-                    yield cur + (h,), w * kw
-
-        states = _line_sweep(states, [xi * xj for xj in xs[:i]], params.q, turn)
+        try:
+            K = k_table(xi, params)
+        except ZeroDivisionError as exc:
+            raise DegeneratePoint(f"boundary weight pole at x={xi}: {exc}") from exc
+        turn = {v: [((h,), K[v][h]) for h in (0, 1) if not is_zero(K[v][h])] for v in (0, 1)}
+        crossings = [_int_table(bulk_table(xi * xj, STOCHASTIC, params.q), exact) for xj in xs[:i]]
+        states = _line_sweep(states, crossings, _int_table(turn, exact))
     return states
 
 
@@ -610,17 +615,17 @@ def g_lattice(nu, x_alphabet, params: ModelParams):
     """
     nu = as_config(nu)
     xs = tuple(x_alphabet)
+    exact = _all_exact(params, xs)
     states = triangle_states(xs, params)
+    columns = {}  # columns past the y-prefix share the tail's crossings
     for j in range(1, config_max(nu) + 1):
-        yj = params.y_at(j)
+        col = min(j, len(params.y))
+        if col not in columns:
+            zs = [x * params.y_at(j) for x in xs]
+            columns[col] = [_int_table(bulk_table(z, STOCHASTIC, params.q), exact) for z in zs]
         eta = 1 if j in nu else 0
-        states = _line_sweep(
-            states,
-            [x * yj for x in xs],
-            params.q,
-            lambda v, cur, w: [(cur, w)] if v == eta else [],
-        )
-    return states.get((0,) * len(xs), 0)
+        states = _line_sweep(states, columns[col], ({eta: [((), 1)], 1 - eta: []}, 1))
+    return frontier_value(states, (0,) * len(xs))
 
 
 # ---------------------------------------------------------------------------
@@ -675,18 +680,15 @@ def in_probability_regime(x, params: ModelParams) -> bool:
         return abs(c.imag) == 0 and 0 <= c.real <= 1
 
     try:
-        for (i, j) in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            if not ok(boundary_weight(i, j, x, params)):
-                return False
+        weights = [w for row in k_table(x, params) for w in row]
         for y in set(params.y):
             for z in (x * y, x / y):
-                for inp in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                    for (_out, fn) in bulk_entries(*inp, STOCHASTIC):
-                        if not ok(fn(z, params.q)):
-                            return False
-    except (ZeroDivisionError, ArithmeticError):
+                table = bulk_table(z, STOCHASTIC, params.q)
+                for inp in itertools.product((0, 1), repeat=2):
+                    weights += [w for *_, w in table[inp]]
+    except ArithmeticError:  # a pole
         return False
-    return True
+    return all(ok(w) for w in weights)
 
 
 # ---------------------------------------------------------------------------
@@ -875,7 +877,7 @@ def verify_operator_identity(
                     total = 0
                     for kappa in kappas:
                         a = first[mu, kappa]
-                        if _is_zero(a):
+                        if is_zero(a):
                             continue
                         total = total + a * second[kappa, nu]
                     worst_cut = max(worst_cut, abs(direct[mu, nu] - total))
@@ -888,6 +890,6 @@ def verify_operator_identity(
     else:
         raise ValueError(f"unknown identity {identity!r}")
 
-    return _is_zero(worst) or float(abs(worst)) <= (
+    return is_zero(worst) or float(abs(worst)) <= (
         0.0 if params.backend() == "rational" else tol
     ), float(abs(worst))

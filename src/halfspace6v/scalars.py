@@ -8,8 +8,11 @@ the random rational point generator used by the identity-testing suites.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+
+from numpy import ndarray
 
 RATIONAL = "rational"
 COMPLEX = "complex"
@@ -17,6 +20,25 @@ COMPLEX = "complex"
 
 def is_exact(value) -> bool:
     return isinstance(value, (Fraction, int))
+
+
+def is_zero(value) -> bool:
+    """value == 0; for an array, on every lane."""
+    return bool((value == 0).all()) if isinstance(value, ndarray) else value == 0
+
+
+def numerator(w, den: int) -> int:
+    """Numerator of the rational w over den, a multiple of its denominator."""
+    return w.numerator * (den // w.denominator)
+
+
+def over_one_den(weights: dict, exact: bool):
+    """(weights as integer numerators, their lcm denominator) when exact;
+    (weights, 1) otherwise."""
+    if not exact:
+        return weights, 1
+    den = math.lcm(*(w.denominator for w in weights.values()))
+    return {k: numerator(w, den) for k, w in weights.items()}, den
 
 
 def parse_scalar(obj, backend: str = RATIONAL):

@@ -277,8 +277,9 @@ def z_triangular_vec(values, params: ModelParams):
     lanes, so one batched pfaffian call evaluates Z on every lane.  Odd
     sizes are bordered as in z_pfaffian: the column -(1 - h(x_i)) and the
     sign (-1)^m are the limit of an appended entry t -> 1, so alphabets
-    containing 1 or 1/q stay finite.  Array entries skip the scalar pole
-    checks.
+    containing 1 or 1/q stay finite.  Scalar entries that coincide or have
+    x_i x_j = 1 raise DegeneratePoint, as in z_pfaffian; array entries skip
+    the pole checks.
     """
     xs = list(values)
     m = len(xs)
@@ -294,17 +295,21 @@ def z_triangular_vec(values, params: ModelParams):
     n = m + m % 2
     M = np.zeros(np.broadcast_shapes(*(np.shape(x) for x in xs)) + (n, n), dtype=complex)
     pref = (-1) ** m
-    for i in range(m):
-        for j in range(i + 1, m):
-            xx = xs[i] * xs[j]
-            s = (xs[i] - xs[j]) / (1 - xx)
-            Q = (1 - hs[i]) * (1 - hs[j]) - hs[i] * hoa[j] * (1 - q) * xx / (1 - q * xx)
-            M[..., i, j] = s * Q
-            M[..., j, i] = -M[..., i, j]
-            pref = pref / s
-        if m % 2:
-            M[..., i, m] = hs[i] - 1
-            M[..., m, i] = 1 - hs[i]
+    try:
+        for i in range(m):
+            for j in range(i + 1, m):
+                xx = xs[i] * xs[j]
+                s = (xs[i] - xs[j]) / (1 - xx)
+                Q = (1 - hs[i]) * (1 - hs[j]) - hs[i] * hoa[j] * (1 - q) * xx / (1 - q * xx)
+                M[..., i, j] = s * Q
+                M[..., j, i] = -M[..., i, j]
+                pref = pref / s
+            if m % 2:
+                M[..., i, m] = hs[i] - 1
+                M[..., m, i] = 1 - hs[i]
+    except ZeroDivisionError as exc:
+        # scalar entries only: x_i = x_j, x_i x_j = 1 or q x_i x_j = 1
+        raise DegeneratePoint(f"Z kernel pole on the alphabet: {exc}") from exc
     return pref * pfaffian(M, validate=False)
 
 

@@ -5,7 +5,7 @@ vertices on the diagonal, bulk argument x_i x_j at the crossing of lines
 i and j, and all external edges empty.  Routes:
 
   z_enumerate         line-by-line sum over the triangle with merged edge
-                      states (trusted oracle, m <= 10)
+                      states (trusted oracle, m <= 12)
   z_pfaffian          prefactor * Pf((x_i-x_j)/(1-x_i x_j) Q(x_i, x_j)),
                       bordered at odd m
   z_subset_kuperberg  even-subset sum over Kuperberg Pfaffians
@@ -27,11 +27,11 @@ from math import factorial
 
 from .errors import CapExceeded, DegeneratePoint
 from .pfaffian import pfaffian
-from .rowops import triangle_states
+from .rowops import frontier_value, triangle_states
 from .shuffle import DEFAULT_ARITY_CAP, SymFun, shuffle_power, shuffle_product
 from .weights import ModelParams, h_func, h_over_ac
 
-ENUM_CAP = 10
+ENUM_CAP = 12
 
 
 @dataclass
@@ -109,7 +109,7 @@ def kernel_Qo(xi, xj, params: ModelParams, u):
 
 
 def z_enumerate(spec: TriangularSpec):
-    """Sum the triangle line by line, merging equal edge states (m <= ENUM_CAP = 10).
+    """Sum the triangle line by line, merging equal edge states (m <= ENUM_CAP = 12).
 
     Line i crosses lines 1..i-1 (weights at z = x_i x_j) and turns at its
     boundary vertex; Z_m is the weight of the all-empty edge state after
@@ -118,7 +118,7 @@ def z_enumerate(spec: TriangularSpec):
     m = spec.m
     if m > ENUM_CAP:
         raise CapExceeded(f"enumeration size {m} exceeds cap {ENUM_CAP}")
-    return triangle_states(spec.x, spec.params).get((0,) * m, 0)
+    return frontier_value(triangle_states(spec.x, spec.params), (0,) * m)
 
 
 # ---------------------------------------------------------------------------

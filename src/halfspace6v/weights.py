@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import DivisionByZero
-from .scalars import COMPLEX, RATIONAL, parse_scalar, rand_rational
+from .scalars import COMPLEX, RATIONAL, is_zero, parse_scalar, rand_rational
 
 STOCHASTIC = "stochastic"
 DOTTED = "dotted"
@@ -146,17 +146,18 @@ def h_over_ac(x, params: ModelParams):
     return _div((1 - x) * (1 + x), bottom)
 
 
+def k_table(x, params: ModelParams):
+    """The four K-weights at x as K[i][j] (incoming i, outgoing j), with
+    h(x) and h(x)/(ac) each evaluated once."""
+    h, hoa = h_func(x, params), h_over_ac(x, params)
+    return (1 - h, h), (-hoa, 1 + hoa)
+
+
 def boundary_weight(i: int, j: int, x, params: ModelParams):
     """K-weight for incoming edge state i and outgoing edge state j."""
-    if (i, j) == (0, 0):
-        return 1 - h_func(x, params)
-    if (i, j) == (0, 1):
-        return h_func(x, params)
-    if (i, j) == (1, 0):
-        return -h_over_ac(x, params)
-    if (i, j) == (1, 1):
-        return 1 + h_over_ac(x, params)
-    raise ValueError(f"edge states must be 0/1, got ({i}, {j})")
+    if i not in (0, 1) or j not in (0, 1):
+        raise ValueError(f"edge states must be 0/1, got ({i}, {j})")
+    return k_table(x, params)[i][j]
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +214,27 @@ def bulk_entries(i, j, variant):
     return table.get((i, j), ())
 
 
+class WeightTable(dict):
+    """{(i, j): [(k, l, w)]}: nonzero vertex weights by input edges.  An input
+    at a pole of its weights is absent and raises DivisionByZero when used."""
+
+    def __missing__(self, key):
+        raise DivisionByZero(f"bulk weight pole for input edges {key}")
+
+
+def bulk_table(z, variant, q) -> WeightTable:
+    """The table of bulk_entries(i, j, variant) at argument z, each weight
+    evaluated once."""
+    table = WeightTable()
+    for (i, j) in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        try:
+            ws = [(k, l, fn(z, q)) for (k, l), fn in bulk_entries(i, j, variant)]
+        except ZeroDivisionError:
+            continue
+        table[i, j] = [e for e in ws if not is_zero(e[2])]
+    return table
+
+
 def bulk_weight(i, j, k, l, z, variant, q):
     """Weight of a bulk vertex (i, j; k, l) at spectral argument z.
 
@@ -239,10 +261,17 @@ def bulk_weight(i, j, k, l, z, variant, q):
 
 
 def _matmul(A, B):
-    n, m, p = len(A), len(B), len(B[0])
-    return [
-        [sum(A[r][k] * B[k][c] for k in range(m)) for c in range(p)] for r in range(n)
-    ]
+    """A B over the nonzero entries of A and B only."""
+    B_nz = [[(c, v) for c, v in enumerate(row) if v != 0] for row in B]
+    out = []
+    for row in A:
+        acc = [0] * len(B[0])
+        for a, b_row in zip(row, B_nz):
+            if a != 0:
+                for c, v in b_row:
+                    acc[c] = acc[c] + a * v
+        out.append(acc)
+    return out
 
 
 def _eye(n):
@@ -256,58 +285,37 @@ def r_matrix(z, q, variant=STOCHASTIC):
     weight (i, j; k, l).
     """
     M = [[0] * 4 for _ in range(4)]
+    table = bulk_table(z, variant, q)
     for i in range(2):
         for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    w = bulk_weight(i, j, k, l, z, variant, q)
-                    if w != 0:
-                        M[2 * j + i][2 * l + k] = w
+            for k, l, w in table[i, j]:
+                M[2 * j + i][2 * l + k] = w
     return M
 
 
 def k_matrix(x, params: ModelParams):
-    return [
-        [boundary_weight(0, 0, x, params), boundary_weight(0, 1, x, params)],
-        [boundary_weight(1, 0, x, params), boundary_weight(1, 1, x, params)],
-    ]
+    return [list(row) for row in k_table(x, params)]
 
 
-def _embed_two_site(M4, n_spaces, s1, s2):
-    """Embed a two-space operator (indices as in r_matrix: first slot is the
-    horizontal space s1, second the vertical space s2) into n_spaces qubits."""
+def _embed(M, n_spaces, sites):
+    """Embed an operator on the spaces `sites` into n_spaces qubits.  The
+    first site is the leading bit of M's index (as in r_matrix: the
+    horizontal space, then the vertical one)."""
     dim = 1 << n_spaces
     out = [[0] * dim for _ in range(dim)]
     for row in range(dim):
         bits = [(row >> (n_spaces - 1 - s)) & 1 for s in range(n_spaces)]
-        r4 = 2 * bits[s1] + bits[s2]
-        for c4 in range(4):
-            w = M4[r4][c4]
+        r = 0
+        for s in sites:
+            r = 2 * r + bits[s]
+        for c, w in enumerate(M[r]):
             if w == 0:
                 continue
-            nb = list(bits)
-            nb[s1], nb[s2] = c4 >> 1, c4 & 1
+            for pos, s in enumerate(sites):
+                bits[s] = (c >> (len(sites) - 1 - pos)) & 1
             col = 0
-            for b in nb:
+            for b in bits:
                 col = (col << 1) | b
-            out[row][col] = out[row][col] + w
-    return out
-
-
-def _embed_one_site(M2, n_spaces, s):
-    dim = 1 << n_spaces
-    out = [[0] * dim for _ in range(dim)]
-    for row in range(dim):
-        bits = [(row >> (n_spaces - 1 - t)) & 1 for t in range(n_spaces)]
-        for b in range(2):
-            w = M2[bits[s]][b]
-            if w == 0:
-                continue
-            nb = list(bits)
-            nb[s] = b
-            col = 0
-            for bb in nb:
-                col = (col << 1) | bb
             out[row][col] = out[row][col] + w
     return out
 
@@ -335,30 +343,30 @@ def verify_local_relation(
     if relation == "ybe":
         lhs = _matmul(
             _matmul(
-                _embed_two_site(r_matrix(y / x, q), 3, 0, 1),
-                _embed_two_site(r_matrix(z / x, q), 3, 0, 2),
+                _embed(r_matrix(y / x, q), 3, (0, 1)),
+                _embed(r_matrix(z / x, q), 3, (0, 2)),
             ),
-            _embed_two_site(r_matrix(z / y, q), 3, 1, 2),
+            _embed(r_matrix(z / y, q), 3, (1, 2)),
         )
         rhs = _matmul(
             _matmul(
-                _embed_two_site(r_matrix(z / y, q), 3, 1, 2),
-                _embed_two_site(r_matrix(z / x, q), 3, 0, 2),
+                _embed(r_matrix(z / y, q), 3, (1, 2)),
+                _embed(r_matrix(z / x, q), 3, (0, 2)),
             ),
-            _embed_two_site(r_matrix(y / x, q), 3, 0, 1),
+            _embed(r_matrix(y / x, q), 3, (0, 1)),
         )
     elif relation == "reflection":
         params = _point_params(point)
-        R12 = lambda w: _embed_two_site(r_matrix(w, q), 2, 0, 1)
-        R21 = lambda w: _embed_two_site(r_matrix(w, q), 2, 1, 0)
-        K1 = _embed_one_site(k_matrix(x, params), 2, 0)
-        K2 = _embed_one_site(k_matrix(y, params), 2, 1)
+        R12 = lambda w: _embed(r_matrix(w, q), 2, (0, 1))
+        R21 = lambda w: _embed(r_matrix(w, q), 2, (1, 0))
+        K1 = _embed(k_matrix(x, params), 2, (0,))
+        K2 = _embed(k_matrix(y, params), 2, (1,))
         lhs = _matmul(_matmul(_matmul(R21(x / y), K1), R12(x * y)), K2)
         rhs = _matmul(_matmul(_matmul(K2, R21(x * y)), K1), R12(x / y))
     elif relation == "r_unitarity":
         lhs = _matmul(
-            _embed_two_site(r_matrix(x / y, q), 2, 1, 0),
-            _embed_two_site(r_matrix(y / x, q), 2, 0, 1),
+            _embed(r_matrix(x / y, q), 2, (1, 0)),
+            _embed(r_matrix(y / x, q), 2, (0, 1)),
         )
         rhs = _eye(4)
     elif relation == "k_unitarity":

@@ -23,9 +23,11 @@ from halfspace6v.rowops import (
     partition_F,
     partition_G,
     stochastic_row_sum,
+    triangle_states,
     verify_operator_identity,
 )
 from halfspace6v.symfun import g_subset
+from halfspace6v.triangular import TriangularSpec, z_enumerate
 from halfspace6v.weights import (
     DOTTED,
     ROTATED,
@@ -401,3 +403,51 @@ def test_mixed_stack_matches_complex_stack(spectral):
     for got, want in zip(mixed.elements(pairs) + [mixed.row_sum((2,))],
                          ref.elements(pairs) + [ref.row_sum((2,))]):
         assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
+
+def test_complex_lattice_values_and_den():
+    """Off the rationals the line sweep carries den 1, and its values are
+    those recorded before the sweep became fraction-free, within 1e-15."""
+    pc = ModelParams(q=0.25 + 0.1j, a=3.0, c=-2.0, y=(0.8, 1.2, 1.0))
+    xs = (0.5 + 0.1j, -0.3 + 0.2j, 0.7 - 0.05j, 0.2 + 0.4j, -0.6 - 0.1j)
+    pm = ModelParams(q=0.25 + 0.1j, a=F(3), c=F(-2), y=(F(4, 5), F(6, 5), F(1)))
+    xr = (F(1, 2), F(-3, 10), F(7, 10), F(1, 5))
+    got = [
+        z_enumerate(TriangularSpec(xs, pc)),
+        g_lattice((3, 1), xs[:3], pc),
+        z_enumerate(TriangularSpec(xr, pm)),
+        g_lattice((2, 1), xr[:3], pm),
+    ]
+    expected = [
+        0.00024224892103717782 + 9.025967608258763e-06j,
+        -0.04435473545094005 + 0.034383418965597864j,
+        -0.0010452101801205044 + 0.00015587613287137587j,
+        -0.051896949102441206 + 0.009417434893952607j,
+    ]
+    for g, e in zip(got, expected):
+        assert isinstance(g, complex) and abs(g - e) <= 1e-15 * abs(e), (g, e)
+    assert triangle_states(xs, pc)[1] == 1
+    assert triangle_states(xr, pm)[1] == 1
+
+
+def test_exact_lattice_is_fraction_free():
+    """Over the rationals the triangle is integers over one denominator, and
+    G reduces to the Fraction the subset route gives."""
+    xs = (F(1, 2), F(-3, 10), F(7, 10))
+    values, den = triangle_states(xs, P_INHOM)
+    assert den > 1 and all(isinstance(v, int) for v in values.values())
+    assert g_lattice((2, 1), xs, P_INHOM) == g_subset((2, 1), xs, P_INHOM)
+
+
+def test_mixed_stack_takes_den_one_path():
+    """Rational rows under a complex q: the boundary weights stay Fractions
+    over den 1, not integer numerators, and the elements are complex."""
+    pm = ModelParams(q=0.25 + 0.1j, a=F(3), c=F(-2), y=P_INHOM.y)
+    stack = OperatorStack([(KIND_A, F(1, 2)), (KIND_B, F(1, 3))], pm)
+    values, den = stack._initial_frontier()
+    assert den == 1 and all(isinstance(v, F) for v in values.values())
+    ref = OperatorStack([(KIND_A, 0.5), (KIND_B, 1 / 3)], ModelParams(
+        q=0.25 + 0.1j, a=3.0, c=-2.0, y=(0.75, 1.25, 1.0)))
+    pairs = [((), ()), ((2,), (1,)), ((3, 1), (2,))]
+    for got, want in zip(stack.elements(pairs), ref.elements(pairs)):
+        assert isinstance(got, complex) and abs(got - want) <= 1e-14 * max(1.0, abs(want))

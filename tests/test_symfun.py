@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from halfspace6v import symfun
-from halfspace6v.errors import ArityError, ContourInvalid, GuardViolated
+from halfspace6v.errors import ArityError, ContourInvalid, DegeneratePoint, GuardViolated
 from halfspace6v.rowops import partition_G
 from halfspace6v.symfun import (
     ContourSpec,
@@ -20,7 +20,7 @@ from halfspace6v.symfun import (
     verify_g_recursion_suite,
     z_triangular_vec,
 )
-from halfspace6v.triangular import TriangularSpec, z_subset_kuperberg
+from halfspace6v.triangular import TriangularSpec, z_pfaffian, z_subset_kuperberg
 from halfspace6v.weights import ModelParams, h_func
 
 P = ModelParams(q=F(1, 4), a=F(3), c=F(-2), y=(F(1),))
@@ -90,6 +90,17 @@ def test_z_triangular_vec_odd_alphabet_through_1_and_1_over_q(xs):
     ref = complex(z_subset_kuperberg(TriangularSpec(xs, p)))
     vec = complex(z_triangular_vec([complex(x) for x in xs], p))
     assert abs(vec - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("xs", [(F(1, 2), F(1, 2)), (F(1, 2), F(2))])
+def test_z_triangular_vec_scalar_pole_raises_degenerate_point(xs):
+    # coinciding entries and x_1 x_2 = 1, as z_pfaffian
+    with pytest.raises(DegeneratePoint):
+        z_triangular_vec(xs, P)
+    with pytest.raises(DegeneratePoint):
+        g_contour((), xs, P)
+    with pytest.raises(DegeneratePoint):
+        z_pfaffian(TriangularSpec(xs, P))
 
 
 @pytest.mark.parametrize("c_infinite", [False, True])

@@ -115,12 +115,12 @@ def test_pfaffian_odd_alphabet_through_1_and_1_over_q(xs):
 
 
 def test_enumeration_cap():
-    xs = tuple(F(1, k + 2) for k in range(11))
+    xs = tuple(F(1, k + 2) for k in range(13))
     with pytest.raises(CapExceeded):
         z_enumerate(TriangularSpec(xs, P))
 
 
-@pytest.mark.parametrize("m", [8, 9])
+@pytest.mark.parametrize("m", [8, 9, 10, 11])
 def test_enumeration_matches_pfaffian_large(m):
     p = ModelParams(q=F(1, 4), a=F(3), c=F(-2))
     xs = sample_alphabet(random.Random(80 + m), m, p)
@@ -133,6 +133,14 @@ def test_enumeration_pole_raises_degenerate_point():
     p = ModelParams(q=F(1, 4), a=F(3), c=F(-2))
     with pytest.raises(DegeneratePoint):
         z_enumerate(TriangularSpec((F(8), F(1, 2), F(2, 7)), p))
+
+
+def test_enumeration_pole_of_an_unused_crossing():
+    # q x_1 x_4 = 1 is a pole of the crossing of lines 1 and 4 for mixed edge
+    # states only, and no state of nonzero weight meets it there: Z is finite
+    # (a crossing table that raised for any pole entry would fail here)
+    xs = (F(-1), F(29, 23), F(-13, 3), F(-3))
+    assert z_enumerate(TriangularSpec(xs, P)) == F(349967969, 7097279)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
