@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,8 +83,8 @@ def _mask_to_config(mask: int) -> tuple:
 # The move table describes every move of the truncated chain once.  A move
 # type (flip, fixed, need, rate) leaves mask m when m & fixed == need and goes
 # to m ^ flip: the boundary loss (gamma) and gain (alpha) at site 1, then per
-# site s = 1..S the right hop and the left hop.  That is the order in which
-# the event loop lists a mask's moves.  Zero rates are left out.
+# site s = 1..S the right hop and the left hop.  The Gillespie loop picks a
+# move by its cumulative rate in that order.  Zero rates are left out.
 
 MAX_ARRAY_BYTES = 1 << 29
 """Cap on the arrays an ASEP route allocates: the move table of
@@ -263,62 +262,75 @@ def wilson_interval(successes: int, n: int, z: float = 3.0):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _mask_moves(mask: int, types: list) -> tuple:
-    """Targets, cumulative rates and 1/total rate of the moves out of mask,
-    in table order (None for a mask with no moves)."""
-    targets, rates, cum, acc = [], [], [], 0.0
-    for flip, fixed, need, r in types:
-        if mask & fixed == need:
-            targets.append(mask ^ flip)
-            rates.append(r)
-            acc += r
-            cum.append(acc)
-    # sum() rather than acc: from Python 3.12 on, sum() of floats is compensated
-    total = sum(rates)
-    return (targets, cum, total, 1.0 / total) if total else None
+# Replica masks are int64: capping at 62 sites keeps every mask, need and
+# flip below 2^62, clear of the sign bit.  Replicas run in blocks of _BLOCK,
+# which bounds the (live replicas x move types) arrays of one event step.
+_MASK_BITS = 62
+_BLOCK = 1 << 13
+
+
+def _event_uniforms(seed: int, k: int, first: int, n: int) -> np.ndarray:
+    """Doubles 2r and 2r+1 of the Philox stream with key (seed << 64) + k at
+    counter 0, as rows r - first for replicas r = first .. first + n - 1.
+    Each counter value yields four doubles, so the stream is entered at
+    counter first // 2 and the two doubles of an odd `first` are skipped."""
+    skip = 2 * (first % 2)
+    stream = np.random.Generator(np.random.Philox(counter=first // 2, key=(seed << 64) + k))
+    return stream.random(2 * n + skip)[skip:].reshape(n, 2)
 
 
 def simulate_gillespie(mu, params: AsepParams, samples: int, seed: int = 0):
     """Empirical time-t distribution from `samples` independent replicas.
 
-    Replica r draws from the Philox stream with key (seed << 64) + r and
-    counter 0, so the result depends on (mu, params, samples, seed) alone,
-    not on execution order.  One generator is reset to that key before each
-    replica.  Returns {config: (p_hat, lo, hi)} with 3-sigma Wilson bounds.
+    All replicas of a block advance together, one event per step.  Event k
+    of replica r reads the doubles U, V at positions 2r and 2r+1 of the
+    Philox stream with key (seed << 64) + k and counter 0: the waiting time
+    is -log1p(-U)/total, and the move is the first of `_move_types` whose
+    cumulative rate exceeds V*total (none when no rate does).  A replica's
+    path thus depends on (mu, params, seed, r) alone, not on the other
+    replicas or the block size.  Returns {config: (p_hat, lo, hi)} with
+    3-sigma Wilson bounds, in the order of the first replica to end in each
+    configuration.  Raises CapExceeded beyond 62 sites (int64 masks).
     """
     if samples < 1:
         raise ValueError("samples >= 1")
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    if params.sites > _MASK_BITS:
+        raise CapExceeded(
+            f"{params.sites} sites exceed the {_MASK_BITS}-site replica mask; lower the number of sites"
+        )
     mask0 = _config_to_mask(mu, params.sites)
     types = _move_types(params)
-    t_end = params.t
-    memo: dict = {}
-    bitgen = np.random.Philox(key=seed << 64)
-    rng = np.random.Generator(bitgen)
-    # the setter copies this dict in: its counter and buffer stay at their
-    # start values, and key word 0 (the low 64 bits) is the replica
-    state = bitgen.state
-    key = state["state"]["key"]
+    flip, fixed, need = (np.array([m[j] for m in types], np.int64) for j in range(3))
+    rate = np.array([m[3] for m in types], float)
     counts: dict[int, int] = {}
-    for rep in range(samples):
-        key[0] = rep
-        bitgen.state = state
-        mask, t = mask0, 0.0
-        while True:
-            if mask not in memo:
-                memo[mask] = _mask_moves(mask, types)
-            moves = memo[mask]
-            if moves is None:
+    for first in range(0, samples, _BLOCK):
+        mask = np.full(min(_BLOCK, samples - first), mask0, np.int64)
+        t = np.zeros(mask.size)
+        live = np.arange(mask.size)
+        k = 0
+        while live.size:
+            distinct, inv = np.unique(mask[live], return_inverse=True)
+            cum = np.cumsum(np.where(distinct[:, None] & fixed == need, rate, 0.0), axis=1)
+            total = cum[:, -1] if types else np.zeros(distinct.size)
+            keep = total[inv] > 0
+            live, inv = live[keep], inv[keep]
+            if not live.size:
                 break
-            targets, cum, total, scale = moves
-            t += rng.exponential(scale)
-            if t >= t_end:
-                break
-            i = bisect_left(cum, rng.random() * total)
-            if i < len(targets):
-                mask = targets[i]
-        counts[mask] = counts.get(mask, 0) + 1
+            lo = int(live[0])
+            u, v = _event_uniforms(seed, k, first + lo, int(live[-1]) - lo + 1)[live - lo].T
+            t[live] += -np.log1p(-u) / total[inv]
+            keep = t[live] < params.t
+            live, inv, v = live[keep], inv[keep], v[keep]
+            i = (cum[inv] <= (v * total[inv])[:, None]).sum(axis=1)
+            moved = i < len(types)
+            mask[live[moved]] ^= flip[i[moved]]
+            k += 1
+        distinct, where, cnt = np.unique(mask, return_index=True, return_counts=True)
+        for j in np.argsort(where):
+            m = int(distinct[j])
+            counts[m] = counts.get(m, 0) + int(cnt[j])
     out = {}
     for mask, cnt in counts.items():
         lo, hi = wilson_interval(cnt, samples)

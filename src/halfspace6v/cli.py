@@ -310,7 +310,8 @@ def cmd_asep(args) -> int:
             payload = {"method": "formula", "value": ref, "error_bound": abs(ref - val)}
         elif args.method == "mc":
             emp = asep_mod.simulate_gillespie(mu, ap, samples=args.samples, seed=args.seed)
-            ph, lo, hi = emp.get(nu, (0.0, 0.0, 0.0))
+            # a configuration no replica reached is bounded by the Wilson interval of 0
+            ph, lo, hi = emp.get(nu) or (0.0, *asep_mod.wilson_interval(0, args.samples))
             payload = {"method": "mc", "value": ph, "error_bound": max(ph - lo, hi - ph)}
         else:
             raise ValueError(f"unknown method {args.method!r}")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from halfspace6v import asep
 from halfspace6v.asep import (
     MAX_ARRAY_BYTES,
     AsepParams,
@@ -34,8 +35,13 @@ from halfspace6v.errors import (
 from halfspace6v.rowops import KIND_A, SparseState, apply_double_row, in_probability_regime
 from halfspace6v.symfun import ContourSpec
 from halfspace6v.weights import ModelParams
+from test_acceptance import family_wise_rejects
 
 AP = AsepParams(q=0.25, alpha=0.5, gamma=0.0, t=1.0, sites=8)
+
+
+def _mask(cfg):
+    return sum(1 << (p - 1) for p in cfg)
 
 
 def test_map_params_examples():
@@ -150,15 +156,14 @@ def test_gillespie_frozen_configuration():
 
 
 def test_gillespie_deterministic_and_within_3_sigma():
+    # one 3-sigma interval per seen state would reject a rare state seen once
+    # far too often: the histogram is judged family-wise at the 3-sigma level
     emp = simulate_gillespie((), AP, samples=8000, seed=42)
     emp2 = simulate_gillespie((), AP, samples=8000, seed=42)
     assert emp == emp2
     dist = transition_distribution_exact((), AP)
-    for cfg, (ph, lo, hi) in emp.items():
-        mask = 0
-        for p in cfg:
-            mask |= 1 << (p - 1)
-        assert lo <= dist[mask] <= hi, (cfg, dist[mask], (lo, hi))
+    counts = {_mask(cfg): round(ph * 8000) for cfg, (ph, _, _) in emp.items()}
+    assert not family_wise_rejects(counts, dist, 8000)
 
 
 def test_gillespie_empty_survival_3sigma():
@@ -345,23 +350,24 @@ def test_generator_apply_matches_dense_reference():
         assert abs(v - ref[sum(1 << (p - 1) for p in cfg)]) <= 1e-15
 
 
-# Histograms of simulate_gillespie((2, 1), GOLDEN_AP, 2000, seed) as first
-# recorded with one freshly constructed Philox generator per replica.
+# Histograms of simulate_gillespie((2, 1), GOLDEN_AP, 2000, seed), recorded
+# with the per-event streams: event k of replica r reads doubles 2r and 2r+1
+# of the Philox stream with key (seed << 64) + k.
 GOLDEN_AP = AsepParams(q=0.25, alpha=0.5, gamma=0.3, t=1.0, sites=6)
 GOLDEN = {
     42: {
-        (3, 1): 399, (4, 2): 89, (2, 1): 641, (3,): 124, (3, 2): 162, (5,): 21,
-        (2,): 155, (5, 2, 1): 8, (5, 3): 8, (4, 3): 19, (5, 2): 42, (4,): 47,
-        (4, 3, 1): 7, (5, 1): 42, (4, 1): 150, (1,): 14, (6, 1): 14,
-        (3, 2, 1): 25, (4, 2, 1): 15, (6, 2): 3, (5, 3, 1): 1, (6,): 4,
-        (6, 2, 1): 3, (4, 3, 2): 2, (6, 3): 2, (): 2, (6, 3, 1): 1,
+        (2, 1): 617, (3, 2): 180, (3, 1): 408, (5,): 20, (2,): 155, (4, 1): 142,
+        (5, 2): 30, (4, 2): 87, (4, 2, 1): 21, (4, 3): 21, (4,): 67, (3,): 119,
+        (1,): 13, (3, 2, 1): 26, (5, 1): 38, (6, 1): 12, (5, 3): 8, (4, 3, 1): 8,
+        (6, 3): 4, (5, 2, 1): 4, (6, 3, 1): 2, (6, 2): 8, (6,): 5, (5, 3, 1): 2,
+        (5, 4): 1, (4, 3, 2): 1, (6, 4): 1,
     },
     2**64 - 1: {
-        (4, 1): 157, (4, 3, 1): 3, (2, 1): 634, (3, 1): 366, (6, 1): 17,
-        (2,): 154, (3,): 112, (5, 2): 27, (3, 2): 194, (4, 2): 84,
-        (4, 2, 1): 20, (5, 2, 1): 10, (3, 2, 1): 28, (4,): 57, (1,): 16,
-        (6, 2, 1): 4, (5, 4): 5, (5,): 22, (5, 3): 7, (6, 4): 3, (5, 1): 42,
-        (4, 3): 22, (6, 3): 4, (6, 2): 5, (6,): 5, (): 1, (6, 3, 1): 1,
+        (4, 1): 154, (3, 2): 181, (3, 1): 406, (2,): 136, (2, 1): 630, (3,): 129,
+        (4, 2): 78, (4,): 54, (3, 2, 1): 33, (4, 3): 19, (1,): 25, (5, 2): 29,
+        (5, 1): 47, (4, 3, 2): 1, (6, 2): 4, (5, 4): 1, (6, 3): 4, (4, 3, 1): 8,
+        (5,): 12, (5, 3): 9, (4, 2, 1): 13, (6, 1): 8, (5, 2, 1): 5, (6,): 6,
+        (6, 2, 1): 4, (5, 3, 1): 2, (): 2,
     },
 }
 
@@ -380,6 +386,91 @@ def test_gillespie_golden_histogram(seed):
 def test_gillespie_seed_out_of_range(seed):
     with pytest.raises(ValueError, match="seed must lie"):
         simulate_gillespie((), AP, samples=1, seed=seed)
+
+
+def _scalar_gillespie(mu, params, samples, seed):
+    """Reference sampler: one replica at a time, event k of replica r reading
+    doubles 2r and 2r+1 of a fresh Philox stream with key (seed << 64) + k."""
+    types = asep._move_types(params)
+    counts = {}
+    for r in range(samples):
+        mask, t, k = _mask(mu), 0.0, 0
+        while True:
+            cum, acc = [], 0.0
+            for flip, fixed, need, rate in types:
+                acc += rate if mask & fixed == need else 0.0
+                cum.append(acc)
+            if not acc:
+                break
+            stream = np.random.Generator(np.random.Philox(key=(seed << 64) + k))
+            u, v = stream.random(2 * r + 2)[2 * r:]
+            k += 1
+            t += -np.log1p(-u) / acc
+            if t >= params.t:
+                break
+            i = sum(c <= v * acc for c in cum)
+            if i < len(types):
+                mask ^= types[i][0]
+        counts[mask] = counts.get(mask, 0) + 1
+    return {
+        asep._mask_to_config(m): (c / samples, *wilson_interval(c, samples))
+        for m, c in counts.items()
+    }
+
+
+SCALAR_CASES = {
+    "empty": ((), GOLDEN_AP, 1),
+    "two_particles": ((2, 1), GOLDEN_AP, 5),
+    "gamma_zero": ((3, 1), AsepParams(q=0.25, alpha=0.5, t=1.5, sites=6), 9),
+    "q_zero": ((2,), AsepParams(q=0.0, alpha=0.7, gamma=0.4, t=1.0, sites=5), 11),
+    "frozen": ((4, 3, 2, 1), AsepParams(q=0.0, alpha=0.0, t=2.0, sites=4), 13),
+    "seed_max": ((1,), GOLDEN_AP, 2**64 - 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCALAR_CASES))
+def test_gillespie_matches_scalar_reference(case):
+    mu, ap, seed = SCALAR_CASES[case]
+    got = simulate_gillespie(mu, ap, samples=301, seed=seed)
+    assert list(got.items()) == list(_scalar_gillespie(mu, ap, 301, seed).items())
+
+
+def test_gillespie_block_size_does_not_change_output(monkeypatch):
+    full = simulate_gillespie((2, 1), GOLDEN_AP, samples=500, seed=3)
+    monkeypatch.setattr(asep, "_BLOCK", 7)
+    assert list(simulate_gillespie((2, 1), GOLDEN_AP, samples=500, seed=3).items()) == list(
+        full.items()
+    )
+
+
+def test_gillespie_replicas_are_independent_of_the_others():
+    # replicas 0..1999 take the same paths in both runs
+    small = simulate_gillespie((2, 1), GOLDEN_AP, samples=2000, seed=8)
+    large = simulate_gillespie((2, 1), GOLDEN_AP, samples=4000, seed=8)
+    for cfg, (ph, _, _) in small.items():
+        assert round(ph * 2000) <= round(large[cfg][0] * 4000), cfg
+
+
+@pytest.mark.parametrize("v, expected", [(0.0, (2,)), (1.0, (1,))])
+def test_gillespie_never_takes_a_zero_rate_move(monkeypatch, v, expected):
+    # from (1,) with gamma = 0 the first move type, entry at site 1, has rate
+    # 0: V = 0 takes the next one (the hop to 2), V * total = total takes none
+    def one_event(seed, k, first, n):
+        return np.tile([0.5 if k == 0 else 1.0 - 2.0**-53, v], (n, 1))
+
+    monkeypatch.setattr(asep, "_event_uniforms", one_event)
+    ap = AsepParams(q=0.25, alpha=0.5, t=1.0, sites=4)
+    emp = simulate_gillespie((1,), ap, samples=5, seed=0)
+    assert list(emp) == [expected] and emp[expected][0] == 1.0
+
+
+def test_gillespie_mask_width_cap():
+    # 62 sites fill the int64 masks and still match the Python-int reference
+    ap = AsepParams(q=0.25, alpha=0.5, gamma=0.3, t=1.0, sites=62)
+    got = simulate_gillespie((62, 60, 1), ap, samples=50, seed=4)
+    assert list(got.items()) == list(_scalar_gillespie((62, 60, 1), ap, 50, 4).items())
+    with pytest.raises(CapExceeded, match="62-site"):
+        simulate_gillespie((), AsepParams(q=0.25, alpha=0.5, t=0.1, sites=63), samples=1)
 
 
 def test_sixteen_sites_within_leakage_of_fourteen():

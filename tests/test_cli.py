@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from halfspace6v.asep import wilson_interval
 from halfspace6v.cli import main
 
 PARAMS = {
@@ -128,6 +129,31 @@ def test_asep_mc_runs(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["method"] == "mc" and 0 <= payload["value"] <= 1
+
+
+def test_asep_mc_unseen_configuration_has_wilson_bound(capsys):
+    # no replica reaches site 9 by t = 0.5: 100 samples bound P only by the
+    # 3-sigma Wilson upper limit of 0 successes, 9/109
+    code, out = run(
+        capsys,
+        [
+            "asep", "prob", "--nu", "9", "--method", "mc", "--alpha", "0.5", "--q", "0.25",
+            "--t", "0.5", "--sites", "10", "--samples", "100", "--seed", "1",
+        ],
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] == 0.0
+    assert payload["error_bound"] == wilson_interval(0, 100)[1]
+    assert abs(payload["error_bound"] - 9 / 109) < 1e-15
+
+
+def test_asep_sim_mask_width_cap_exit_two(capsys):
+    code = main(["asep", "sim", "--alpha", "0.5", "--t", "0.5", "--sites", "63",
+                 "--samples", "10", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert json.loads(captured.err)["error"] == "CapExceeded"
 
 
 def test_parse_error_exit_two(capsys, tmp_path):
