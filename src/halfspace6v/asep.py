@@ -42,10 +42,12 @@ class AsepParams:
     sites: int = 8
 
     def __post_init__(self):
-        if self.q < 0 or self.alpha < 0 or self.gamma < 0:
-            raise ValueError("rates must be nonnegative")
-        if self.t < 0 or self.sites < 1:
-            raise ValueError("need t >= 0 and sites >= 1")
+        for name in ("q", "alpha", "gamma", "t"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {v}")
+        if self.sites < 1:
+            raise ValueError("need sites >= 1")
 
 
 def map_params(a, c, q, c_infinite: bool = False):
@@ -429,8 +431,8 @@ def vertex_row_kernel(x, params: ModelParams, sites: int) -> np.ndarray:
     tensors = {}
     for yj in {params.y_at(j) for j in range(1, sites + 1)}:
         T = tensors[yj] = np.zeros((2, 2, 4, 4), complex)
-        for (b, t, eta_in), moves in _column_moves(KIND_A, x, yj, params.q).items():
-            for eta_out, b2, t2, w in moves:
+        for (eta_in, (b, t)), moves in _column_moves(KIND_A, x, yj, params.q).items():
+            for eta_out, (b2, t2), w in moves:
                 T[eta_in, eta_out, 2 * b + t, 2 * b2 + t2] += complex(w)
     K = np.array([[[complex(w) for row in k_table(x, params) for w in row]]])
     real = not any(np.any(a.imag) for a in (K, *tensors.values()))

@@ -7,29 +7,33 @@ upper row moves right away from it (z = x*y_j; dotted weights for Bdot).
 At the far right the channel pair (lower, upper) is pinned to (0, 0) for
 A and (0, 1) for Bdot.
 
-Matrix elements of operator products are evaluated two ways:
+Every contraction runs through one sweep, _line_sweep: a path line passes
+up through a tuple of horizontal edge states, crossing each by a table
+(vertical in, horizontal in) -> [(vertical out, horizontal out, weight)];
+one column of a double row (_column_moves) is such a table, with the
+row's channel (b, t) as the horizontal edge.  Matrix elements of operator
+products are evaluated two ways:
 
-* a column-by-column contraction of the whole stack of double rows whose
-  homogeneous far-right tail is summed in closed form by solving a small
-  linear system (exact in the rational backend) -- this realises the
-  infinite-column limit that products of truncated kernels cannot reach.
-  A family of elements (OperatorStack.elements) is contracted in the order
-  of its column patterns, each resuming from the frontier of the column
-  prefix it shares with the previous one.  When q, a, c, the y-alphabet and
-  every row's spectral value are rational, the contraction is fraction-free:
-  each move table holds integer numerators over one denominator, every
-  frontier is a map of integers over one denominator (the product of the
-  column denominators so far), and the element is reduced to a Fraction
-  once, at the close.  Any other stack carries denominator 1 and its own
-  scalars through the same operations;
+* the stack of double rows, contracted column by column.  A column's
+  transfer from a channel tuple is that column's line swept up through
+  the rows, memoised per y_j; the homogeneous far-right tail is summed in
+  closed form by solving a small linear system (exact in the rational
+  backend) -- this realises the infinite-column limit that products of
+  truncated kernels cannot reach.  A family of elements
+  (OperatorStack.elements) is contracted in the order of its column
+  patterns, each resuming from the frontier of the column prefix it
+  shares with the previous one;
 * for an empty initial configuration, the equivalent finite lattice with
-  boundary vertices on a staircase, which is cheap for long alphabets.  It
-  is summed one path line at a time (_line_sweep); its triangle alone
-  (triangle_states) gives the triangular partition function Z_m.  Every
-  path crosses each line once, so the sweep is fraction-free on the same
-  terms: each crossing table and each boundary turn holds integer
-  numerators over one denominator, all states of a line share the product
-  of them, and G or Z is reduced to a Fraction once.
+  boundary vertices on a staircase, which is cheap for long alphabets,
+  summed one path line at a time; its triangle alone (triangle_states)
+  gives the triangular partition function Z_m.
+
+When q, a, c, the y-alphabet and the spectral values are rational, every
+sweep is fraction-free: each move table and each boundary turn holds
+integer numerators over one denominator, every frontier is a map of
+integers over the product of the denominators it has crossed, and the
+result is reduced to a Fraction once, at the close.  Any other input
+carries denominator 1 and its own scalars through the same operations.
 
 Local weights come from one table per argument (weights.bulk_table and
 weights.k_table), each entry evaluated once; a bulk-weight pole raises
@@ -37,8 +41,9 @@ DegeneratePoint only when a state uses that entry.
 
 apply_double_row is the plain one-sweep Markov kernel on a truncated site
 window; its coefficients are exact for every output supported inside the
-window.  It reads its moves from one table per column (_column_moves), the
-table that asep.vertex_row_kernel contracts into a dense kernel.
+window.  It sweeps one line per column over the states (channel, positions
+emitted so far); the tests check asep.vertex_row_kernel, the dense
+contraction of the same tables, against it.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ArityError, DegeneratePoint, GuardViolated, TruncationTooSmall
-from .scalars import is_exact, is_zero, numerator, over_one_den
+from .scalars import is_array, is_exact, is_zero, numerator, over_one_den
 from .weights import (
     DOTTED,
     ROTATED,
@@ -67,6 +72,10 @@ KIND_B = "Bdot"
 # far-right channel (lower, upper) pinned by the operator's boundary data
 _TARGET = {KIND_A: (0, 0), KIND_B: (0, 1)}
 _TOP_VARIANT = {KIND_A: STOCHASTIC, KIND_B: DOTTED}
+# a path line's ends (table, den) when it must leave empty (0) or occupied
+# (1), or may leave either way (None)
+_ENDS = {eta: ({eta: [((), 1)], 1 - eta: []}, 1) for eta in (0, 1)}
+_ENDS[None] = ({0: [((), 1)], 1: [((), 1)]}, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -111,18 +120,18 @@ class SparseState(dict):
 
 def _column_moves(kind, x, yj, q) -> dict:
     """The move table of one double row at one column with parameter y_j:
-    {(b, t, eta_in): [(eta_out, b_right, t_right, weight)]} for every left
-    channel (b, t) and incoming vertical edge eta_in, with the outgoing edge
-    free.  The lower row's rotated weights (z = x/y_j) and the upper row's
-    weights (z = x*y_j) are each evaluated once.  A weight pole (e.g.
-    x = y_j/q) raises DegeneratePoint.
+    {(eta_in, (b, t)): [(eta_out, (b_right, t_right), weight)]} for every
+    incoming vertical edge eta_in and left channel (b, t), with the outgoing
+    edge free: the crossing shape of bulk_table.  The lower row's rotated
+    weights (z = x/y_j) and the upper row's weights (z = x*y_j) are each
+    evaluated once.  A weight pole (e.g. x = y_j/q) raises DegeneratePoint.
     """
     table = {}
     try:
         bot = bulk_table(x / yj, ROTATED, q)
         top = bulk_table(x * yj, _TOP_VARIANT[kind], q)
-        for b, t, eta_in in itertools.product((0, 1), repeat=3):
-            moves = table[b, t, eta_in] = []
+        for eta_in, b, t in itertools.product((0, 1), repeat=3):
+            moves = table[eta_in, (b, t)] = []
             # rotated entries are keyed by (vert_in, right_in); iterate right_in
             for b_right in (0, 1):
                 for m, b_left, w_bot in bot[eta_in, b_right]:
@@ -131,7 +140,7 @@ def _column_moves(kind, x, yj, q) -> dict:
                     for eta_out, t_right, w_top in top[m, t]:
                         w = w_bot * w_top
                         if not is_zero(w):
-                            moves.append((eta_out, b_right, t_right, w))
+                            moves.append((eta_out, (b_right, t_right), w))
     except ZeroDivisionError as exc:
         raise DegeneratePoint(f"row weight pole at x={x}, y_j={yj}: {exc}") from exc
     return table
@@ -168,39 +177,29 @@ def apply_double_row(bra, kind, spectral, n_columns, params: ModelParams):
             raise TruncationTooSmall(
                 f"bra support {config_max(mu)} exceeds n_columns={n_columns}"
             )
+    exact = _all_exact(params, [spectral])
     # columns past the y-prefix share the tail's table
     n_tables = min(n_columns, len(params.y))
     tables = [
-        _column_moves(kind, spectral, params.y_at(j), params.q)
+        _int_table(_column_moves(kind, spectral, params.y_at(j), params.q), exact)
         for j in range(1, n_tables + 1)
     ]
     K = k_table(spectral, params)
+    start = over_one_den(
+        {((b, t),): K[b][t] for b in (0, 1) for t in (0, 1) if not is_zero(K[b][t])}, exact
+    )
     out = SparseState()
     target = _TARGET[kind]
     for mu, coeff in bra.items():
-        occupied = set(mu)
-        # frontier: (channel, grown nu prefix) -> weight
-        frontier = {}
-        for b in (0, 1):
-            for t in (0, 1):
-                if not is_zero(K[b][t]):
-                    frontier[(b, t), ()] = K[b][t]
+        # states (channel, *positions emitted so far): column j's line
+        # enters occupied when mu holds j and emits j when it leaves occupied
+        states = start
         for j in range(1, n_columns + 1):
-            eta_in = 1 if j in occupied else 0
-            moves = tables[min(j, n_tables) - 1]
-            new = {}
-            for ((b, t), prefix), w in frontier.items():
-                for eta_out, b2, t2, wm in moves[b, t, eta_in]:
-                    key = ((b2, t2), prefix + (j,) if eta_out else prefix)
-                    val = w * wm
-                    if key in new:
-                        new[key] = new[key] + val
-                    else:
-                        new[key] = val
-            frontier = {k: v for k, v in new.items() if not is_zero(v)}
-        for ((b, t), prefix), w in frontier.items():
-            if (b, t) == target:
-                out.add(tuple(reversed(prefix)), coeff * w)
+            ends = ({0: [((), 1)], 1: [((j,), 1)]}, 1)
+            states = _line_sweep(states, [tables[min(j, n_tables) - 1]], ends, enter=int(j in mu))
+        for key in states[0]:
+            if key[0] == target:
+                out.add(tuple(reversed(key[1:])), coeff * frontier_value(states, key))
     return out
 
 
@@ -240,7 +239,7 @@ class OperatorStack:
         # arrays by identity), so the cache keys hash ints
         classes = {}
         self._y_class = [
-            classes.setdefault(id(y) if _is_array(y) else y, len(classes)) for y in params.y
+            classes.setdefault(id(y) if is_array(y) else y, len(classes)) for y in params.y
         ]
         self._tail = None
         self._column_cache = {}
@@ -265,39 +264,6 @@ class OperatorStack:
                 frontier[gamma] = w
         return over_one_den(frontier, self._exact)
 
-    def _column_transfer(self, gamma, eta_b, eta_t, col):
-        """(dict gamma' -> weight numerator, column denominator) for one
-        column with fixed external edges.
-
-        eta_t None means the top edge is summed over (free top); col indexes
-        the column's y_j in the y-alphabet.
-        """
-        frontier = {(eta_b, ()): 1}
-        den = 1
-        for r in range(self.n_rows):
-            b, t = gamma[r]
-            moves, row_den = self._column_moves_cached(r, col)
-            den *= row_den
-            new = {}
-            for (v, acc), w in frontier.items():
-                for v_out, b2, t2, wm in moves[b, t, v]:
-                    key = (v_out, acc + ((b2, t2),))
-                    val = w * wm
-                    if key in new:
-                        new[key] = new[key] + val
-                    else:
-                        new[key] = val
-            frontier = {k: v for k, v in new.items() if not is_zero(v)}
-        out = {}
-        for (v, acc), w in frontier.items():
-            if eta_t is not None and v != eta_t:
-                continue
-            if acc in out:
-                out[acc] = out[acc] + w
-            else:
-                out[acc] = w
-        return out, den
-
     def _column_moves_cached(self, r, col):
         """Row r's move table for the column parameter y[col], with the
         table's weights over one denominator: (table, den)."""
@@ -309,11 +275,19 @@ class OperatorStack:
             got = self._moves_cache[key] = _int_table(table, self._exact)
         return got
 
-    def _column_transfer_cached(self, gamma, eta_b, eta_t, col):
+    def _column_transfer(self, gamma, eta_b, eta_t, col):
+        """(dict gamma' -> weight numerator, column denominator) for one
+        column with fixed external edges: the column's line swept up through
+        the rows from channel tuple gamma, memoised per y_j class.
+
+        eta_t None means the top edge is summed over (free top); col indexes
+        the column's y_j in the y-alphabet.
+        """
         key = (gamma, eta_b, eta_t, self._y_class[col])
         got = self._column_cache.get(key)
         if got is None:
-            got = self._column_transfer(gamma, eta_b, eta_t, col)
+            rows = [self._column_moves_cached(r, col) for r in range(self.n_rows)]
+            got = _line_sweep(({gamma: 1}, 1), rows, _ENDS[eta_t], enter=eta_b)
             self._column_cache[key] = got
         return got
 
@@ -337,7 +311,7 @@ class OperatorStack:
             if g in seen:
                 continue
             seen.add(g)
-            row, D = self._column_transfer_cached(g, 0, eta_t, tail_col)
+            row, D = self._column_transfer(g, 0, eta_t, tail_col)
             trans[g] = row
             todo.extend(row.keys())
         if tgt not in trans:
@@ -391,7 +365,7 @@ class OperatorStack:
     def _zero_like(self):
         """0 of the stack's scalar ring; with array rows, zeros over the
         lanes that all rows' spectral arrays broadcast to."""
-        arrays = [row.spectral for row in self.rows if _is_array(row.spectral)]
+        arrays = [row.spectral for row in self.rows if is_array(row.spectral)]
         if not arrays:
             return 0
         shape = np.broadcast_shapes(*(a.shape for a in arrays))
@@ -447,7 +421,7 @@ class OperatorStack:
         new = {}
         col_den = 1
         for gamma, w in values.items():
-            transfer, col_den = self._column_transfer_cached(gamma, eta_b, eta_t, col)
+            transfer, col_den = self._column_transfer(gamma, eta_b, eta_t, col)
             for gamma2, wt in transfer.items():
                 val = w * wt
                 if gamma2 in new:
@@ -472,10 +446,6 @@ class OperatorStack:
         return Fraction(total, den * s_den) if self._exact and terms else total
 
 
-def _is_array(v) -> bool:
-    return isinstance(v, np.ndarray)
-
-
 def _common_prefix(a, b) -> int:
     for d, (u, v) in enumerate(zip(a, b)):
         if u != v:
@@ -492,7 +462,7 @@ def _solve_dense(M, b):
     """
     n = len(M)
     entries = [v for row in M for v in row] + list(b)
-    if any(_is_array(v) for v in entries):
+    if any(is_array(v) for v in entries):
         batch = np.broadcast_shapes(*(np.shape(v) for v in entries))
         Mb = np.empty(batch + (n, n), dtype=complex)
         bb = np.empty(batch + (n,), dtype=complex)
@@ -505,8 +475,7 @@ def _solve_dense(M, b):
         sol = np.linalg.solve(Mb, bb[..., None])
         return [sol[..., i, 0] for i in range(n)]
     A = [row[:] + [b[i]] for i, row in enumerate(M)]
-    exact = all(isinstance(v, (Fraction, int)) for row in A for v in row)
-    if exact:
+    if all(is_exact(v) for row in A for v in row):
         A = [[Fraction(v) for v in row] for row in A]
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(A[r][col]))
@@ -535,12 +504,14 @@ def _solve_dense(M, b):
 # ---------------------------------------------------------------------------
 
 
-def _line_sweep(states, crossings, ends):
+def _line_sweep(states, crossings, ends, enter=0):
     """Pass one path line up through the horizontal lines of every edge state.
 
     states is a frontier (values, den): each tuple of horizontal edge states
-    maps to its weight over den.  The line enters empty from below and
-    crosses horizontal line k by the table crossings[k]; lines past
+    maps to its weight over den.  The line enters from below with vertical
+    edge state enter (empty in the lattice; in a double-row column, whether
+    the bra occupies it) and crosses horizontal line k by the table
+    crossings[k], {(v, h): [(v_out, h_out, weight)]}; lines past
     len(crossings) are not crossed.  In ends, table[v] lists the (suffix,
     weight) pairs by which a top state with line exit v leaves as key
     cur + suffix, and equal keys are merged.  Crossings and ends are
@@ -553,7 +524,7 @@ def _line_sweep(states, crossings, ends):
     new = {}
     try:
         for hs, w in values.items():
-            frontier = [(0, hs, w)]
+            frontier = [(enter, hs, w)]
             for k, (table, _) in enumerate(crossings):
                 nf = []
                 for v, cur, wv in frontier:
@@ -623,8 +594,7 @@ def g_lattice(nu, x_alphabet, params: ModelParams):
         if col not in columns:
             zs = [x * params.y_at(j) for x in xs]
             columns[col] = [_int_table(bulk_table(z, STOCHASTIC, params.q), exact) for z in zs]
-        eta = 1 if j in nu else 0
-        states = _line_sweep(states, columns[col], ({eta: [((), 1)], 1 - eta: []}, 1))
+        states = _line_sweep(states, columns[col], _ENDS[int(j in nu)])
     return frontier_value(states, (0,) * len(xs))
 
 

@@ -22,9 +22,14 @@ def is_exact(value) -> bool:
     return isinstance(value, (Fraction, int))
 
 
+def is_array(value) -> bool:
+    """Whether value is a numpy array (a batch of lanes), not a scalar."""
+    return isinstance(value, ndarray)
+
+
 def is_zero(value) -> bool:
     """value == 0; for an array, on every lane."""
-    return bool((value == 0).all()) if isinstance(value, ndarray) else value == 0
+    return bool((value == 0).all()) if is_array(value) else value == 0
 
 
 def numerator(w, den: int) -> int:
@@ -72,13 +77,6 @@ def format_scalar(value) -> dict:
         return {"num": str(value.numerator), "den": str(value.denominator)}
     value = complex(value)
     return {"re": value.real, "im": value.imag}
-
-
-def scalar_str(value) -> str:
-    if isinstance(value, (Fraction, int)):
-        return str(Fraction(value))
-    value = complex(value)
-    return f"{value.real!r}{value.imag:+}j"
 
 
 def rand_rational(rng: random.Random, bound: int = 97) -> Fraction:

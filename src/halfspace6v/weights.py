@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import DivisionByZero
-from .scalars import COMPLEX, RATIONAL, is_zero, parse_scalar, rand_rational
+from .scalars import COMPLEX, RATIONAL, is_array, is_exact, is_zero, parse_scalar, rand_rational
 
 STOCHASTIC = "stochastic"
 DOTTED = "dotted"
@@ -76,7 +76,7 @@ class ModelParams:
         return replace(self, y=tuple(y))
 
     def backend(self) -> str:
-        return RATIONAL if isinstance(self.q, (Fraction, int)) else COMPLEX
+        return RATIONAL if is_exact(self.q) else COMPLEX
 
 
 def params_from_json(obj: dict, backend: str = RATIONAL) -> ModelParams:
@@ -107,12 +107,6 @@ def load_params(path: str, backend: str = RATIONAL) -> ModelParams:
 # ---------------------------------------------------------------------------
 
 
-def _div(top, bottom):
-    if isinstance(top, int) and isinstance(bottom, int):
-        return Fraction(top, bottom)
-    return top / bottom
-
-
 def h_func(x, params: ModelParams):
     """h(x) = ac(1-x^2)/((a-x)(c-x)); a(1-x^2)/(a-x) when c is infinite.
 
@@ -122,28 +116,28 @@ def h_func(x, params: ModelParams):
     Z_{2l-1}(x) = Z_{2l}(x, 1) even at degenerate boundary points like
     a = 1, c = -1.
     """
-    if not hasattr(x, "shape") and (x == 1 or x == -1):
+    if not is_array(x) and (x == 1 or x == -1):
         return 0 * x
     top = params.a if params.c_infinite else params.a * params.c
     top = top * (1 - x) * (1 + x)
     bottom = params.a - x
     if not params.c_infinite:
         bottom = bottom * (params.c - x)
-    if not hasattr(bottom, "shape") and bottom == 0:
+    if not is_array(bottom) and bottom == 0:
         raise DivisionByZero(f"h(x): pole (a-x) or (c-x) vanishes at x={x}")
-    return _div(top, bottom)
+    return top / bottom
 
 
 def h_over_ac(x, params: ModelParams):
     """h(x)/(ac) = (1-x^2)/((a-x)(c-x)); identically 0 when c is infinite."""
     if params.c_infinite:
         return 0
-    if not hasattr(x, "shape") and (x == 1 or x == -1):
+    if not is_array(x) and (x == 1 or x == -1):
         return 0 * x
     bottom = (params.a - x) * (params.c - x)
-    if not hasattr(bottom, "shape") and bottom == 0:
+    if not is_array(bottom) and bottom == 0:
         raise DivisionByZero(f"h(x)/ac: pole vanishes at x={x}")
-    return _div((1 - x) * (1 + x), bottom)
+    return (1 - x) * (1 + x) / bottom
 
 
 def k_table(x, params: ModelParams):
@@ -250,7 +244,7 @@ def bulk_weight(i, j, k, l, z, variant, q):
     if fn is None:
         return 0
     den = (1 - q * z) if variant == STOCHASTIC else (1 - z)
-    if not hasattr(den, "shape") and den == 0:
+    if not is_array(den) and den == 0:
         raise DivisionByZero(f"bulk weight denominator vanished at z={z}")
     return fn(z, q)
 
@@ -383,9 +377,7 @@ def verify_local_relation(
         raise ValueError(f"unknown relation {relation!r}")
 
     resid = _max_abs_diff(lhs, rhs)
-    exact = all(
-        isinstance(v, (Fraction, int)) for v in point.values() if not isinstance(v, bool)
-    )
+    exact = all(is_exact(v) for v in point.values() if not isinstance(v, bool))
     ok = resid == 0 if exact else float(resid) <= float_tol
     return ok, float(resid)
 

@@ -382,6 +382,15 @@ def test_gillespie_golden_histogram(seed):
     assert list(emp) == list(expected)
 
 
+@pytest.mark.parametrize("field", ["q", "alpha", "gamma", "t"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -0.5])
+def test_asep_params_reject_non_finite_or_negative(field, value):
+    # t = inf would leave the Gillespie loop running forever when gamma > 0
+    kw = {"q": 0.25, "alpha": 0.5, "gamma": 0.3, "t": 0.5, "sites": 4, field: value}
+    with pytest.raises(ValueError, match=field):
+        AsepParams(**kw)
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_gillespie_seed_out_of_range(seed):
     with pytest.raises(ValueError, match="seed must lie"):

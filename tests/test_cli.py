@@ -118,6 +118,15 @@ def test_asep_limit_dense_kernel_cap_exit_two(capsys):
     assert json.loads(captured.err)["error"] == "CapExceeded"
 
 
+def test_asep_nan_rate_exit_two(capsys):
+    code = main(["asep", "prob", "--nu", "1", "--method", "mc", "--alpha", "nan", "--q", "0.25",
+                 "--t", "0.5", "--samples", "100", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ValueError" and "alpha" in err["message"]
+
+
 def test_asep_mc_runs(capsys):
     code, out = run(
         capsys,

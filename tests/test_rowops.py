@@ -87,6 +87,27 @@ def test_apply_double_row_against_brute_force(kind):
             assert out.get(nu, F(0)) == brute_force_row(mu, nu, kind, x, n, P_INHOM), (mu, nu)
 
 
+@pytest.mark.parametrize("kind", [KIND_A, KIND_B])
+def test_apply_double_row_matches_stack_on_every_backend(kind):
+    """One sweep equals the one-row stack's element exactly over the
+    rationals; the complex run and the mixed run (rational x under a complex
+    q) agree with those exact values within 1e-15."""
+    x = F(2, 7)
+    configs = [as_config(c) for r in range(4) for c in itertools.combinations((3, 2, 1), r)]
+    pc = ModelParams(q=1 / 3 + 0j, a=2 + 0j, c=5 + 0j, y=(0.75 + 0j, 1.25 + 0j, 1 + 0j))
+    for mu in configs:
+        exact = apply_double_row(SparseState.unit(mu), kind, x, 3, P_INHOM)
+        off_rational = [
+            apply_double_row(SparseState.unit(mu), kind, complex(x), 3, pc),
+            apply_double_row(SparseState.unit(mu), kind, x, 3, pc),
+        ]
+        for nu in configs:
+            want = exact.get(nu, 0)
+            assert want == OperatorStack([(kind, x)], P_INHOM).element(mu, nu), (mu, nu)
+            for out in off_rational:
+                assert abs(out.get(nu, 0) - want) <= 1e-15, (mu, nu, out.get(nu), want)
+
+
 def test_bdot_left_eigenvector():
     z = F(2, 7)
     st = apply_double_row(SparseState.unit(()), KIND_B, z, 5, P)
