@@ -264,15 +264,22 @@ class OperatorStack:
                 frontier[gamma] = w
         return over_one_den(frontier, self._exact)
 
-    def _column_moves_cached(self, r, col):
+    def _column_moves_cached(self, r, col, eta_out=None):
         """Row r's move table for the column parameter y[col], with the
-        table's weights over one denominator: (table, den)."""
-        key = (r, self._y_class[col])
+        table's weights over one denominator: (table, den).  With eta_out
+        given, only the moves whose outgoing vertical edge is eta_out, over
+        the full table's den."""
+        key = (r, self._y_class[col], eta_out)
         got = self._moves_cache.get(key)
         if got is None:
-            row = self.rows[r]
-            table = _column_moves(row.kind, row.spectral, self.params.y[col], self.q)
-            got = self._moves_cache[key] = _int_table(table, self._exact)
+            if eta_out is None:
+                row = self.rows[r]
+                table = _column_moves(row.kind, row.spectral, self.params.y[col], self.q)
+                got = _int_table(table, self._exact)
+            else:
+                table, den = self._column_moves_cached(r, col)
+                got = {k: [m for m in ms if m[0] == eta_out] for k, ms in table.items()}, den
+            self._moves_cache[key] = got
         return got
 
     def _column_transfer(self, gamma, eta_b, eta_t, col):
@@ -281,12 +288,16 @@ class OperatorStack:
         the rows from channel tuple gamma, memoised per y_j class.
 
         eta_t None means the top edge is summed over (free top); col indexes
-        the column's y_j in the y-alphabet.
+        the column's y_j in the y-alphabet.  A fixed eta_t crosses the top
+        row by its moves that leave with eta_t only, so no path is built
+        that the line's end would drop.
         """
         key = (gamma, eta_b, eta_t, self._y_class[col])
         got = self._column_cache.get(key)
         if got is None:
-            rows = [self._column_moves_cached(r, col) for r in range(self.n_rows)]
+            top = self.n_rows - 1
+            rows = [self._column_moves_cached(r, col) for r in range(top)]
+            rows.append(self._column_moves_cached(top, col, eta_t))
             got = _line_sweep(({gamma: 1}, 1), rows, _ENDS[eta_t], enter=eta_b)
             self._column_cache[key] = got
         return got
@@ -521,6 +532,11 @@ def _line_sweep(states, crossings, ends, enter=0):
     values, den = states
     ends, end_den = ends
     den *= end_den * math.prod(d for _, d in crossings)
+    # an exit weight that is the int 1 multiplies nothing (None)
+    ends = {
+        v: [(suffix, None if type(we) is int and we == 1 else we) for suffix, we in es]
+        for v, es in ends.items()
+    }
     new = {}
     try:
         for hs, w in values.items():
@@ -535,7 +551,7 @@ def _line_sweep(states, crossings, ends, enter=0):
             for v, cur, wv in frontier:
                 for suffix, we in ends[v]:
                     key = cur + suffix
-                    val = wv * we
+                    val = wv if we is None else wv * we
                     if key in new:
                         new[key] = new[key] + val
                     else:

@@ -28,8 +28,8 @@ def is_array(value) -> bool:
 
 
 def is_zero(value) -> bool:
-    """value == 0; for an array, on every lane."""
-    return bool((value == 0).all()) if is_array(value) else value == 0
+    """value == 0; for an array, on every lane (NaN is nonzero, -0.0 zero)."""
+    return not value.any() if is_array(value) else value == 0
 
 
 def numerator(w, den: int) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import numpy as np
 
@@ -128,13 +128,50 @@ class ContourSpec:
         return len(self.circles)
 
 
-# Grid points per integrand call: at least 2^15 keeps the n = 2 orthogonality
-# grid (160^2 nodes) in one operator-stack call; the cap bounds the memory of
-# three-fold grids (64^3 nodes run as 8 calls of 8 x 64 x 64).
+# Grid points per integrand call: 2^15 keeps the n = 2 orthogonality grid
+# (160^2 nodes) in one call of its non-symmetric factors and bounds the memory
+# of three-fold grids (64^3 nodes run as 8 calls of 8 x 64 x 64).
 QUADRATURE_LANES = 1 << 15
+# Grid points per block of a symmetric factor (symmetric_grid): 80^2 blocks at
+# n = 2 with 160 nodes, 16^3 at 64 and 20^3 at 96.  A block's complex lane
+# arrays then stay within 128 KiB, glibc's default threshold above which each
+# temporary is a fresh mapping that page-faults on first touch.
+SYMMETRIC_BLOCK_LANES = 1 << 13
+# floating-point conditions on quadrature nodes: a pole shows as inf or nan
+_NODE_ERRSTATE = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
 
 
-def nested_trapezoid(contours: ContourSpec, integrand, nodes: int):
+def symmetric_grid(f, w, n: int):
+    """The values of a function f, symmetric in its n variables, on the grid
+    of all n-tuples of the nodes w: an array of shape (len(w),) * n.
+
+    The nodes are cut into the fewest equal chunks (the last may be shorter)
+    that keep a block of n chunks within SYMMETRIC_BLOCK_LANES points.  f is
+    called once per sorted tuple of chunks, on that block's open grid
+    (np.ix_, as in nested_trapezoid), and every reordering of the tuple is
+    filled by transposing the block; each grid point is filled once.
+    """
+    N = len(w)
+    nb, size = 1, N
+    while size**n > SYMMETRIC_BLOCK_LANES:
+        nb += 1
+        size = -(-N // nb)
+    chunks = [slice(s, s + size) for s in range(0, N, size)]
+    grid = np.zeros((N,) * n, dtype=complex)
+    for block in combinations_with_replacement(range(len(chunks)), n):
+        ws = np.ix_(*(w[chunks[c]] for c in block))
+        fb = np.broadcast_to(f(ws), np.broadcast_shapes(*(x.shape for x in ws)))
+        filled = {}
+        for perm in permutations(range(n)):
+            filled.setdefault(tuple(block[p] for p in perm), perm)
+        # block position (c_perm[0], .., c_perm[n-1]) holds f with its
+        # axis k taken from the block's axis perm[k]
+        for target, perm in filled.items():
+            grid[tuple(chunks[c] for c in target)] += np.transpose(fb, perm)
+    return grid
+
+
+def nested_trapezoid(contours: ContourSpec, integrand, nodes: int, symmetric=None):
     """Trapezoid rule on the product of the circles of `contours`.
 
     Returns the sum over the grid of `nodes` points per circle of
@@ -145,19 +182,33 @@ def nested_trapezoid(contours: ContourSpec, integrand, nodes: int):
     integrand must return an array that broadcasts against that grid.  It
     is called on blocks of at most QUADRATURE_LANES grid points: the
     trailing axes whole, the axis before them in slices, the leading axes
-    one index at a time.  A value that is not finite (a node on a pole;
-    array inputs bypass the scalar pole checks) raises ContourInvalid.
+    one index at a time.  symmetric, when given, is a further factor of
+    the integrand that is symmetric in all variables (all circles must then
+    be equal); it is evaluated once over the grid by symmetric_grid and
+    multiplied into each block.  A value that is not finite (a node on a
+    pole; array inputs bypass the scalar pole checks) raises ContourInvalid.
+    A node count below 1 raises ValueError.
     """
+    if nodes < 1:
+        raise ValueError(f"need at least one quadrature node per circle, got {nodes}")
     n = contours.n
     lines = [contours.nodes_of(i, nodes) for i in range(n)]
+    sym = None
+    if symmetric is not None:
+        if len(set(contours.circles)) > 1:
+            raise ValueError("a symmetric factor needs all circles equal")
+        with np.errstate(**_NODE_ERRSTATE):
+            sym = symmetric_grid(symmetric, lines[0][0], n)
     blocks = [min(nodes, max(1, QUADRATURE_LANES // nodes ** (n - 1 - i))) for i in range(n)]
     total = 0j
     for starts in product(*(range(0, nodes, b) for b in blocks)):
         cut = [slice(s, s + b) for s, b in zip(starts, blocks)]
         ws = np.ix_(*(w[c] for (w, _), c in zip(lines, cut)))
         measure = math.prod(np.ix_(*(dw[c] for (_, dw), c in zip(lines, cut))))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        with np.errstate(**_NODE_ERRSTATE):
             f = integrand(ws)
+            if sym is not None:
+                f = f * sym[tuple(cut)]
         if not np.all(np.isfinite(f)):
             raise ContourInvalid("a quadrature node sits on a pole of the integrand")
         total += np.sum(f * measure)
@@ -606,9 +657,12 @@ def orthogonality_check(
     """n-fold quadrature of the orthogonality integrand against F_kappa.
 
     Conjecturally delta_{kappa,nu} in the c -> infinity model.  All n
-    integration variables run over the same circle; F is evaluated on the
-    open node grid through the vectorised operator stack, each row on its
-    own variable's nodes.
+    integration variables run over the same circle.  F is symmetric in its
+    variables (the Bdot(z) commute; verify_operator_identity('bb_commute')),
+    so it is evaluated once per sorted block of node tuples (symmetric_grid)
+    through the vectorised operator stack, each row on its own variable's
+    nodes; the rest of the integrand is not symmetric and runs on the whole
+    grid.
     """
     kappa, nu = as_config(kappa), as_config(nu)
     n = len(nu)
@@ -648,8 +702,10 @@ def orthogonality_check(
             for j in range(1, nu[i]):
                 yj = complex(params.y_at(j))
                 val = val * (1 - w * yj) / (1 - q * w * yj)
-        stack = OperatorStack([(KIND_B, w) for w in ws], fparams)
-        return val * stack.element(kappa, ())
+        return val
+
+    def f_kappa(ws):
+        return OperatorStack([(KIND_B, w) for w in ws], fparams).element(kappa, ())
 
     circles = ContourSpec(contour.circles[:1] * n, N)
-    return nested_trapezoid(circles, integrand, N)
+    return nested_trapezoid(circles, integrand, N, symmetric=f_kappa)

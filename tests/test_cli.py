@@ -196,6 +196,29 @@ def test_complex_backend_contour(capsys, tmp_path):
     assert abs(val["im"]) < 1e-10
 
 
+@pytest.mark.parametrize("nodes", ["-4", "0"])
+@pytest.mark.parametrize("command", ["orthogonality", "g", "asep"])
+def test_nonpositive_node_count_exit_two(capsys, tmp_path, command, nodes):
+    # an empty node grid would sum to 0 and pass as a result
+    obj = {"q": 0.25, "a": 3.0, "c": -2.0, "x": [0.5], "y": [1.0], "z": []}
+    if command == "orthogonality":
+        obj = {"q": 0.25, "a": 3.0, "y": [1 / 1.6, 1 / 1.7], "c_infinite": True}
+    path = tmp_path / "pc.json"
+    path.write_text(json.dumps(obj))
+    argv = {
+        "orthogonality": ["--backend", "complex", "orthogonality", "--kappa", "2", "--nu", "1",
+                          "--params", str(path)],
+        "g": ["--backend", "complex", "g", "--nu", "1", "--method", "contour", "--params", str(path)],
+        "asep": ["asep", "prob", "--nu", "1", "--method", "formula", "--q", "0.25",
+                 "--alpha", "0.5", "--t", "0.5"],
+    }[command]
+    code = main(argv + ["--nodes", nodes])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ValueError" and "quadrature node" in err["message"]
+
+
 def test_invalid_config_rejected(capsys, params_file):
     code = main(["g", "--nu", "2,2", "--method", "operators", "--params", params_file])
     assert code == 2

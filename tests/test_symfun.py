@@ -6,7 +6,7 @@ import pytest
 
 from halfspace6v import symfun
 from halfspace6v.errors import ArityError, ContourInvalid, DegeneratePoint, GuardViolated
-from halfspace6v.rowops import partition_G
+from halfspace6v.rowops import KIND_B, OperatorStack, partition_G
 from halfspace6v.symfun import (
     ContourSpec,
     cauchy_check,
@@ -252,11 +252,45 @@ def test_orthogonality_three_variables(kappa):
     """Three-fold orthogonality against nu = (3, 2, 1) on 64^3 nodes.
 
     Parts of size 4 need at least 96 nodes for 1e-6 ((4, 2, 1) against
-    (3, 2, 1) is off by 2e-4 at 64 nodes and by 4.4e-7 at 96), which is too
-    slow for Tier-1, so they are left out here.
+    (3, 2, 1) is off by 2e-4 at 64 nodes and by 4.4e-7 at 96); they are
+    checked at 96^3 in test_orthogonality_parts_of_size_four.
     """
     v = orthogonality_check(kappa, (3, 2, 1), ORTH_PARAMS, nodes=64)
     assert abs(v - (1.0 if kappa == (3, 2, 1) else 0.0)) < 1e-6
+
+
+@pytest.mark.parametrize("kappa, nu", [((4, 2, 1), (3, 2, 1)), ((4, 2, 1), (4, 2, 1))])
+def test_orthogonality_parts_of_size_four(kappa, nu):
+    """Parts of size 4 on 96^3 nodes.  Error against delta at 64 / 80 / 96
+    nodes: diagonal 4.4e-5 / 2.1e-6 / 9.9e-8, off-diagonal 2e-4 / 9.3e-6 /
+    4.4e-7, so 96 is the smallest of these that reaches 1e-6."""
+    v = orthogonality_check(kappa, nu, ORTH_PARAMS, nodes=96)
+    assert abs(v - (1.0 if kappa == nu else 0.0)) < 1e-6
+
+
+@pytest.mark.parametrize("n, N", [(2, 161), (3, 65)])
+def test_symmetric_grid_equals_full_grid(n, N):
+    """F_kappa from one stack per sorted block of node tuples, each other
+    ordering filled by transposing, equals one stack on the whole open grid.
+    Symmetry is a theorem checked by bb_commute; this keeps the blocked
+    evaluation honest.  161 nodes leave a shorter last chunk."""
+    w, _ = default_orthogonality_contour(ORTH_PARAMS, 3).nodes_of(0, N)
+    kappa = (3, 1)[: n - 1]
+
+    def f_kappa(ws):
+        return OperatorStack([(KIND_B, x) for x in ws], ORTH_PARAMS).element(kappa, ())
+
+    got = symfun.symmetric_grid(f_kappa, w, n)
+    # the plain stack on the whole open grid, in slabs of the first axis to
+    # bound memory (at 65^3 in one piece its transfer cache takes over 0.8 GiB)
+    full = np.concatenate(
+        [f_kappa(np.ix_(w[s : s + 5], *[w] * (n - 1))) for s in range(0, N, 5)]
+    )
+    assert got.shape == full.shape == (N,) * n
+    assert np.max(np.abs(got - full)) <= 1e-13 * np.max(np.abs(full))
+    # every grid point is filled exactly once
+    ones = symfun.symmetric_grid(lambda ws: 1.0, w, n)
+    assert np.all(ones == 1.0)
 
 
 def test_orthogonality_node_on_pole_raises():
