@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ArityError, CapExceeded, ContourInvalid, CutoffTooSmall, DivisionByZero
 from .rowops import KIND_A, _column_moves, as_config, config_max
-from .symfun import ContourSpec, nested_trapezoid, validate_contours
+from .symfun import ContourSpec, nested_trapezoid, pair_factors, validate_contours
 from .weights import ModelParams, k_table
 
 
@@ -345,16 +345,22 @@ def simulate_gillespie(mu, params: AsepParams, samples: int, seed: int = 0):
 # ---------------------------------------------------------------------------
 
 
+def _formula_poles(params: AsepParams) -> list:
+    """The points every circle of the formula must exclude."""
+    q, alpha = params.q, params.alpha
+    if abs(alpha + q - 1.0) < 1e-12:
+        raise ContourInvalid("alpha + q = 1 is excluded by the formula")
+    return [0.0, q, 1.0 / q if q else 50.0, (q + alpha - 1.0) / alpha]
+
+
 def asep_contours(params: AsepParams, n: int, nodes: int = 128, base_radius: float = None) -> ContourSpec:
     """Nested circles around 1 for the gamma = 0 transition formula.
 
     Radii follow a geometric ladder validated against the exclusions
     {0, q, 1/q, (q+alpha-1)/alpha} and the q-image/inverse disjointness.
     """
-    q, alpha = params.q, params.alpha
-    if abs(alpha + q - 1.0) < 1e-12:
-        raise ContourInvalid("alpha + q = 1 is excluded by the formula")
-    exclude = [0.0, q, 1.0 / q if q else 50.0, (q + alpha - 1.0) / alpha]
+    q = params.q
+    exclude = _formula_poles(params)
     r_max = min(abs(1.0 - p) for p in exclude)
     ladder = base_radius or 0.55 * r_max
     for shrink in range(40):
@@ -393,19 +399,21 @@ def transition_prob_formula(
         return math.exp(-alpha * t)
     if contours is None:
         contours = asep_contours(params, n, nodes)
+    elif contours.n != n:
+        raise ContourInvalid(f"need {n} contours, got {contours.n}")
+    else:
+        validate_contours(contours, [1.0], _formula_poles(params), q, pair_inverse=True)
 
     def integrand(ws):
-        val = np.ones_like(ws[0])
-        for i in range(n):
-            for j in range(i + 1, n):
-                wi, wj = ws[i], ws[j]
-                val = val * (wj - wi) / (q * wj - wi) * (1 - q * wi * wj) / (1 - wi * wj)
-        for i in range(n):
-            w = ws[i]
-            val = val * (1 - q * w * w) / (w * (q + alpha - 1 - alpha * w) * (1 - q * w))
-            val = val * ((1 - w) / (1 - q * w)) ** (nu[i] - 1)
-            val = val * np.exp((1 - q) ** 2 * w * t / ((1 - w) * (1 - q * w)))
-        return val
+        # one factor per variable on its own nodes, one per pair on its two
+        # axes; nested_trapezoid contracts them
+        factors = [
+            (1 - q * w * w) / (w * (q + alpha - 1 - alpha * w) * (1 - q * w))
+            * ((1 - w) / (1 - q * w)) ** (nu[i] - 1)
+            * np.exp((1 - q) ** 2 * w * t / ((1 - w) * (1 - q * w)))
+            for i, w in enumerate(ws)
+        ]
+        return factors + pair_factors(ws, q)
 
     val = alpha**n * math.exp(-alpha * t) * nested_trapezoid(contours, integrand, nodes)
     return val.real

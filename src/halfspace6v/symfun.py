@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 import numpy as np
@@ -139,6 +140,8 @@ QUADRATURE_LANES = 1 << 15
 SYMMETRIC_BLOCK_LANES = 1 << 13
 # floating-point conditions on quadrature nodes: a pole shows as inf or nan
 _NODE_ERRSTATE = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
+# einsum subscript of grid axis i (one letter per integration variable)
+_AXES = "abcdefghijklmnopqrstuvwxyz"
 
 
 def symmetric_grid(f, w, n: int):
@@ -171,23 +174,64 @@ def symmetric_grid(f, w, n: int):
     return grid
 
 
+@lru_cache(maxsize=256)
+def _contraction_path(subscripts: str, shapes: tuple):
+    """The einsum contraction order for operands of these shapes."""
+    dummies = [np.broadcast_to(np.zeros((), dtype=complex), s) for s in shapes]
+    return np.einsum_path(subscripts, *dummies, optimize="greedy")[0]
+
+
+def _contract(factors, measures):
+    """sum over the block of prod(factors) * prod_i measures[i]: each array
+    factor enters with only the axes it spans (length above 1), so the sum
+    runs one variable at a time and no product is formed on the whole block."""
+    n = len(measures)
+    scale = 1
+    operands, terms = [], []
+    for f in map(np.asarray, factors):
+        if f.size == 1:
+            scale = scale * complex(f.reshape(()))
+            continue
+        shape = (1,) * (n - f.ndim) + f.shape
+        axes = [k for k in range(n) if shape[k] != 1]
+        operands.append(f.reshape([shape[k] for k in axes]))
+        terms.append("".join(_AXES[k] for k in axes))
+    operands += measures
+    terms += _AXES[:n]
+    subscripts = ",".join(terms) + "->"
+    path = _contraction_path(subscripts, tuple(op.shape for op in operands))
+    return scale * np.einsum(subscripts, *operands, optimize=path)
+
+
+def pair_factors(ws, q) -> list:
+    """The cross factor (w_j - w_i)/(q w_j - w_i) (1 - q w_i w_j)/(1 - w_i w_j)
+    of each pair i < j of contour variables, on the pair's two axes."""
+    return [
+        (wj - wi) / (q * wj - wi) * (1 - q * wi * wj) / (1 - wi * wj)
+        for wi, wj in combinations(ws, 2)
+    ]
+
+
 def nested_trapezoid(contours: ContourSpec, integrand, nodes: int, symmetric=None):
     """Trapezoid rule on the product of the circles of `contours`.
 
     Returns the sum over the grid of `nodes` points per circle of
     integrand(ws) * prod_i dw_i/(2 pi i).  ws holds one open-grid array per
     circle (inner first): variable i has shape (1, .., N_i, .., 1) with its
-    nodes on axis i, so a factor of one variable is computed on its own
-    nodes and only products across variables broadcast to the grid.  The
-    integrand must return an array that broadcasts against that grid.  It
-    is called on blocks of at most QUADRATURE_LANES grid points: the
-    trailing axes whole, the axis before them in slices, the leading axes
-    one index at a time.  symmetric, when given, is a further factor of
-    the integrand that is symmetric in all variables (all circles must then
-    be equal); it is evaluated once over the grid by symmetric_grid and
-    multiplied into each block.  A value that is not finite (a node on a
-    pole; array inputs bypass the scalar pole checks) raises ContourInvalid.
-    A node count below 1 raises ValueError.
+    nodes on axis i.  The integrand returns its factors, a list of scalars
+    and arrays that each broadcast against that grid (a bare array is one
+    factor): a factor computed from some of the ws spans only their axes,
+    and the sum contracts the factors with the measures dw_i by einsum, one
+    variable at a time, so a factor of one or two variables never spreads
+    over the whole grid.  The integrand is called on blocks of at most
+    QUADRATURE_LANES grid points: the trailing axes whole, the axis before
+    them in slices, the leading axes one index at a time.  symmetric, when
+    given, is a further factor of the integrand that is symmetric in all
+    variables (all circles must then be equal); it is evaluated once over
+    the grid by symmetric_grid and each block of it joins that block's
+    factors.  A factor or block sum that is not finite (a node on a pole;
+    array inputs bypass the scalar pole checks) raises ContourInvalid.  A
+    node count below 1 raises ValueError.
     """
     if nodes < 1:
         raise ValueError(f"need at least one quadrature node per circle, got {nodes}")
@@ -204,14 +248,18 @@ def nested_trapezoid(contours: ContourSpec, integrand, nodes: int, symmetric=Non
     for starts in product(*(range(0, nodes, b) for b in blocks)):
         cut = [slice(s, s + b) for s, b in zip(starts, blocks)]
         ws = np.ix_(*(w[c] for (w, _), c in zip(lines, cut)))
-        measure = math.prod(np.ix_(*(dw[c] for (_, dw), c in zip(lines, cut))))
         with np.errstate(**_NODE_ERRSTATE):
-            f = integrand(ws)
+            factors = integrand(ws)
+            if not isinstance(factors, (list, tuple)):
+                factors = [factors]
             if sym is not None:
-                f = f * sym[tuple(cut)]
-        if not np.all(np.isfinite(f)):
-            raise ContourInvalid("a quadrature node sits on a pole of the integrand")
-        total += np.sum(f * measure)
+                factors = [*factors, sym[tuple(cut)]]
+            if not all(np.all(np.isfinite(f)) for f in factors):
+                raise ContourInvalid("a quadrature node sits on a pole of the integrand")
+            part = _contract(factors, [dw[c] for (_, dw), c in zip(lines, cut)])
+        if not np.isfinite(part):
+            raise ContourInvalid("the integrand overflows on the quadrature nodes")
+        total += part
     return complex(total)
 
 
@@ -369,42 +417,34 @@ def z_triangular_vec(values, params: ModelParams):
 # ---------------------------------------------------------------------------
 
 
-def _g_integrand_factors(ws, xs, nu, params: ModelParams):
-    """Everything in the integrand except Z_{L+n}(x, 1/w)."""
+def _g_integrand_factors(ws, xs, nu, params: ModelParams) -> list:
+    """Everything in the integrand except Z_{L+n}(x, 1/w), as factors for
+    nested_trapezoid: one per variable on its own nodes, then one per pair."""
     q = complex(params.q)
-    n = len(ws)
-    val = 1
-    for i in range(n):
-        w = ws[i]
+    a = complex(params.a)
+    factors = []
+    for i, w in enumerate(ws):
+        val = 1
         for x in xs:
             val = val * (q * w - x) / (w - x) * (1 - w * x) / (1 - q * w * x)
-    for i in range(n):
-        for j in range(i + 1, n):
-            wi, wj = ws[i], ws[j]
-            val = val * (wj - wi) / (q * wj - wi) * (1 - q * wi * wj) / (1 - wi * wj)
-    for i in range(n):
-        w = ws[i]
         if params.c_infinite:
-            val = val * complex(params.a) * (q * w * w - 1) / (w - complex(params.a))
-            val = -val  # lim c->inf of ac(qw^2-1)/((w-a)(w-c)) = -a(qw^2-1)/(w-a)
+            # lim c->inf of ac(qw^2-1)/((w-a)(w-c)) = -a(qw^2-1)/(w-a)
+            val = -(val * a * (q * w * w - 1) / (w - a))
         else:
-            val = (
-                val
-                * complex(params.a * params.c)
-                * (q * w * w - 1)
-                / ((w - complex(params.a)) * (w - complex(params.c)))
-            )
+            c = complex(params.c)
+            val = val * complex(params.a * params.c) * (q * w * w - 1) / ((w - a) * (w - c))
         y_nu = complex(params.y_at(nu[i]))
         val = val * y_nu / (1 - q * w * y_nu)
         for j in range(1, nu[i]):
             yj = complex(params.y_at(j))
             val = val * (1 - w * yj) / (1 - q * w * yj)
-    return val
+        factors.append(val)
+    return factors + pair_factors(ws, q)
 
 
-def default_g_contours(nu, x_alphabet, params: ModelParams, n: int, nodes: int = 256):
+def _g_contour_poles(nu, xs, params: ModelParams) -> list:
+    """The points every circle of the G_nu integral must exclude."""
     q = complex(params.q)
-    xs = [complex(x) for x in x_alphabet]
     exclude = []
     for x in xs:
         exclude += [q * x, 1.0 / (q * x)]
@@ -417,7 +457,13 @@ def default_g_contours(nu, x_alphabet, params: ModelParams, n: int, nodes: int =
     if not params.c_infinite:
         c = complex(params.c)
         exclude += [c, 1.0 / c]
-    return nested_contours(xs, exclude, n, q, nodes=nodes, pair_q_inverse=(n > 1))
+    return exclude
+
+
+def default_g_contours(nu, x_alphabet, params: ModelParams, n: int, nodes: int = 256):
+    xs = [complex(x) for x in x_alphabet]
+    exclude = _g_contour_poles(nu, xs, params)
+    return nested_contours(xs, exclude, n, params.q, nodes=nodes, pair_q_inverse=(n > 1))
 
 
 def g_contour(
@@ -433,7 +479,8 @@ def g_contour(
 
     Circles are spectrally accurate for this analytic integrand; with
     check_convergence the node count is doubled once and the drift is
-    required to stay below tol.
+    required to stay below tol.  Caller-supplied contours must pass the
+    rules the default contours are built to (validate_contours).
     """
     nu = as_config(nu)
     xs = [complex(x) for x in x_alphabet]
@@ -442,12 +489,16 @@ def g_contour(
         return complex(z_triangular_vec(xs, params))
     if contours is None:
         contours = default_g_contours(nu, xs, params, n, nodes)
-    if contours.n != n:
+    elif contours.n != n:
         raise ContourInvalid(f"need {n} contours, got {contours.n}")
+    else:
+        validate_contours(
+            contours, xs, _g_contour_poles(nu, xs, params), params.q, pair_q_inverse=(n > 1)
+        )
 
     def integrand(ws):
         zval = z_triangular_vec(xs + [1.0 / w for w in ws], params)
-        return zval * _g_integrand_factors(ws, xs, nu, params)
+        return [zval, *_g_integrand_factors(ws, xs, nu, params)]
 
     out = nested_trapezoid(contours, integrand, nodes)
     if check_convergence:
@@ -623,16 +674,33 @@ def cauchy_check(mu, nu, x_alphabet, z_alphabet, params: ModelParams, cutoff: in
 # ---------------------------------------------------------------------------
 
 
-def default_orthogonality_contour(params: ModelParams, max_part: int, nodes: int = 128) -> ContourSpec:
-    """Common circle around the points 1/y_j with q C disjoint from C."""
+def _orthogonality_points(params: ModelParams, max_part: int):
+    """(enclose, exclude) for the orthogonality circle: the points 1/y_j
+    inside it, the poles of the integrand and of F outside."""
     q = complex(params.q)
     a = complex(params.a)
     ys = [complex(params.y_at(j)) for j in range(1, max_part + 1)]
-    inv = [1.0 / y for y in ys]
-    center = sum(inv) / len(inv)
     exclude = [0.0, 1.0, -1.0, a, 1.0 / a]
     for y in ys:
         exclude += [y, y / q, 1.0 / (q * y)]
+    return [1.0 / y for y in ys], exclude
+
+
+def _validate_orthogonality_contour(spec: ContourSpec, inv, exclude, q) -> None:
+    """validate_contours on the one circle, plus the pair rule of n copies
+    of it: q C stays off the disk of C, |qc - c| > r(1 + |q|)."""
+    validate_contours(spec, inv, exclude, q, pair_inverse=False)
+    (center, radius), = spec.circles
+    q, center = complex(q), complex(center)
+    if abs(q * center - center) <= radius * (1.0 + abs(q)):
+        raise ContourInvalid("the q-image of the circle meets its disk")
+
+
+def default_orthogonality_contour(params: ModelParams, max_part: int, nodes: int = 128) -> ContourSpec:
+    """Common circle around the points 1/y_j with q C disjoint from C."""
+    q = complex(params.q)
+    inv, exclude = _orthogonality_points(params, max_part)
+    center = sum(inv) / len(inv)
     r_lo = max(abs(p - center) for p in inv)
     r_hi = min(abs(p - center) for p in exclude)
     if r_hi <= r_lo:
@@ -643,7 +711,7 @@ def default_orthogonality_contour(params: ModelParams, max_part: int, nodes: int
     if radius <= r_lo:
         raise ContourInvalid("cannot fit contour radius between constraints")
     spec = ContourSpec(((center, radius),), nodes)
-    validate_contours(spec, inv, exclude, q, pair_inverse=False)
+    _validate_orthogonality_contour(spec, inv, exclude, q)
     return spec
 
 
@@ -657,12 +725,14 @@ def orthogonality_check(
     """n-fold quadrature of the orthogonality integrand against F_kappa.
 
     Conjecturally delta_{kappa,nu} in the c -> infinity model.  All n
-    integration variables run over the same circle.  F is symmetric in its
-    variables (the Bdot(z) commute; verify_operator_identity('bb_commute')),
-    so it is evaluated once per sorted block of node tuples (symmetric_grid)
-    through the vectorised operator stack, each row on its own variable's
-    nodes; the rest of the integrand is not symmetric and runs on the whole
-    grid.
+    integration variables run over the same circle, the first circle of a
+    caller's contour, which must pass the rules the default circle is built
+    to.  F is symmetric in its variables (the Bdot(z) commute;
+    verify_operator_identity('bb_commute')), so it is evaluated once per
+    sorted block of node tuples (symmetric_grid) through the vectorised
+    operator stack, each row on its own variable's nodes; the rest of the
+    integrand is not symmetric and enters as one factor per variable and
+    one per pair.
     """
     kappa, nu = as_config(kappa), as_config(nu)
     n = len(nu)
@@ -675,6 +745,9 @@ def orthogonality_check(
     max_part = max(config_max(nu), config_max(kappa), 1)
     if contour is None:
         contour = default_orthogonality_contour(params, max_part, nodes)
+    else:
+        circle = ContourSpec(contour.circles[:1], contour.nodes)
+        _validate_orthogonality_contour(circle, *_orthogonality_points(params, max_part), params.q)
     N = contour.nodes if nodes is None else nodes
     q = complex(params.q)
     a = complex(params.a)
@@ -687,22 +760,18 @@ def orthogonality_check(
     )
 
     def integrand(ws):
-        val = np.ones_like(ws[0])
-        for i in range(n):
-            for j in range(i + 1, n):
-                wi, wj = ws[i], ws[j]
-                val = val * (wj - wi) / (q * wj - wi) * (1 - q * wi * wj) / (1 - wi * wj)
-        for i in range(n):
-            w = ws[i]
+        factors = []
+        for i, w in enumerate(ws):
             # (a - w), not (w - a): the orientation the degenerate Cauchy
             # identity produces, normalising the diagonal to +1
-            val = val * (a - w) / (w * (1 - a * w)) * (1 - q * w * w) / (1 - w * w)
+            val = (a - w) / (w * (1 - a * w)) * (1 - q * w * w) / (1 - w * w)
             y_nu = complex(params.y_at(nu[i]))
             val = val * y_nu / (1 - q * w * y_nu)
             for j in range(1, nu[i]):
                 yj = complex(params.y_at(j))
                 val = val * (1 - w * yj) / (1 - q * w * yj)
-        return val
+            factors.append(val)
+        return factors + pair_factors(ws, q)
 
     def f_kappa(ws):
         return OperatorStack([(KIND_B, w) for w in ws], fparams).element(kappa, ())

@@ -121,6 +121,28 @@ def test_formula_node_on_pole_raises():
         transition_prob_formula((1,), AP, contours=circle, nodes=64)
 
 
+def test_formula_rejects_caller_circle_over_a_pole():
+    # radius 0.9 around 1 takes in the pole at w = q; unchecked, the
+    # quadrature returned 0.24758 where the value is 0.24615
+    ap = AsepParams(q=0.25, alpha=0.5, t=1.0)
+    with pytest.raises(ContourInvalid):
+        transition_prob_formula((1,), ap, nodes=64, contours=ContourSpec(((1.0, 0.9),), 64))
+
+
+@pytest.mark.parametrize("nu, recorded", [
+    ((3, 2, 1), 9.879215953207394e-05),
+    ((4, 3, 2, 1), 4.392218847952541e-08),
+])
+def test_formula_three_and_four_particles(nu, recorded):
+    """Values recorded from the broadcast-product quadrature (the same rule,
+    summed in another order), and the exact route within its leakage bound."""
+    ap = AsepParams(q=0.26, alpha=0.51, t=1.0, sites=12)
+    pf = transition_prob_formula(nu, ap, nodes=64)
+    assert abs(pf - recorded) <= 1e-12 * recorded
+    px, leak = transition_prob_exact((), nu, ap)
+    assert abs(pf - px) <= leak
+
+
 def test_uniformization_term_cap_raises():
     # a negative tolerance is never met: the series stops at its term cap
     ap = AsepParams(q=0.25, alpha=0.5, t=0.001, sites=3)

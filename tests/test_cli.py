@@ -219,6 +219,15 @@ def test_nonpositive_node_count_exit_two(capsys, tmp_path, command, nodes):
     assert err["error"] == "ValueError" and "quadrature node" in err["message"]
 
 
+def test_contour_invalid_exit_two(capsys):
+    # alpha + q = 1 leaves the formula no admissible contour
+    code = main(["asep", "prob", "--nu", "1", "--method", "formula", "--q", "0.25",
+                 "--alpha", "0.75", "--t", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert json.loads(captured.err)["error"] == "ContourInvalid"
+
+
 def test_invalid_config_rejected(capsys, params_file):
     code = main(["g", "--nu", "2,2", "--method", "operators", "--params", params_file])
     assert code == 2

@@ -197,6 +197,38 @@ def test_nested_trapezoid_chunk_bound(monkeypatch, n, nodes):
     assert abs(got - expected) <= 1e-14 * abs(expected)
 
 
+def _factor_kinds(ws):
+    """One-variable, pair, full-grid and scalar factors of one integrand."""
+    factors = [np.exp(w) / (w - 0.1 * (i + 1)) for i, w in enumerate(ws)]
+    factors += [1 + ws[i] * ws[j] for i in range(len(ws)) for j in range(i + 1, len(ws))]
+    factors.append(1 / (3 - sum(ws)))
+    return factors + [0.5 - 0.25j, np.float64(2.0)]
+
+
+@pytest.mark.parametrize("n, nodes", [(1, 64), (2, 12), (3, 8)])
+def test_nested_trapezoid_factors_match_product(monkeypatch, n, nodes):
+    """Contracting the factors one variable at a time sums the same grid as
+    multiplying them into one array, also when the blocks split."""
+    contours = ContourSpec(NESTED.circles[:n])
+    monkeypatch.setattr(symfun, "QUADRATURE_LANES", 50)
+    got = nested_trapezoid(contours, _factor_kinds, nodes)
+    product = nested_trapezoid(
+        contours, lambda ws: np.prod(np.broadcast_arrays(*_factor_kinds(ws)), axis=0), nodes
+    )
+    assert abs(got - product) <= 1e-13 * abs(product)
+
+
+def test_nested_trapezoid_non_finite_factor_raises():
+    # w = 1 is a node: 1/(w - 1) is inf there while (w - 1) is 0, so their
+    # product is nan; each factor is checked on its own
+    unit = ContourSpec(((0j, 1.0),))
+    with pytest.raises(ContourInvalid):
+        nested_trapezoid(unit, lambda ws: [1 / (ws[0] - 1), ws[0] - 1], 4)
+    # finite factors whose product overflows
+    with pytest.raises(ContourInvalid):
+        nested_trapezoid(unit, lambda ws: [1e200 * ws[0], 1e200 * ws[0]], 4)
+
+
 def test_contour_validation_rejects_bad_circles():
     spec = ContourSpec(((0.5 + 0j, 1.0),))
     with pytest.raises(ContourInvalid):
@@ -296,6 +328,22 @@ def test_symmetric_grid_equals_full_grid(n, N):
 def test_orthogonality_node_on_pole_raises():
     with pytest.raises(ContourInvalid):
         orthogonality_check((1,), (1,), ORTH_PARAMS, nodes=64, contour=POLE_CIRCLE)
+
+
+def test_orthogonality_rejects_caller_circle_over_a_pole():
+    # radius 0.40 around 1.75 takes in y_4/q = 2.105; unchecked, the
+    # quadrature returned 13.05 where the value is 1
+    with pytest.raises(ContourInvalid):
+        orthogonality_check(
+            (4,), (4,), ORTH_PARAMS, nodes=64, contour=ContourSpec(((1.75, 0.40),), 64)
+        )
+
+
+def test_g_contour_rejects_caller_circle_over_a_pole():
+    # radius 0.3 around 1/2 takes in the pole 1/a = 1/3; unchecked, the
+    # quadrature returned 0.157 where g_subset gives 0.309
+    with pytest.raises(ContourInvalid):
+        g_contour((1,), (F(1, 2),), P, contours=ContourSpec(((0.5, 0.3),), 128), nodes=128)
 
 
 def test_orthogonality_requires_c_infinite():
