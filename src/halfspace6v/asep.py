@@ -353,7 +353,7 @@ def _formula_poles(params: AsepParams) -> list:
     return [0.0, q, 1.0 / q if q else 50.0, (q + alpha - 1.0) / alpha]
 
 
-def asep_contours(params: AsepParams, n: int, nodes: int = 128, base_radius: float = None) -> ContourSpec:
+def asep_contours(params: AsepParams, n: int, nodes: int = 128) -> ContourSpec:
     """Nested circles around 1 for the gamma = 0 transition formula.
 
     Radii follow a geometric ladder validated against the exclusions
@@ -362,7 +362,7 @@ def asep_contours(params: AsepParams, n: int, nodes: int = 128, base_radius: flo
     q = params.q
     exclude = _formula_poles(params)
     r_max = min(abs(1.0 - p) for p in exclude)
-    ladder = base_radius or 0.55 * r_max
+    ladder = 0.55 * r_max
     for shrink in range(40):
         radii = [ladder * (0.995**shrink) * (0.62 ** (n - 1 - k)) for k in range(n)]
         spec = ContourSpec(tuple((1.0 + 0.0j, r) for r in radii), nodes)

@@ -129,49 +129,19 @@ class ContourSpec:
         return len(self.circles)
 
 
-# Grid points per integrand call: 2^15 keeps the n = 2 orthogonality grid
-# (160^2 nodes) in one call of its non-symmetric factors and bounds the memory
-# of three-fold grids (64^3 nodes run as 8 calls of 8 x 64 x 64).
-QUADRATURE_LANES = 1 << 15
-# Grid points per block of a symmetric factor (symmetric_grid): 80^2 blocks at
-# n = 2 with 160 nodes, 16^3 at 64 and 20^3 at 96.  A block's complex lane
-# arrays then stay within 128 KiB, glibc's default threshold above which each
-# temporary is a fresh mapping that page-faults on first touch.
-SYMMETRIC_BLOCK_LANES = 1 << 13
+# Grid points per block of the symmetric factor: 80^2 blocks at n = 2 with
+# 160 nodes, 16^3 at 64 and 20^3 at 96.  A block's complex lane arrays then
+# stay within 128 KiB, glibc's default threshold above which each temporary
+# is a fresh mapping that page-faults on first touch.
+BLOCK_LANES = 1 << 13
 # floating-point conditions on quadrature nodes: a pole shows as inf or nan
 _NODE_ERRSTATE = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
 # einsum subscript of grid axis i (one letter per integration variable)
 _AXES = "abcdefghijklmnopqrstuvwxyz"
-
-
-def symmetric_grid(f, w, n: int):
-    """The values of a function f, symmetric in its n variables, on the grid
-    of all n-tuples of the nodes w: an array of shape (len(w),) * n.
-
-    The nodes are cut into the fewest equal chunks (the last may be shorter)
-    that keep a block of n chunks within SYMMETRIC_BLOCK_LANES points.  f is
-    called once per sorted tuple of chunks, on that block's open grid
-    (np.ix_, as in nested_trapezoid), and every reordering of the tuple is
-    filled by transposing the block; each grid point is filled once.
-    """
-    N = len(w)
-    nb, size = 1, N
-    while size**n > SYMMETRIC_BLOCK_LANES:
-        nb += 1
-        size = -(-N // nb)
-    chunks = [slice(s, s + size) for s in range(0, N, size)]
-    grid = np.zeros((N,) * n, dtype=complex)
-    for block in combinations_with_replacement(range(len(chunks)), n):
-        ws = np.ix_(*(w[chunks[c]] for c in block))
-        fb = np.broadcast_to(f(ws), np.broadcast_shapes(*(x.shape for x in ws)))
-        filled = {}
-        for perm in permutations(range(n)):
-            filled.setdefault(tuple(block[p] for p in perm), perm)
-        # block position (c_perm[0], .., c_perm[n-1]) holds f with its
-        # axis k taken from the block's axis perm[k]
-        for target, perm in filled.items():
-            grid[tuple(chunks[c] for c in target)] += np.transpose(fb, perm)
-    return grid
+# validate_contours: relative clearance of every strict inequality, and the
+# nodes per circle at which the image rules are probed
+_MARGIN = 1e-6
+_PROBE = 720
 
 
 @lru_cache(maxsize=256)
@@ -181,26 +151,29 @@ def _contraction_path(subscripts: str, shapes: tuple):
     return np.einsum_path(subscripts, *dummies, optimize="greedy")[0]
 
 
-def _contract(factors, measures):
-    """sum over the block of prod(factors) * prod_i measures[i]: each array
-    factor enters with only the axes it spans (length above 1), so the sum
-    runs one variable at a time and no product is formed on the whole block."""
-    n = len(measures)
-    scale = 1
-    operands, terms = [], []
+def _spanned(factors, n: int):
+    """Split factors into a scalar and (array, axes) pairs: each array
+    factor keeps only the grid axes it spans (length above 1)."""
+    scale, spans = 1, []
     for f in map(np.asarray, factors):
         if f.size == 1:
             scale = scale * complex(f.reshape(()))
             continue
         shape = (1,) * (n - f.ndim) + f.shape
-        axes = [k for k in range(n) if shape[k] != 1]
-        operands.append(f.reshape([shape[k] for k in axes]))
-        terms.append("".join(_AXES[k] for k in axes))
-    operands += measures
-    terms += _AXES[:n]
+        axes = tuple(k for k in range(n) if shape[k] != 1)
+        spans.append((f.reshape([shape[k] for k in axes]), axes))
+    return scale, spans
+
+
+def _contract(spans, measures):
+    """sum over the grid of prod(factors) * prod_i measures[i], for factors
+    given as (array, axes) pairs: the sum runs one variable at a time, so no
+    product is formed on the whole grid."""
+    operands = [f for f, _ in spans] + measures
+    terms = ["".join(_AXES[k] for k in axes) for _, axes in spans] + list(_AXES[: len(measures)])
     subscripts = ",".join(terms) + "->"
     path = _contraction_path(subscripts, tuple(op.shape for op in operands))
-    return scale * np.einsum(subscripts, *operands, optimize=path)
+    return np.einsum(subscripts, *operands, optimize=path)
 
 
 def pair_factors(ws, q) -> list:
@@ -216,50 +189,72 @@ def nested_trapezoid(contours: ContourSpec, integrand, nodes: int, symmetric=Non
     """Trapezoid rule on the product of the circles of `contours`.
 
     Returns the sum over the grid of `nodes` points per circle of
-    integrand(ws) * prod_i dw_i/(2 pi i).  ws holds one open-grid array per
-    circle (inner first): variable i has shape (1, .., N_i, .., 1) with its
-    nodes on axis i.  The integrand returns its factors, a list of scalars
-    and arrays that each broadcast against that grid (a bare array is one
-    factor): a factor computed from some of the ws spans only their axes,
-    and the sum contracts the factors with the measures dw_i by einsum, one
-    variable at a time, so a factor of one or two variables never spreads
-    over the whole grid.  The integrand is called on blocks of at most
-    QUADRATURE_LANES grid points: the trailing axes whole, the axis before
-    them in slices, the leading axes one index at a time.  symmetric, when
-    given, is a further factor of the integrand that is symmetric in all
-    variables (all circles must then be equal); it is evaluated once over
-    the grid by symmetric_grid and each block of it joins that block's
-    factors.  A factor or block sum that is not finite (a node on a pole;
-    array inputs bypass the scalar pole checks) raises ContourInvalid.  A
-    node count below 1 raises ValueError.
+    integrand(ws) * prod_i dw_i/(2 pi i), times symmetric(ws) when given.
+    ws holds one open-grid array per circle (inner first): variable i has
+    shape (1, .., N, .., 1) with its nodes on axis i.  The integrand is
+    called once, on the whole grid, and returns its factors, a list of
+    scalars and arrays that each broadcast against that grid (a bare array
+    is one factor): a factor computed from some of the ws spans only their
+    axes, and the sum contracts the factors with the measures dw_i by
+    einsum, one variable at a time, so a factor of one or two variables
+    never spreads over the whole grid.
+
+    symmetric, when given, is the one factor that spans every variable and
+    is symmetric in them.  The nodes are cut into the fewest equal chunks
+    (the last may be shorter) that keep a block of n chunks within
+    BLOCK_LANES points, and symmetric is called once per block on that
+    block's open grid.  When all circles are equal it is called once per
+    sorted tuple of chunks, and every other ordering of that block is
+    contracted from the same values, transposed; each grid point is summed
+    once.  A factor or block sum that is not finite (a node on a pole; array
+    inputs bypass the scalar pole checks) raises ContourInvalid.  A node
+    count below 1 raises ValueError.
     """
     if nodes < 1:
         raise ValueError(f"need at least one quadrature node per circle, got {nodes}")
     n = contours.n
     lines = [contours.nodes_of(i, nodes) for i in range(n)]
-    sym = None
-    if symmetric is not None:
-        if len(set(contours.circles)) > 1:
-            raise ValueError("a symmetric factor needs all circles equal")
-        with np.errstate(**_NODE_ERRSTATE):
-            sym = symmetric_grid(symmetric, lines[0][0], n)
-    blocks = [min(nodes, max(1, QUADRATURE_LANES // nodes ** (n - 1 - i))) for i in range(n)]
-    total = 0j
-    for starts in product(*(range(0, nodes, b) for b in blocks)):
-        cut = [slice(s, s + b) for s, b in zip(starts, blocks)]
-        ws = np.ix_(*(w[c] for (w, _), c in zip(lines, cut)))
-        with np.errstate(**_NODE_ERRSTATE):
-            factors = integrand(ws)
-            if not isinstance(factors, (list, tuple)):
-                factors = [factors]
-            if sym is not None:
-                factors = [*factors, sym[tuple(cut)]]
-            if not all(np.all(np.isfinite(f)) for f in factors):
-                raise ContourInvalid("a quadrature node sits on a pole of the integrand")
-            part = _contract(factors, [dw[c] for (_, dw), c in zip(lines, cut)])
-        if not np.isfinite(part):
-            raise ContourInvalid("the integrand overflows on the quadrature nodes")
-        total += part
+    with np.errstate(**_NODE_ERRSTATE):
+        factors = integrand(np.ix_(*(w for w, _ in lines)))
+        if not isinstance(factors, (list, tuple)):
+            factors = [factors]
+        if not all(np.all(np.isfinite(f)) for f in factors):
+            raise ContourInvalid("a quadrature node sits on a pole of the integrand")
+        scale, spans = _spanned(factors, n)
+        if symmetric is None:
+            total = _contract(spans, [dw for _, dw in lines])
+        else:
+            chunks, size = 1, nodes
+            while size**n > BLOCK_LANES:
+                chunks += 1
+                size = -(-nodes // chunks)
+            cut = [slice(s, s + size) for s in range(0, nodes, size)]
+            equal = len(set(contours.circles)) == 1
+            if equal:
+                blocks = combinations_with_replacement(range(len(cut)), n)
+            else:
+                blocks = product(range(len(cut)), repeat=n)
+            total = 0j
+            for block in blocks:
+                ws = np.ix_(*(w[cut[c]] for (w, _), c in zip(lines, block)))
+                fb = np.broadcast_to(symmetric(ws), np.broadcast_shapes(*(x.shape for x in ws)))
+                if not np.all(np.isfinite(fb)):
+                    raise ContourInvalid("a quadrature node sits on a pole of the integrand")
+                # the block at chunks (block[perm[0]], .., block[perm[n-1]])
+                # holds fb with its axis k taken from fb's axis perm[k]
+                orderings = {}
+                for perm in permutations(range(n)) if equal else [tuple(range(n))]:
+                    orderings.setdefault(tuple(block[p] for p in perm), perm)
+                for perm in orderings.values():
+                    at = [cut[block[p]] for p in perm]
+                    total += _contract(
+                        [(f[tuple(at[k] for k in axes)], axes) for f, axes in spans]
+                        + [(np.transpose(fb, perm), tuple(range(n)))],
+                        [dw[c] for (_, dw), c in zip(lines, at)],
+                    )
+        total = scale * total
+    if not np.isfinite(total):
+        raise ContourInvalid("the integrand overflows on the quadrature nodes")
     return complex(total)
 
 
@@ -270,8 +265,6 @@ def validate_contours(
     q,
     pair_inverse: bool = True,
     pair_q_inverse: bool = False,
-    margin: float = 1e-6,
-    probe: int = 720,
 ):
     """Check the nesting/exclusion rules on concentric-ish circles.
 
@@ -285,10 +278,10 @@ def validate_contours(
     circles = [(complex(c), float(r)) for c, r in spec.circles]
     for i, (c, r) in enumerate(circles):
         for p in enclose:
-            if abs(complex(p) - c) >= r * (1 - margin):
+            if abs(complex(p) - c) >= r * (1 - _MARGIN):
                 raise ContourInvalid(f"circle {i} does not enclose {p}")
         for p in exclude:
-            if abs(complex(p) - c) <= r * (1 + margin):
+            if abs(complex(p) - c) <= r * (1 + _MARGIN):
                 raise ContourInvalid(f"circle {i} does not exclude {p}")
     for i in range(len(circles)):
         ci, ri = circles[i]
@@ -296,20 +289,20 @@ def validate_contours(
             if i == j:
                 continue
             cj, rj = circles[j]
-            theta = 2.0 * np.pi * np.arange(probe) / probe
+            theta = 2.0 * np.pi * np.arange(_PROBE) / _PROBE
             wj = cj + rj * np.exp(1j * theta)
             if j > i:
-                if abs(ci - cj) + ri >= rj * (1 - margin):
+                if abs(ci - cj) + ri >= rj * (1 - _MARGIN):
                     raise ContourInvalid("circles are not strictly nested")
-                if np.min(np.abs(qq * wj - ci)) <= ri * (1 + margin):
+                if np.min(np.abs(qq * wj - ci)) <= ri * (1 + _MARGIN):
                     raise ContourInvalid(
                         "q-image of an outer circle meets an inner disk"
                     )
-                if pair_inverse and np.min(np.abs(1.0 / wj - ci)) <= ri * (1 + margin):
+                if pair_inverse and np.min(np.abs(1.0 / wj - ci)) <= ri * (1 + _MARGIN):
                     raise ContourInvalid(
                         "inverse of an outer circle meets an inner disk"
                     )
-            if pair_q_inverse and np.min(np.abs(qq / wj - ci)) <= ri * (1 + margin):
+            if pair_q_inverse and np.min(np.abs(qq / wj - ci)) <= ri * (1 + _MARGIN):
                 raise ContourInvalid(
                     "q/w image of one circle meets another circle's disk"
                 )
@@ -324,7 +317,6 @@ def nested_contours(
     nodes: int = 256,
     pair_inverse: bool = True,
     pair_q_inverse: bool = False,
-    grow: float = 1.35,
 ) -> ContourSpec:
     """Concentric circles around the centroid of `enclose`.
 
@@ -345,7 +337,7 @@ def nested_contours(
         s = 0.9**shrink
         hi = r_lo + (r_hi - r_lo) * 0.85 * s
         lo = r_lo + (r_hi - r_lo) * 0.25 * s
-        radii = [lo + (hi - lo) * ((k + 0.5) / n) ** grow for k in range(n)]
+        radii = [lo + (hi - lo) * ((k + 0.5) / n) ** 1.35 for k in range(n)]
         spec = ContourSpec(tuple((center, r) for r in radii), nodes)
         try:
             validate_contours(
@@ -497,12 +489,15 @@ def g_contour(
         )
 
     def integrand(ws):
-        zval = z_triangular_vec(xs + [1.0 / w for w in ws], params)
-        return [zval, *_g_integrand_factors(ws, xs, nu, params)]
+        return _g_integrand_factors(ws, xs, nu, params)
 
-    out = nested_trapezoid(contours, integrand, nodes)
+    def z_grid(ws):
+        # Z_{L+n}(x, 1/w) is symmetric in its alphabet (verify_z_properties)
+        return z_triangular_vec(xs + [1.0 / w for w in ws], params)
+
+    out = nested_trapezoid(contours, integrand, nodes, symmetric=z_grid)
     if check_convergence:
-        out2 = nested_trapezoid(contours, integrand, 2 * nodes)
+        out2 = nested_trapezoid(contours, integrand, 2 * nodes, symmetric=z_grid)
         if abs(out2 - out) > tol * max(1.0, abs(out2)):
             raise QuadratureNotConverged(
                 f"node doubling moved the result by {abs(out2 - out):.3e}"
@@ -719,7 +714,7 @@ def orthogonality_check(
     kappa,
     nu,
     params: ModelParams,
-    nodes: int = 128,
+    nodes: int | None = 128,
     contour: ContourSpec | None = None,
 ):
     """n-fold quadrature of the orthogonality integrand against F_kappa.
@@ -727,12 +722,13 @@ def orthogonality_check(
     Conjecturally delta_{kappa,nu} in the c -> infinity model.  All n
     integration variables run over the same circle, the first circle of a
     caller's contour, which must pass the rules the default circle is built
-    to.  F is symmetric in its variables (the Bdot(z) commute;
-    verify_operator_identity('bb_commute')), so it is evaluated once per
-    sorted block of node tuples (symmetric_grid) through the vectorised
-    operator stack, each row on its own variable's nodes; the rest of the
-    integrand is not symmetric and enters as one factor per variable and
-    one per pair.
+    to.  nodes=None takes the node count of the caller's contour, or 128
+    without one.  F is symmetric in its variables (the Bdot(z) commute;
+    verify_operator_identity('bb_commute')), so nested_trapezoid evaluates
+    it once per sorted block of node tuples through the vectorised operator
+    stack, each row on its own variable's nodes; the rest of the integrand
+    is not symmetric and enters as one factor per variable and one per
+    pair.
     """
     kappa, nu = as_config(kappa), as_config(nu)
     n = len(nu)
@@ -743,12 +739,13 @@ def orthogonality_check(
     if n == 0:
         return 1.0 + 0.0j if kappa == () else 0.0 + 0.0j
     max_part = max(config_max(nu), config_max(kappa), 1)
+    if nodes is None:
+        nodes = 128 if contour is None else contour.nodes
     if contour is None:
         contour = default_orthogonality_contour(params, max_part, nodes)
     else:
         circle = ContourSpec(contour.circles[:1], contour.nodes)
         _validate_orthogonality_contour(circle, *_orthogonality_points(params, max_part), params.q)
-    N = contour.nodes if nodes is None else nodes
     q = complex(params.q)
     a = complex(params.a)
     fparams = ModelParams(
@@ -776,5 +773,5 @@ def orthogonality_check(
     def f_kappa(ws):
         return OperatorStack([(KIND_B, w) for w in ws], fparams).element(kappa, ())
 
-    circles = ContourSpec(contour.circles[:1] * n, N)
-    return nested_trapezoid(circles, integrand, N, symmetric=f_kappa)
+    circles = ContourSpec(contour.circles[:1] * n, nodes)
+    return nested_trapezoid(circles, integrand, nodes, symmetric=f_kappa)

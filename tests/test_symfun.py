@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction as F
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -180,42 +182,100 @@ def _test_integrand(ws):
     return val
 
 
+def _symmetric_factor(ws):
+    return 1 / (3 - sum(ws))
+
+
+def _full_product(ws):
+    """_test_integrand and _symmetric_factor as one array on the whole grid."""
+    return _test_integrand(ws) * _symmetric_factor(ws)
+
+
+def _grid_indices(w, ws):
+    """The node indices of each axis of an open grid cut from the nodes w."""
+    return [np.flatnonzero(np.isin(w, x.ravel())) for x in ws]
+
+
 @pytest.mark.parametrize("n, nodes", [(1, 64), (2, 12), (3, 8)])
 def test_nested_trapezoid_chunk_bound(monkeypatch, n, nodes):
-    # (3, 8) has nodes**(n-1) = 64 above the cap of 50: two axes are split
-    contours = ContourSpec(NESTED.circles[:n])
-    expected = nested_trapezoid(contours, _test_integrand, nodes)
+    """The symmetric factor is called on blocks of at most BLOCK_LANES
+    points.  On nested circles every chunk tuple is its own block; on equal
+    circles the factor is called once per sorted chunk tuple, and the
+    orderings of those blocks cover every grid point exactly once."""
+    # a cap of 50 cuts 64 nodes into 2 chunks, 12 into 2 and 8 into 3 (3, 3, 2)
+    monkeypatch.setattr(symfun, "BLOCK_LANES", 50)
+    nested = ContourSpec(NESTED.circles[:n])
+    expected = nested_trapezoid(nested, _full_product, nodes)
     sizes = []
 
     def spy(ws):
         sizes.append(int(np.prod(np.broadcast_shapes(*(w.shape for w in ws)))))
-        return _test_integrand(ws)
+        return _symmetric_factor(ws)
 
-    monkeypatch.setattr(symfun, "QUADRATURE_LANES", 50)
-    got = nested_trapezoid(contours, spy, nodes)
+    got = nested_trapezoid(nested, _test_integrand, nodes, symmetric=spy)
     assert max(sizes) <= 50 and sum(sizes) == nodes**n
     assert abs(got - expected) <= 1e-14 * abs(expected)
 
+    equal = ContourSpec(((0j, 0.7),) * n)
+    w, _ = equal.nodes_of(0, nodes)
+    blocks = []
+
+    def sorted_spy(ws):
+        blocks.append(_grid_indices(w, ws))
+        return _symmetric_factor(ws)
+
+    got = nested_trapezoid(equal, _test_integrand, nodes, symmetric=sorted_spy)
+    expected = nested_trapezoid(equal, _full_product, nodes)
+    assert abs(got - expected) <= 1e-14 * abs(expected)
+    starts = [tuple(int(i[0]) for i in idx) for idx in blocks]
+    chunks = sorted({s for block in starts for s in block})
+    assert all(list(s) == sorted(s) for s in starts)
+    assert len(set(starts)) == len(starts) == math.comb(len(chunks) + n - 1, n)
+    covered = np.zeros((nodes,) * n, dtype=int)
+    for idx in blocks:
+        assert math.prod(map(len, idx)) <= 50
+        orderings = {tuple(idx[p][0] for p in perm): perm for perm in permutations(range(n))}
+        for perm in orderings.values():
+            covered[np.ix_(*(idx[p] for p in perm))] += 1
+    assert np.all(covered == 1)
+
+
+@pytest.mark.parametrize("symmetric", [None, _symmetric_factor])
+def test_nested_trapezoid_calls_integrand_once(monkeypatch, symmetric):
+    """The integrand is called once, on the whole open grid, also when the
+    symmetric factor is cut into blocks."""
+    monkeypatch.setattr(symfun, "BLOCK_LANES", 50)
+    shapes = []
+
+    def spy(ws):
+        shapes.append([w.shape for w in ws])
+        return _test_integrand(ws)
+
+    nested_trapezoid(NESTED, spy, 8, symmetric=symmetric)
+    assert shapes == [[(8, 1, 1), (1, 8, 1), (1, 1, 8)]]
+
 
 def _factor_kinds(ws):
-    """One-variable, pair, full-grid and scalar factors of one integrand."""
+    """One-variable, pair and scalar factors of one integrand."""
     factors = [np.exp(w) / (w - 0.1 * (i + 1)) for i, w in enumerate(ws)]
     factors += [1 + ws[i] * ws[j] for i in range(len(ws)) for j in range(i + 1, len(ws))]
-    factors.append(1 / (3 - sum(ws)))
     return factors + [0.5 - 0.25j, np.float64(2.0)]
 
 
 @pytest.mark.parametrize("n, nodes", [(1, 64), (2, 12), (3, 8)])
 def test_nested_trapezoid_factors_match_product(monkeypatch, n, nodes):
-    """Contracting the factors one variable at a time sums the same grid as
-    multiplying them into one array, also when the blocks split."""
-    contours = ContourSpec(NESTED.circles[:n])
-    monkeypatch.setattr(symfun, "QUADRATURE_LANES", 50)
-    got = nested_trapezoid(contours, _factor_kinds, nodes)
-    product = nested_trapezoid(
-        contours, lambda ws: np.prod(np.broadcast_arrays(*_factor_kinds(ws)), axis=0), nodes
-    )
-    assert abs(got - product) <= 1e-13 * abs(product)
+    """Contracting the factors one variable at a time, with the symmetric
+    full-grid factor 1/(3 - sum w) in blocks, sums the same grid as
+    multiplying them all into one array, on nested and on equal circles."""
+    monkeypatch.setattr(symfun, "BLOCK_LANES", 50)
+
+    def product(ws):
+        return np.prod(np.broadcast_arrays(*_factor_kinds(ws), _symmetric_factor(ws)), axis=0)
+
+    for contours in (ContourSpec(NESTED.circles[:n]), ContourSpec(((0j, 0.7),) * n)):
+        got = nested_trapezoid(contours, _factor_kinds, nodes, symmetric=_symmetric_factor)
+        expected = nested_trapezoid(contours, product, nodes)
+        assert abs(got - expected) <= 1e-13 * abs(expected)
 
 
 def test_nested_trapezoid_non_finite_factor_raises():
@@ -303,26 +363,43 @@ def test_orthogonality_parts_of_size_four(kappa, nu):
 @pytest.mark.parametrize("n, N", [(2, 161), (3, 65)])
 def test_symmetric_grid_equals_full_grid(n, N):
     """F_kappa from one stack per sorted block of node tuples, each other
-    ordering filled by transposing, equals one stack on the whole open grid.
-    Symmetry is a theorem checked by bb_commute; this keeps the blocked
-    evaluation honest.  161 nodes leave a shorter last chunk."""
-    w, _ = default_orthogonality_contour(ORTH_PARAMS, 3).nodes_of(0, N)
+    ordering contracted from the same values transposed, sums to the same
+    integral as one plain stack on the whole grid.  Symmetry is a theorem
+    checked by bb_commute; this keeps the blocked evaluation honest.  161
+    and 65 nodes leave a shorter last chunk."""
+    spec = default_orthogonality_contour(ORTH_PARAMS, 3)
+    (center, _), = spec.circles
+    w, dw = spec.nodes_of(0, N)
     kappa = (3, 1)[: n - 1]
 
     def f_kappa(ws):
         return OperatorStack([(KIND_B, x) for x in ws], ORTH_PARAMS).element(kappa, ())
 
-    got = symfun.symmetric_grid(f_kappa, w, n)
-    # the plain stack on the whole open grid, in slabs of the first axis to
-    # bound memory (at 65^3 in one piece its transfer cache takes over 0.8 GiB)
-    full = np.concatenate(
-        [f_kappa(np.ix_(w[s : s + 5], *[w] * (n - 1))) for s in range(0, N, 5)]
+    def factors(ws):
+        return [1 / (x - center) for x in ws] + symfun.pair_factors(ws, ORTH_PARAMS.q)
+
+    got = nested_trapezoid(ContourSpec(spec.circles * n), factors, N, symmetric=f_kappa)
+    # the plain stack against the same factors and measures, in slabs of the
+    # first axis to bound memory (at 65^3 in one piece its transfer cache
+    # takes over 0.8 GiB)
+    full = 0j
+    for s in range(0, N, 5):
+        ws = np.ix_(w[s : s + 5], *[w] * (n - 1))
+        terms = [f_kappa(ws), *factors(ws), *np.ix_(dw[s : s + 5], *[dw] * (n - 1))]
+        full += np.sum(np.prod(np.broadcast_arrays(*terms), axis=0))
+    assert abs(got - full) <= 1e-13 * abs(full)
+
+
+def test_orthogonality_default_node_count():
+    """nodes=None takes 128 nodes without a contour, and a caller contour's
+    own node count with one."""
+    assert orthogonality_check((1,), (1,), ORTH_PARAMS, nodes=None) == orthogonality_check(
+        (1,), (1,), ORTH_PARAMS, nodes=128
     )
-    assert got.shape == full.shape == (N,) * n
-    assert np.max(np.abs(got - full)) <= 1e-13 * np.max(np.abs(full))
-    # every grid point is filled exactly once
-    ones = symfun.symmetric_grid(lambda ws: 1.0, w, n)
-    assert np.all(ones == 1.0)
+    spec = default_orthogonality_contour(ORTH_PARAMS, 2, nodes=16)
+    own = orthogonality_check((2,), (2,), ORTH_PARAMS, nodes=None, contour=spec)
+    assert own == orthogonality_check((2,), (2,), ORTH_PARAMS, nodes=16, contour=spec)
+    assert own != orthogonality_check((2,), (2,), ORTH_PARAMS, nodes=128, contour=spec)
 
 
 def test_orthogonality_node_on_pole_raises():
