@@ -97,6 +97,10 @@ CapExceeded before anything is allocated."""
 # of one sparse mat-vec) and per state (the mat-vec's state-length vectors)
 _EDGE_BYTES = 40
 _STATE_BYTES = 40
+# transition_prob_exact's bound on the truncation leakage, and the width in
+# sigmas of the Monte Carlo route's Wilson intervals
+_LEAK_TOL = 1e-4
+_WILSON_Z = 3.0
 
 
 def _move_types(params: AsepParams) -> list:
@@ -151,19 +155,6 @@ def generator_matrix(params: AsepParams) -> np.ndarray:
     L[src, tgt] = rate
     np.fill_diagonal(L, -np.bincount(src, weights=rate, minlength=dim))
     return L
-
-
-def generator_apply(f: dict, params: AsepParams) -> dict:
-    """Forward (master-equation) generator acting on a distribution-shaped
-    function: [Lf](nu) = sum_mu rate(mu -> nu) f(mu) - totalrate(nu) f(nu)."""
-    dim = 1 << params.sites
-    vec = np.zeros(dim)
-    for cfg, v in f.items():
-        vec[_config_to_mask(cfg, params.sites)] = v
-    src, tgt, rate = _move_table(params)
-    inflow = np.bincount(tgt, weights=rate * vec[src], minlength=dim)
-    out = inflow - np.bincount(src, weights=rate, minlength=dim) * vec
-    return {_mask_to_config(int(m)): out[m] for m in np.flatnonzero(out)}
 
 
 def _poisson_tail(lam: float, k: int) -> float:
@@ -232,17 +223,17 @@ def transition_distribution_exact(mu, params: AsepParams, series_tol: float = 1e
     return out
 
 
-def transition_prob_exact(mu, nu, params: AsepParams, leak_tol: float = 1e-4):
+def transition_prob_exact(mu, nu, params: AsepParams):
     """P_t(mu -> nu) on the truncated chain, plus the leakage bound.
 
-    Raises CutoffTooSmall when the Poisson front bound exceeds leak_tol
+    Raises CutoffTooSmall when the Poisson front bound exceeds _LEAK_TOL
     (enlarge `sites` or shorten t).
     """
     mu, nu = as_config(mu), as_config(nu)
     leak = leakage_bound(mu, params)
-    if leak > leak_tol:
+    if leak > _LEAK_TOL:
         raise CutoffTooSmall(
-            f"truncation leakage bound {leak:.3e} exceeds {leak_tol:.1e}"
+            f"truncation leakage bound {leak:.3e} exceeds {_LEAK_TOL:.1e}"
         )
     dist = transition_distribution_exact(mu, params)
     return float(dist[_config_to_mask(nu, params.sites)]), leak
@@ -253,8 +244,9 @@ def transition_prob_exact(mu, nu, params: AsepParams, leak_tol: float = 1e-4):
 # ---------------------------------------------------------------------------
 
 
-def wilson_interval(successes: int, n: int, z: float = 3.0):
-    """Wilson score interval (z sigma) for a binomial proportion."""
+def wilson_interval(successes: int, n: int):
+    """Wilson score interval (_WILSON_Z sigma) for a binomial proportion."""
+    z = _WILSON_Z
     if n == 0:
         return 0.0, 1.0
     phat = successes / n

@@ -32,10 +32,6 @@ from .errors import HalfSpaceError
 from .pfaffian import det_exact, pfaffian, pfaffian_sum_check, stembridge_check
 from .scalars import COMPLEX, RATIONAL, format_scalar, parse_scalar
 
-RATIONAL_ONLY = {"verify"}
-COMPLEX_ONLY = {"orthogonality"}
-
-
 def _parse_config(text: str) -> tuple:
     if not text or text.strip() in ("", "-"):
         return ()

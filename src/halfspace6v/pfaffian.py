@@ -21,22 +21,22 @@ from .errors import DivisionByZero, NotSkewSymmetric
 from .scalars import is_exact
 
 
-def check_skew(M, tol: float = 0.0) -> int:
-    """Validate skew-symmetry of a matrix or a stack of them; return the order."""
+def check_skew(M) -> int:
+    """Validate exact skew-symmetry of a matrix or a stack; return the order."""
     if not isinstance(M, np.ndarray) and any(len(row) != len(M) for row in M):
         raise NotSkewSymmetric("matrix is not square")
     A = np.asarray(M)
     n = A.shape[-1]
     if A.ndim < 2 or A.shape[-2] != n:
         raise NotSkewSymmetric("matrix is not square")
-    if np.any(np.abs(np.diagonal(A, axis1=-2, axis2=-1)) > tol):
+    if np.any(np.abs(np.diagonal(A, axis1=-2, axis2=-1)) > 0):
         raise NotSkewSymmetric("nonzero diagonal entry")
-    if np.any(np.abs(A + np.swapaxes(A, -1, -2)) > tol):
+    if np.any(np.abs(A + np.swapaxes(A, -1, -2)) > 0):
         raise NotSkewSymmetric("M[i][j] != -M[j][i]")
     return n
 
 
-def pfaffian(M, validate: bool = True, tol: float = 0.0):
+def pfaffian(M, validate: bool = True):
     """Pfaffian of an even-order skew-symmetric matrix.
 
     M is a nested list (exact rationals/ints give an exact Fraction, floats
@@ -47,7 +47,7 @@ def pfaffian(M, validate: bool = True, tol: float = 0.0):
     if not batched and len(M) == 0:
         return 1
     if validate:
-        check_skew(M, tol=tol)
+        check_skew(M)
     exact = not batched and all(is_exact(v) for row in M for v in row)
     if exact:
         A = np.array([[Fraction(v) for v in row] for row in M], dtype=object)

@@ -97,6 +97,14 @@ def config_max(cfg) -> int:
     return cfg[0] if cfg else 0
 
 
+def configs_bounded(max_part: int, max_len: int):
+    """Every configuration with parts <= max_part and at most max_len parts,
+    fewest parts first."""
+    for r in range(max_len + 1):
+        for comb in itertools.combinations(range(1, max_part + 1), r):
+            yield tuple(sorted(comb, reverse=True))
+
+
 class SparseState(dict):
     """Finitely supported map Config -> scalar (zero coefficients dropped)."""
 
@@ -627,6 +635,8 @@ def partition_G(nu, mu, x_alphabet, params: ModelParams, method: str = "auto"):
     the staircase reduction; 'stack' contracts the operator product
     directly; 'auto' picks the lattice whenever mu is empty.
     """
+    if method not in ("auto", "lattice", "stack"):
+        raise ValueError(f"unknown method {method!r}: expected auto, lattice or stack")
     mu, nu = as_config(mu), as_config(nu)
     xs = tuple(x_alphabet)
     if not xs:
@@ -736,14 +746,8 @@ def guard_ab(x, z, params: ModelParams) -> ConvergenceGuard:
 
 
 def guard_cauchy(xs, zs, params: ModelParams) -> ConvergenceGuard:
-    q = params.q
-    ratios = []
-    for x in xs:
-        for z in zs:
-            for y in _y_values(params):
-                r = _ratio_a(x, y, q)
-                ratios.append(r * q * (1 - z / y) / (1 - q * z / y))
-                ratios.append(r * (1 - q * z * y) / (1 - z * y))
+    """The exchange condition of every pair A(x) Bdot(z), x in xs, z in zs."""
+    ratios = [r for x in xs for z in zs for r in guard_ab(x, z, params).ratios]
     return ConvergenceGuard(ratios, "Cauchy identity")
 
 
@@ -760,32 +764,12 @@ def guard_a_inverse(x, params: ModelParams) -> ConvergenceGuard:
 # ---------------------------------------------------------------------------
 
 
-def _all_configs(max_site: int):
-    sites = range(1, max_site + 1)
-    for r in range(max_site + 1):
-        for comb in itertools.combinations(sites, r):
-            yield tuple(sorted(comb, reverse=True))
-
-
-OPERATOR_IDENTITIES = (
-    "aa_commute",
-    "bb_commute",
-    "ab_exchange",
-    "a_at_zero",
-    "a_at_one",
-    "a_inverse_pair",
-    "stochastic_rows",
-    "branching",
-)
-
-
 def verify_operator_identity(
     identity: str,
     params: ModelParams,
     x=None,
     z=None,
     support: int = 3,
-    enforce_guard: bool = True,
     tol: float = 1e-9,
 ):
     """Check one operator identity on all configurations in [1, support].
@@ -794,7 +778,7 @@ def verify_operator_identity(
     rational backend for everything except 'branching', whose infinite
     intermediate sum is only checked to stabilise geometrically.
     """
-    configs = list(_all_configs(support))
+    configs = list(configs_bounded(support, support))
 
     def table(stack, bras, kets):
         pairs = [(m, n) for m in bras for n in kets]
@@ -806,8 +790,7 @@ def verify_operator_identity(
     worst = 0
     if identity == "aa_commute":
         x1, x2 = x
-        if enforce_guard:
-            guard_aa(x1, x2, params).require()
+        guard_aa(x1, x2, params).require()
         lhs = elements([(KIND_A, x1), (KIND_A, x2)])
         rhs = elements([(KIND_A, x2), (KIND_A, x1)])
         worst = max(abs(lhs[k] - rhs[k]) for k in lhs)
@@ -817,8 +800,7 @@ def verify_operator_identity(
         rhs = elements([(KIND_B, z2), (KIND_B, z1)])
         worst = max(abs(lhs[k] - rhs[k]) for k in lhs)
     elif identity == "ab_exchange":
-        if enforce_guard:
-            guard_ab(x, z, params).require()
+        guard_ab(x, z, params).require()
         fac = (x - params.q * z) / (x - z) * (1 - x * z) / (1 - params.q * x * z)
         lhs = elements([(KIND_A, x), (KIND_B, z)])
         rhs = elements([(KIND_B, z), (KIND_A, x)])
@@ -835,8 +817,7 @@ def verify_operator_identity(
                 max(abs(lhs[(m, n)] - (1 if m == n else 0)) for m in configs for n in configs),
             )
     elif identity == "a_inverse_pair":
-        if enforce_guard:
-            guard_a_inverse(x, params).require()
+        guard_a_inverse(x, params).require()
         lhs = elements([(KIND_A, x), (KIND_A, 1 / x)])
         worst = max(
             abs(lhs[(m, n)] - (1 if m == n else 0)) for m in configs for n in configs
@@ -847,14 +828,13 @@ def verify_operator_identity(
             worst = max(worst, abs(stochastic_row_sum(mu, xs, params) - 1))
     elif identity == "branching":
         x1, x2 = x
-        if enforce_guard:
-            guard_aa(x1, x2, params).require()
+        guard_aa(x1, x2, params).require()
         direct = elements([(KIND_A, x1), (KIND_A, x2)])
         s1 = OperatorStack([(KIND_A, x1)], params)
         s2 = OperatorStack([(KIND_A, x2)], params)
         residuals = []
         for cut in (support + 2, support + 4, support + 6):
-            kappas = list(_all_configs(cut))
+            kappas = list(configs_bounded(cut, cut))
             second = table(s2, kappas, configs)
             worst_cut = 0.0
             for mu in configs:

@@ -107,7 +107,7 @@ def _is_one(f: SymFun) -> bool:
     return f.arity == 0 and f(()) == 1
 
 
-def shuffle_exp_truncated(f, max_arity: int, cap: int = DEFAULT_ARITY_CAP):
+def shuffle_exp_truncated(f, max_arity: int):
     """Arity-graded components of exp_*(f) = 1 + f + f*f/2! + ...
 
     f may be one SymFun or a list of SymFuns of distinct positive arities
@@ -117,8 +117,8 @@ def shuffle_exp_truncated(f, max_arity: int, cap: int = DEFAULT_ARITY_CAP):
     comps = f if isinstance(f, (list, tuple)) else [f]
     if any(c.arity < 1 for c in comps):
         raise ArityError("exponent components must have arity >= 1")
-    if max_arity > cap:
-        raise CapExceeded(f"max_arity {max_arity} exceeds cap {cap}")
+    if max_arity > DEFAULT_ARITY_CAP:
+        raise CapExceeded(f"max_arity {max_arity} exceeds cap {DEFAULT_ARITY_CAP}")
     grades = {}
     for c in comps:
         if c.arity in grades:
@@ -135,7 +135,7 @@ def shuffle_exp_truncated(f, max_arity: int, cap: int = DEFAULT_ARITY_CAP):
             for a, ca in grades.items():
                 if m + a > max_arity:
                     continue
-                term = shuffle_product(pm, ca, cap=cap)
+                term = shuffle_product(pm, ca)
                 if m + a in new_power:
                     prev = new_power[m + a]
                     new_power[m + a] = _sum_symfun(prev, term)

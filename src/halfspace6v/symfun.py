@@ -29,6 +29,7 @@ from .rowops import (
     OperatorStack,
     as_config,
     config_max,
+    configs_bounded,
     g_lattice,
     guard_cauchy,
     partition_F,
@@ -142,6 +143,10 @@ _AXES = "abcdefghijklmnopqrstuvwxyz"
 # nodes per circle at which the image rules are probed
 _MARGIN = 1e-6
 _PROBE = 720
+# g_contour's bound on the drift under node doubling, and the relative
+# residue error verify_g_recursion_suite accepts
+_CONVERGENCE_TOL = 1e-8
+_RECURSION_TOL = 1e-6
 
 
 @lru_cache(maxsize=256)
@@ -315,7 +320,6 @@ def nested_contours(
     n: int,
     q,
     nodes: int = 256,
-    pair_inverse: bool = True,
     pair_q_inverse: bool = False,
 ) -> ContourSpec:
     """Concentric circles around the centroid of `enclose`.
@@ -340,14 +344,7 @@ def nested_contours(
         radii = [lo + (hi - lo) * ((k + 0.5) / n) ** 1.35 for k in range(n)]
         spec = ContourSpec(tuple((center, r) for r in radii), nodes)
         try:
-            validate_contours(
-                spec,
-                enclose,
-                exclude,
-                q,
-                pair_inverse=pair_inverse,
-                pair_q_inverse=pair_q_inverse,
-            )
+            validate_contours(spec, enclose, exclude, q, pair_q_inverse=pair_q_inverse)
             return spec
         except ContourInvalid:
             continue
@@ -464,15 +461,15 @@ def g_contour(
     params: ModelParams,
     contours: ContourSpec | None = None,
     nodes: int = 256,
-    tol: float = 1e-8,
     check_convergence: bool = True,
 ):
     """n-fold contour integral for G_nu, trapezoid rule on circles.
 
     Circles are spectrally accurate for this analytic integrand; with
-    check_convergence the node count is doubled once and the drift is
-    required to stay below tol.  Caller-supplied contours must pass the
-    rules the default contours are built to (validate_contours).
+    check_convergence the node count is doubled once and the relative drift
+    is required to stay below _CONVERGENCE_TOL.  Caller-supplied contours
+    must pass the rules the default contours are built to
+    (validate_contours).
     """
     nu = as_config(nu)
     xs = [complex(x) for x in x_alphabet]
@@ -498,7 +495,7 @@ def g_contour(
     out = nested_trapezoid(contours, integrand, nodes, symmetric=z_grid)
     if check_convergence:
         out2 = nested_trapezoid(contours, integrand, 2 * nodes, symmetric=z_grid)
-        if abs(out2 - out) > tol * max(1.0, abs(out2)):
+        if abs(out2 - out) > _CONVERGENCE_TOL * max(1.0, abs(out2)):
             raise QuadratureNotConverged(
                 f"node doubling moved the result by {abs(out2 - out):.3e}"
             )
@@ -528,7 +525,7 @@ def _g_inverted(nu, xs, params: ModelParams, yvals):
     return g_lattice(nu, xs, p)
 
 
-def verify_g_recursion_suite(nu, x_alphabet, params: ModelParams, tol: float = 1e-6) -> dict:
+def verify_g_recursion_suite(nu, x_alphabet, params: ModelParams) -> dict:
     """Numerical residue/decay checks for G_nu in the inverted alphabet.
 
     The pole in y_{nu_1} sits at q x_1; the residue is estimated from a
@@ -568,7 +565,7 @@ def verify_g_recursion_suite(nu, x_alphabet, params: ModelParams, tol: float = 1
         es = [d * g_at(pole + d) for d in ds]
         extrap = _neville_at_zero(ds, es)
         err = abs(extrap / rhs - 1.0)
-        report["residue_at_qx1"] = (err < tol, err)
+        report["residue_at_qx1"] = (err < _RECURSION_TOL, err)
 
     generic = abs(g_at(pole + 1.7 + 0.3j))
     far = abs(g_at(1e6 + 0j))
@@ -579,12 +576,6 @@ def verify_g_recursion_suite(nu, x_alphabet, params: ModelParams, tol: float = 1
 # ---------------------------------------------------------------------------
 # Cauchy identity check
 # ---------------------------------------------------------------------------
-
-
-def _configs_bounded(max_part, max_len):
-    for r in range(max_len + 1):
-        for comb in combinations(range(1, max_part + 1), r):
-            yield tuple(sorted(comb, reverse=True))
 
 
 def _lambda_candidates(mu):
@@ -600,7 +591,7 @@ def _lambda_candidates(mu):
     if not mu:
         return [()]
     out = []
-    for lam in _configs_bounded(mu[0], len(mu)):
+    for lam in configs_bounded(mu[0], len(mu)):
         if all(lam[i] <= mu[i] for i in range(len(lam))):
             out.append(lam)
     return out
@@ -637,7 +628,7 @@ def cauchy_check(mu, nu, x_alphabet, z_alphabet, params: ModelParams, cutoff: in
 
     # a sweep of L rows can add at most L particles to mu
     kappas = sorted(
-        _configs_bounded(cutoff, len(mu) + len(xs)), key=lambda k: (config_max(k), k)
+        configs_bounded(cutoff, len(mu) + len(xs)), key=lambda k: (config_max(k), k)
     )
     g_stack = OperatorStack([(KIND_A, x) for x in xs], params)
     f_stack = OperatorStack([(KIND_B, z) for z in zs], params)

@@ -249,18 +249,18 @@ def z2_symfun(params: ModelParams) -> SymFun:
     return SymFun(2, ev, name="Z2")
 
 
-def z_shuffle(spec: TriangularSpec, cap: int = DEFAULT_ARITY_CAP):
+def z_shuffle(spec: TriangularSpec):
     """Z_{2m} = Z_2^{*m}/m!,  Z_{2m+1} = Z_1 * Z_2^{*m}/m!."""
     xs, params = spec.x, spec.params
     m = len(xs)
-    if m > cap:
-        raise CapExceeded(f"shuffle size {m} exceeds cap {cap}")
+    if m > DEFAULT_ARITY_CAP:
+        raise CapExceeded(f"shuffle size {m} exceeds cap {DEFAULT_ARITY_CAP}")
     if m == 0:
         return 1
     half = m // 2
-    f = shuffle_power(z2_symfun(params), half, cap=cap)
+    f = shuffle_power(z2_symfun(params), half)
     if m % 2 == 1:
-        f = shuffle_product(z1_symfun(params), f, cap=cap)
+        f = shuffle_product(z1_symfun(params), f)
     return f(xs) / factorial(half)
 
 

@@ -32,6 +32,8 @@ DOTTED = "dotted"
 ROTATED = "rotated"
 
 LOCAL_RELATIONS = ("ybe", "reflection", "r_unitarity", "k_unitarity", "factorization")
+# verify_local_relation's residual bound off the rational backend (weights are O(1))
+_FLOAT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -158,55 +160,6 @@ def boundary_weight(i: int, j: int, x, params: ModelParams):
 # Bulk weights
 # ---------------------------------------------------------------------------
 
-# (i, j, k, l) -> weight builder; anything absent violates the ice rule.
-_STOCH_TABLE = {
-    (0, 0, 0, 0): lambda z, q: 1,
-    (1, 0, 1, 0): lambda z, q: q * (1 - z) / (1 - q * z),
-    (1, 0, 0, 1): lambda z, q: (1 - q) / (1 - q * z),
-    (1, 1, 1, 1): lambda z, q: 1,
-    (0, 1, 0, 1): lambda z, q: (1 - z) / (1 - q * z),
-    (0, 1, 1, 0): lambda z, q: z * (1 - q) / (1 - q * z),
-}
-
-_DOTTED_TABLE = {
-    (0, 0, 0, 0): lambda z, q: (1 - q * z) / (1 - z),
-    (1, 0, 1, 0): lambda z, q: q,
-    (1, 0, 0, 1): lambda z, q: (1 - q) / (1 - z),
-    (1, 1, 1, 1): lambda z, q: (1 - q * z) / (1 - z),
-    (0, 1, 0, 1): lambda z, q: 1,
-    (0, 1, 1, 0): lambda z, q: z * (1 - q) / (1 - z),
-}
-
-
-def _entries_by_input(table, key_map=None):
-    out = {}
-    for (i, j, k, l), fn in table.items():
-        if key_map:
-            i, j, k, l = key_map(i, j, k, l)
-        out.setdefault((i, j), []).append(((k, l), fn))
-    return out
-
-# rotated key (vert_in, right_in; vert_out, left_out) <-> stochastic (i,j;k,l)
-_STOCH_BY_INPUT = _entries_by_input(_STOCH_TABLE)
-_DOTTED_BY_INPUT = _entries_by_input(_DOTTED_TABLE)
-_ROTATED_BY_INPUT = _entries_by_input(
-    _STOCH_TABLE, key_map=lambda i, j, k, l: (j, i, l, k)
-)
-
-
-def bulk_entries(i, j, variant):
-    """Nonzero table entries for fixed input edges (i, j): [((k, l), fn)].
-
-    For the rotated variant the input pair is (vertical-in, right-in) and the
-    output pair (vertical-out, left-out), matching a left-moving lower row.
-    """
-    table = {
-        STOCHASTIC: _STOCH_BY_INPUT,
-        DOTTED: _DOTTED_BY_INPUT,
-        ROTATED: _ROTATED_BY_INPUT,
-    }[variant]
-    return table.get((i, j), ())
-
 
 class WeightTable(dict):
     """{(i, j): [(k, l, w)]}: nonzero vertex weights by input edges.  An input
@@ -217,36 +170,44 @@ class WeightTable(dict):
 
 
 def bulk_table(z, variant, q) -> WeightTable:
-    """The table of bulk_entries(i, j, variant) at argument z, each weight
-    evaluated once."""
-    table = WeightTable()
-    for (i, j) in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        try:
-            ws = [(k, l, fn(z, q)) for (k, l), fn in bulk_entries(i, j, variant)]
-        except ZeroDivisionError:
-            continue
-        table[i, j] = [e for e in ws if not is_zero(e[2])]
-    return table
+    """The nonzero bulk weights at spectral argument z as {(i, j): [(k, l, w)]},
+    each written once over the variant's one denominator: 1 - qz for the
+    stochastic table, 1 - z for the dotted one.  The rotated table is the
+    stochastic one with keys (j, i; l, k): (vertical-in, right-in;
+    vertical-out, left-out) of a left-moving lower row."""
+    if variant not in (STOCHASTIC, DOTTED, ROTATED):
+        raise ValueError(f"unknown bulk weight variant {variant!r}")
+    den = 1 - z if variant == DOTTED else 1 - q * z
+    if not is_array(den) and den == 0:  # only the vertices of weight 1 do not divide
+        return WeightTable({} if variant == DOTTED else {(0, 0): [(0, 0, 1)], (1, 1): [(1, 1, 1)]})
+    # a path entering from the left (input (0, 1)) or from below (1, 0)
+    if variant == DOTTED:
+        full = (1 - q * z) / den
+        left, below = (1, z * (1 - q) / den), (q, (1 - q) / den)
+    else:
+        full = 1
+        left = ((1 - z) / den, z * (1 - q) / den)
+        below = (q * (1 - z) / den, (1 - q) / den)
+        if variant == ROTATED:  # the rotation swaps the two inputs' weights
+            left, below = below, left
+    rows = {
+        (0, 0): [(0, 0, full)],
+        (0, 1): [(0, 1, left[0]), (1, 0, left[1])],
+        (1, 0): [(1, 0, below[0]), (0, 1, below[1])],
+        (1, 1): [(1, 1, full)],
+    }
+    return WeightTable({ij: [e for e in es if not is_zero(e[2])] for ij, es in rows.items()})
 
 
 def bulk_weight(i, j, k, l, z, variant, q):
-    """Weight of a bulk vertex (i, j; k, l) at spectral argument z.
-
-    variant: 'stochastic', 'dotted', or 'rotated' (the stochastic table
-    under 90-degree counterclockwise rotation, so that the first two
-    arguments are the vertical-in and right-in edges of a left-moving row).
-    """
-    if variant == ROTATED:
-        i, j, k, l = j, i, l, k
-        variant = STOCHASTIC
-    table = _STOCH_TABLE if variant == STOCHASTIC else _DOTTED_TABLE
-    fn = table.get((i, j, k, l))
-    if fn is None:
+    """Weight of a bulk vertex (i, j; k, l) of the variant ('stochastic',
+    'dotted' or 'rotated') at spectral argument z: its bulk_table entry, 0
+    off the ice rule.  An input at a pole raises DivisionByZero."""
+    if not {i, j, k, l} <= {0, 1}:
+        raise ValueError(f"edge states must be 0/1, got ({i}, {j}, {k}, {l})")
+    if i + j != k + l:
         return 0
-    den = (1 - q * z) if variant == STOCHASTIC else (1 - z)
-    if not is_array(den) and den == 0:
-        raise DivisionByZero(f"bulk weight denominator vanished at z={z}")
-    return fn(z, q)
+    return next((w for kk, ll, w in bulk_table(z, variant, q)[i, j] if (kk, ll) == (k, l)), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +233,14 @@ def _eye(n):
     return [[1 if r == c else 0 for c in range(n)] for r in range(n)]
 
 
-def r_matrix(z, q, variant=STOCHASTIC):
+def r_matrix(z, q):
     """4x4 R-matrix on V1 (horizontal) x V2 (vertical).
 
     Row/column index is 2*v1 + v2; entry [(j, i), (l, k)] is the vertex
     weight (i, j; k, l).
     """
     M = [[0] * 4 for _ in range(4)]
-    table = bulk_table(z, variant, q)
+    table = bulk_table(z, STOCHASTIC, q)
     for i in range(2):
         for j in range(2):
             for k, l, w in table[i, j]:
@@ -318,16 +279,14 @@ def _max_abs_diff(A, B):
     return max(abs(a - b) for ra, rb in zip(A, B) for a, b in zip(ra, rb))
 
 
-def verify_local_relation(
-    relation: str, point: dict, float_tol: float = 1e-10
-) -> tuple[bool, float]:
+def verify_local_relation(relation: str, point: dict) -> tuple[bool, float]:
     """Check one local relation at a concrete parameter point.
 
     point carries whichever of q, a, c, x, y, z the relation needs (plus
     c_infinite).  Both sides are contracted over all internal edge states
     for every fixed boundary assignment, i.e. compared entrywise as dense
     matrices.  Returns (equal, max residual); equality is exact in the
-    rational backend, within float_tol (weights are O(1)) otherwise.
+    rational backend, within _FLOAT_TOL otherwise.
     """
     q = point.get("q")
     x = point.get("x")
@@ -378,7 +337,7 @@ def verify_local_relation(
 
     resid = _max_abs_diff(lhs, rhs)
     exact = all(is_exact(v) for v in point.values() if not isinstance(v, bool))
-    ok = resid == 0 if exact else float(resid) <= float_tol
+    ok = resid == 0 if exact else float(resid) <= _FLOAT_TOL
     return ok, float(resid)
 
 

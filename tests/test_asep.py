@@ -13,7 +13,6 @@ from halfspace6v.asep import (
     MAX_ARRAY_BYTES,
     AsepParams,
     asep_contours,
-    generator_apply,
     generator_matrix,
     leakage_bound,
     map_params,
@@ -59,17 +58,18 @@ def test_generator_conservation():
 
 
 def test_generator_apply_on_empty_delta():
-    out = generator_apply({(): 1.0}, AsepParams(q=0.25, alpha=0.5, gamma=0.0, t=0.0, sites=4))
-    assert abs(out[(1,)] - 0.5) < 1e-14
-    assert abs(out[()] + 0.5) < 1e-14
+    # the generator applied to the delta at mu is row mu of generator_matrix
+    row = generator_matrix(AsepParams(q=0.25, alpha=0.5, gamma=0.0, t=0.0, sites=4))[_mask(())]
+    assert abs(row[_mask((1,))] - 0.5) < 1e-14
+    assert abs(row[_mask(())] + 0.5) < 1e-14
 
 
 def test_exclusion_blocks_left_hop():
     # from (2,1): right hop of the particle at 2 enabled, left hop blocked
     ap = AsepParams(q=0.7, alpha=0.0, gamma=0.0, t=0.0, sites=4)
-    out = generator_apply({(2, 1): 1.0}, ap)
-    assert (3, 1) in out and abs(out[(3, 1)] - 1.0) < 1e-14
-    assert (2,) not in out  # no annihilation; (1,) states unreachable
+    row = generator_matrix(ap)[_mask((2, 1))]
+    assert abs(row[_mask((3, 1))] - 1.0) < 1e-14
+    assert row[_mask((2,))] == 0  # no annihilation; (1,) states unreachable
 
 
 def test_transition_t0_is_delta():
@@ -357,19 +357,6 @@ def test_table_uniformization_matches_dense_reference(sites, q, alpha, gamma, t,
     assert np.array_equal(generator_matrix(ap), _dense_generator(ap))
     got = transition_distribution_exact(mu, ap)
     assert np.abs(got - _dense_uniformization(mask, ap)).max() <= 1e-14
-
-
-def test_generator_apply_matches_dense_reference():
-    ap = AsepParams(q=0.4, alpha=0.7, gamma=0.3, t=0.0, sites=5)
-    f = {(): 0.5, (2, 1): 1.0, (5, 3): -0.25}
-    vec = np.zeros(32)
-    for cfg, v in f.items():
-        vec[sum(1 << (p - 1) for p in cfg)] = v
-    ref = vec @ _dense_generator(ap)
-    out = generator_apply(f, ap)
-    assert len(out) == np.count_nonzero(ref)
-    for cfg, v in out.items():
-        assert abs(v - ref[sum(1 << (p - 1) for p in cfg)]) <= 1e-15
 
 
 # Histograms of simulate_gillespie((2, 1), GOLDEN_AP, 2000, seed), recorded

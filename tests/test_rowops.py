@@ -140,6 +140,18 @@ def test_partition_G_empty_alphabet():
     assert partition_G((2,), (1,), (), P) == 0
 
 
+def test_partition_G_rejects_unknown_method():
+    xs = (F(1, 2), F(2, 5))
+    for method in ("latice", "Stack", ""):
+        with pytest.raises(ValueError):
+            partition_G((2, 1), (), xs, P, method=method)
+    with pytest.raises(ValueError):
+        partition_G((1,), (1,), (), P, method="latice")
+    assert partition_G((2, 1), (), xs, P, method="stack") == partition_G(
+        (2, 1), (), xs, P, method="lattice"
+    )
+
+
 def test_partition_G_single_site_example():
     x = F(1, 2)
     v = partition_G((1,), (), (x,), P)

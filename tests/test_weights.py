@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from halfspace6v.errors import DivisionByZero
+from halfspace6v.scalars import rand_rational
 from halfspace6v.weights import (
     DOTTED,
     LOCAL_RELATIONS,
@@ -11,6 +12,7 @@ from halfspace6v.weights import (
     STOCHASTIC,
     ModelParams,
     boundary_weight,
+    bulk_table,
     bulk_weight,
     h_func,
     params_from_json,
@@ -107,6 +109,69 @@ def test_dotted_ratio():
         s = bulk_weight(*key, z, STOCHASTIC, q)
         d = bulk_weight(*key, z, DOTTED, q)
         assert d == ratio * s
+
+
+def _closed_form(i, j, k, l, z, variant, q):
+    # the stochastic table written out; dotted = stochastic (1-qz)/(1-z);
+    # rotated = stochastic at (j, i; l, k)
+    if variant == ROTATED:
+        i, j, k, l = j, i, l, k
+    w = {
+        (0, 0, 0, 0): 1,
+        (1, 0, 1, 0): q * (1 - z) / (1 - q * z),
+        (1, 0, 0, 1): (1 - q) / (1 - q * z),
+        (1, 1, 1, 1): 1,
+        (0, 1, 0, 1): (1 - z) / (1 - q * z),
+        (0, 1, 1, 0): z * (1 - q) / (1 - q * z),
+    }.get((i, j, k, l), 0)
+    return w * (1 - q * z) / (1 - z) if variant == DOTTED else w
+
+
+def test_bulk_weight_is_its_table_entry():
+    rng = random.Random(18)
+    for _ in range(40):
+        q, z = rand_rational(rng), rand_rational(rng)
+        if (1 - q * z) * (1 - z) == 0:
+            continue
+        for variant in (STOCHASTIC, DOTTED, ROTATED):
+            table = bulk_table(z, variant, q)
+            assert list(table) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+            for i, j, k, l in ICE_TUPLES:
+                entry = [w for kk, ll, w in table[i, j] if (kk, ll) == (k, l)]
+                assert len(entry) <= 1 and all(w != 0 for w in entry)
+                w = bulk_weight(i, j, k, l, z, variant, q)
+                assert w == (entry[0] if entry else 0)
+                assert w == _closed_form(i, j, k, l, z, variant, q), (i, j, k, l, variant)
+
+
+def test_bulk_weight_at_pole():
+    # z = 1/q: only the stochastic (and rotated) empty and full vertices do
+    # not divide by 1 - qz; z = 1 is a pole of every dotted input
+    for q, z in ((F(1, 3), F(3)), (0.25, 4.0)):
+        for variant in (STOCHASTIC, ROTATED):
+            assert list(bulk_table(z, variant, q)) == [(0, 0), (1, 1)]
+            assert bulk_weight(0, 0, 0, 0, z, variant, q) == 1
+            assert bulk_weight(1, 1, 1, 1, z, variant, q) == 1
+            for i, j, k, l in ICE_TUPLES:
+                if i != j and i + j == k + l:
+                    with pytest.raises(DivisionByZero):
+                        bulk_weight(i, j, k, l, z, variant, q)
+        assert bulk_table(1 + 0 * z, DOTTED, q) == {}
+        for i, j, k, l in ICE_TUPLES:
+            if i + j == k + l:
+                with pytest.raises(DivisionByZero):
+                    bulk_weight(i, j, k, l, 1 + 0 * z, DOTTED, q)
+            else:
+                assert bulk_weight(i, j, k, l, z, STOCHASTIC, q) == 0
+
+
+def test_bulk_weights_reject_bad_input():
+    with pytest.raises(ValueError):
+        bulk_table(F(1, 2), "rotate", F(1, 3))
+    # an edge state of 2 is not a pole of input (2, 0)
+    for key in ((2, 0, 2, 0), (2, 0, 1, 1), (0, 0, 0, -1)):
+        with pytest.raises(ValueError):
+            bulk_weight(*key, F(1, 2), STOCHASTIC, F(1, 3))
 
 
 def test_ybe_reference_point():
