@@ -350,6 +350,10 @@ def asep_contours(params: AsepParams, n: int, nodes: int = 128) -> ContourSpec:
 
     Radii follow a geometric ladder validated against the exclusions
     {0, q, 1/q, (q+alpha-1)/alpha} and the q-image/inverse disjointness.
+    The ladder is its own, not symfun.nested_contours: the essential
+    singularity at w = 1 is not the two-pole annulus whose geometric mean
+    that constructor takes, and test_formula_three_and_four_particles pins
+    the 64-node values these radii give to 1e-12.
     """
     q = params.q
     exclude = _formula_poles(params)

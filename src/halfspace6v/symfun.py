@@ -143,6 +143,10 @@ _AXES = "abcdefghijklmnopqrstuvwxyz"
 # nodes per circle at which the image rules are probed
 _MARGIN = 1e-6
 _PROBE = 720
+# nested_contours: r_lo is at least this fraction of r_hi, an annulus when the
+# one enclosed point is the centre (worst 16-node error of single-point cases:
+# 2e-6 at 0.1, 5e-12 at 0.02, 2e-14 at 0.01; all reach rounding by 64 nodes)
+_R_LO_FLOOR = 0.02
 # g_contour's bound on the drift under node doubling, and the relative
 # residue error verify_g_recursion_suite accepts
 _CONVERGENCE_TOL = 1e-8
@@ -278,6 +282,12 @@ def validate_contours(
     pair_inverse) and q/C_j (when pair_q_inverse; a pole of the extended
     triangular factor) must stay outside the open disk of C_i; circles
     must be strictly nested inner-to-outer.
+
+    No pole inside is not convergence: one just clear of a circle passes,
+    and N nodes then converge at a rate near 1.  At q = 0.26, alpha = 0.51,
+    t = 1, circles about 1 of radii 0.2213, 0.3309, 0.4949 pass (1/C_3
+    clears C_2 by 1.6e-4), and the ASEP formula for (3, 2, 1) gives -5.1e-4
+    at 64 nodes and 7.9e-5 at 512, where the value is 9.879e-5.
     """
     qq = complex(q)
     circles = [(complex(c), float(r)) for c, r in spec.circles]
@@ -322,33 +332,31 @@ def nested_contours(
     nodes: int = 256,
     pair_q_inverse: bool = False,
 ) -> ContourSpec:
-    """Concentric circles around the centroid of `enclose`.
+    """Concentric circles around the centroid c of `enclose`: the default
+    circles of g_contour and the orthogonality check.
 
-    Radii are picked between the enclosing radius and the nearest excluded
-    point by bisecting a geometric ladder until the validator accepts
-    (rationale: the definition constrains contours but does not construct
-    them).
+    The integrand is analytic for r_lo < |w - c| < r_hi, from the farthest
+    enclosed point (at least _R_LO_FLOOR r_hi) to the nearest excluded one,
+    and the trapezoid error on a circle of radius r decays like
+    max(r_lo/r, r/r_hi)^N (Trefethen-Weideman, SIAM Rev. 56, 2014).  The n
+    radii are spaced geometrically in (r_lo, r_hi), so one circle sits at
+    sqrt(r_lo r_hi), where that rate is smallest; the upper end shrinks
+    until validate_contours accepts the pair rules.
     """
     pts = [complex(p) for p in enclose]
     center = sum(pts) / len(pts)
-    r_lo = max(abs(p - center) for p in pts)
-    r_hi = min(abs(complex(p) - center) for p in exclude) if exclude else r_lo * 8 + 1
-    if r_hi <= r_lo * (1 + 1e-9):
-        raise ContourInvalid("no annulus between enclosed and excluded points")
-    # keep real margins to both the enclosed points and the poles, then
-    # bisect the upper end down until the pairwise conditions accept
-    for shrink in range(60):
-        s = 0.9**shrink
-        hi = r_lo + (r_hi - r_lo) * 0.85 * s
-        lo = r_lo + (r_hi - r_lo) * 0.25 * s
-        radii = [lo + (hi - lo) * ((k + 0.5) / n) ** 1.35 for k in range(n)]
+    reach = max(abs(p - center) for p in pts)
+    r_hi = min((abs(complex(p) - center) for p in exclude), default=8 * reach + 1)
+    r_lo = max(reach, _R_LO_FLOOR * r_hi)
+    while r_hi > r_lo * (1 + 1e-9):
+        radii = [r_lo * (r_hi / r_lo) ** ((k + 1) / (n + 1)) for k in range(n)]
         spec = ContourSpec(tuple((center, r) for r in radii), nodes)
         try:
             validate_contours(spec, enclose, exclude, q, pair_q_inverse=pair_q_inverse)
             return spec
         except ContourInvalid:
-            continue
-    raise ContourInvalid("could not satisfy the contour constraints")
+            r_hi *= 0.9
+    raise ContourInvalid("no annulus between enclosed and excluded points meets the pair rules")
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +457,6 @@ def _g_contour_poles(nu, xs, params: ModelParams) -> list:
     return exclude
 
 
-def default_g_contours(nu, x_alphabet, params: ModelParams, n: int, nodes: int = 256):
-    xs = [complex(x) for x in x_alphabet]
-    exclude = _g_contour_poles(nu, xs, params)
-    return nested_contours(xs, exclude, n, params.q, nodes=nodes, pair_q_inverse=(n > 1))
-
-
 def g_contour(
     nu,
     x_alphabet,
@@ -476,14 +478,13 @@ def g_contour(
     n = len(nu)
     if n == 0:
         return complex(z_triangular_vec(xs, params))
+    poles = _g_contour_poles(nu, xs, params)
     if contours is None:
-        contours = default_g_contours(nu, xs, params, n, nodes)
+        contours = nested_contours(xs, poles, n, params.q, nodes, pair_q_inverse=(n > 1))
     elif contours.n != n:
         raise ContourInvalid(f"need {n} contours, got {contours.n}")
     else:
-        validate_contours(
-            contours, xs, _g_contour_poles(nu, xs, params), params.q, pair_q_inverse=(n > 1)
-        )
+        validate_contours(contours, xs, poles, params.q, pair_q_inverse=(n > 1))
 
     def integrand(ws):
         return _g_integrand_factors(ws, xs, nu, params)
@@ -660,45 +661,26 @@ def cauchy_check(mu, nu, x_alphabet, z_alphabet, params: ModelParams, cutoff: in
 # ---------------------------------------------------------------------------
 
 
-def _orthogonality_points(params: ModelParams, max_part: int):
-    """(enclose, exclude) for the orthogonality circle: the points 1/y_j
-    inside it, the poles of the integrand and of F outside."""
+def _orthogonality_points(params: ModelParams, max_part: int, center=None):
+    """(enclose, exclude) for an orthogonality circle about `center` (by
+    default the centroid of the enclosed points): the points 1/y_j inside
+    it, the poles of the integrand and of F outside, and the point at
+    |qc - c|/(1 + |q|) from c towards qc.  A circle C about c clears that
+    point iff qC stays off the disk of C, the pair rule of n copies of C."""
     q = complex(params.q)
     a = complex(params.a)
     ys = [complex(params.y_at(j)) for j in range(1, max_part + 1)]
-    exclude = [0.0, 1.0, -1.0, a, 1.0 / a]
+    inv = [1.0 / y for y in ys]
+    c = sum(inv) / len(inv) if center is None else complex(center)
+    exclude = [0.0, 1.0, -1.0, a, 1.0 / a, c + (q * c - c) / (1.0 + abs(q))]
     for y in ys:
         exclude += [y, y / q, 1.0 / (q * y)]
-    return [1.0 / y for y in ys], exclude
-
-
-def _validate_orthogonality_contour(spec: ContourSpec, inv, exclude, q) -> None:
-    """validate_contours on the one circle, plus the pair rule of n copies
-    of it: q C stays off the disk of C, |qc - c| > r(1 + |q|)."""
-    validate_contours(spec, inv, exclude, q, pair_inverse=False)
-    (center, radius), = spec.circles
-    q, center = complex(q), complex(center)
-    if abs(q * center - center) <= radius * (1.0 + abs(q)):
-        raise ContourInvalid("the q-image of the circle meets its disk")
+    return inv, exclude
 
 
 def default_orthogonality_contour(params: ModelParams, max_part: int, nodes: int = 128) -> ContourSpec:
-    """Common circle around the points 1/y_j with q C disjoint from C."""
-    q = complex(params.q)
-    inv, exclude = _orthogonality_points(params, max_part)
-    center = sum(inv) / len(inv)
-    r_lo = max(abs(p - center) for p in inv)
-    r_hi = min(abs(p - center) for p in exclude)
-    if r_hi <= r_lo:
-        raise ContourInvalid("y-inverse cluster is not separated from poles")
-    # q-image disjointness for a single circle: |qc - c| > r(1+|q|)
-    r_q = abs(q * center - center) / (1.0 + abs(q)) * 0.95
-    radius = min(r_hi * 0.7 + r_lo * 0.3, r_q)
-    if radius <= r_lo:
-        raise ContourInvalid("cannot fit contour radius between constraints")
-    spec = ContourSpec(((center, radius),), nodes)
-    _validate_orthogonality_contour(spec, inv, exclude, q)
-    return spec
+    """The nested_contours circle around the points 1/y_j."""
+    return nested_contours(*_orthogonality_points(params, max_part), 1, params.q, nodes)
 
 
 def orthogonality_check(
@@ -735,8 +717,9 @@ def orthogonality_check(
     if contour is None:
         contour = default_orthogonality_contour(params, max_part, nodes)
     else:
-        circle = ContourSpec(contour.circles[:1], contour.nodes)
-        _validate_orthogonality_contour(circle, *_orthogonality_points(params, max_part), params.q)
+        (center, _), *_ = contour.circles
+        points = _orthogonality_points(params, max_part, center)
+        validate_contours(ContourSpec(contour.circles[:1]), *points, params.q)
     q = complex(params.q)
     a = complex(params.a)
     fparams = ModelParams(

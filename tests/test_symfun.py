@@ -297,9 +297,22 @@ def test_contour_validation_rejects_bad_circles():
         validate_contours(ContourSpec(((0.5, 0.1), (0.5, 0.05))), [0.45], [5.0], 0.25)
 
 
-def test_nested_contours_constructor():
-    spec = nested_contours([0.5], [0.125, 8.0, 4.0, 3.0, -2.0], 1, 0.25)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_nested_contours_constructor(n):
+    """Radii spaced geometrically in (r_lo, r_hi), one circle at
+    sqrt(r_lo r_hi).  The one enclosed point is the centre, so r_lo is the
+    floor; the nearest excluded point 0.125 gives r_hi = 0.375."""
+    spec = nested_contours([0.5], [0.125, 8.0, 4.0, 3.0, -2.0], n, 0.25)
     validate_contours(spec, [0.5], [0.125, 8.0, 4.0, 3.0, -2.0], 0.25)
+    r_hi = 0.375
+    r_lo = symfun._R_LO_FLOOR * r_hi
+    radii = [r for c, r in spec.circles]
+    assert all(c == 0.5 for c, _ in spec.circles)
+    ratio = radii[0] / r_lo
+    assert all(b / a == pytest.approx(ratio, rel=1e-12) for a, b in zip(radii, radii[1:]))
+    assert r_lo < radii[0] and radii[-1] * ratio <= r_hi * (1 + 1e-12)
+    if n == 1:
+        assert radii[0] == pytest.approx(math.sqrt(r_lo * r_hi), rel=1e-12)
 
 
 def test_recursion_suite():
@@ -343,9 +356,10 @@ def test_orthogonality_diagonal_and_off():
 def test_orthogonality_three_variables(kappa):
     """Three-fold orthogonality against nu = (3, 2, 1) on 64^3 nodes.
 
-    Parts of size 4 need at least 96 nodes for 1e-6 ((4, 2, 1) against
-    (3, 2, 1) is off by 2e-4 at 64 nodes and by 4.4e-7 at 96); they are
-    checked at 96^3 in test_orthogonality_parts_of_size_four.
+    On the default circle the diagonal case is off by 2.6e-11 at 32 nodes
+    and 1.1e-15 at 48; the off-diagonal ones are below 1e-18 at every node
+    count.  Parts of size 4 are checked in
+    test_orthogonality_parts_of_size_four and test_orthogonality_48_nodes.
     """
     v = orthogonality_check(kappa, (3, 2, 1), ORTH_PARAMS, nodes=64)
     assert abs(v - (1.0 if kappa == (3, 2, 1) else 0.0)) < 1e-6
@@ -353,10 +367,20 @@ def test_orthogonality_three_variables(kappa):
 
 @pytest.mark.parametrize("kappa, nu", [((4, 2, 1), (3, 2, 1)), ((4, 2, 1), (4, 2, 1))])
 def test_orthogonality_parts_of_size_four(kappa, nu):
-    """Parts of size 4 on 96^3 nodes.  Error against delta at 64 / 80 / 96
-    nodes: diagonal 4.4e-5 / 2.1e-6 / 9.9e-8, off-diagonal 2e-4 / 9.3e-6 /
-    4.4e-7, so 96 is the smallest of these that reaches 1e-6."""
+    """Parts of size 4 on 96^3 nodes.  Error against delta on the default
+    circle at 64 / 80 / 96 nodes: diagonal 6.8e-12 / 7.8e-15 / 8.0e-16,
+    off-diagonal 2.5e-11 / 3.5e-14 / 1.1e-14."""
     v = orthogonality_check(kappa, nu, ORTH_PARAMS, nodes=96)
+    assert abs(v - (1.0 if kappa == nu else 0.0)) < 1e-6
+
+
+@pytest.mark.parametrize("kappa, nu", [((4, 2, 1), (3, 2, 1)), ((4, 2, 1), (4, 2, 1))])
+def test_orthogonality_48_nodes(kappa, nu):
+    """The default circle sits at the geometric mean of its annulus
+    (nested_contours), where the trapezoid rate is smallest: parts of size
+    4 reach 1e-6 on 48^3 nodes (2.5e-8 off the diagonal, 6.7e-9 on it).  A
+    circle at 0.7 r_hi + 0.3 r_lo was off by 4.1e-3 and 9.2e-4 here."""
+    v = orthogonality_check(kappa, nu, ORTH_PARAMS, nodes=48)
     assert abs(v - (1.0 if kappa == nu else 0.0)) < 1e-6
 
 
@@ -451,3 +475,12 @@ def test_g_contour_inhomogeneous_y():
     p2 = ModelParams(q=F(1, 10), a=F(3), c=F(-2), y=(F(4, 5), F(6, 5), F(1)))
     v = g_contour((2, 1), (F(4, 5), F(7, 10)), p2, nodes=96)
     assert abs(v - float(g_subset((2, 1), (F(4, 5), F(7, 10)), p2))) < 1e-10
+
+
+def test_g_contour_32_nodes():
+    """Default circles at the geometric mean of the annulus reach 1e-8 at 32
+    nodes without doubling (off by 3.4e-11; a ladder from 0.25 to 0.85 of
+    the annulus was off by 1.9e-6)."""
+    p2 = ModelParams(q=F(1, 10), a=F(3), c=F(-2), y=(F(4, 5), F(6, 5), F(1)))
+    v = g_contour((2, 1), (F(4, 5), F(7, 10)), p2, nodes=32, check_convergence=False)
+    assert abs(v - float(g_subset((2, 1), (F(4, 5), F(7, 10)), p2))) < 1e-8
