@@ -43,17 +43,14 @@ def _parse_config(text: str) -> tuple:
 
 
 def _emit(payload: dict, args) -> None:
-    text = json.dumps(payload, sort_keys=True)
-    if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+    _write(json.dumps(payload, sort_keys=True), args)
 
 
 def _emit_csv(rows, header, args) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(str(v) for v in row) for row in rows]
-    text = "\n".join(lines)
+    _write("\n".join([",".join(header)] + [",".join(str(v) for v in row) for row in rows]), args)
+
+
+def _write(text: str, args) -> None:
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
             fh.write(text + "\n")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .rowops import (
     partition_F,
     partition_G,
 )
+from .scalars import is_array
 from .triangular import TriangularSpec, z_pfaffian, z_subset_kuperberg
 from .weights import ModelParams, h_func, h_over_ac
 
@@ -130,11 +131,15 @@ class ContourSpec:
         return len(self.circles)
 
 
-# Grid points per block of the symmetric factor: 80^2 blocks at n = 2 with
-# 160 nodes, 16^3 at 64 and 20^3 at 96.  A block's complex lane arrays then
-# stay within 128 KiB, glibc's default threshold above which each temporary
-# is a fresh mapping that page-faults on first touch.
+# Grid points per block of g_contour's symmetric factor (2 x 2 blocks of 64^2
+# at n = 2 with 128 nodes): a block's complex lane arrays stay within 128 KiB,
+# glibc's default threshold above which each temporary is a fresh mapping
+# that page-faults on first touch.
 BLOCK_LANES = 1 << 13
+# Largest einsum intermediate, in elements (32 MiB complex).  numpy's greedy
+# default caps it at the largest operand, which leaves bond chains in one naive
+# loop; four-fold orthogonality holds 16 N^3 at N nodes, within 2^21 to N = 50.
+PATH_CAP = 1 << 21
 # floating-point conditions on quadrature nodes: a pole shows as inf or nan
 _NODE_ERRSTATE = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
 # einsum subscript of grid axis i (one letter per integration variable)
@@ -155,32 +160,35 @@ _RECURSION_TOL = 1e-6
 
 @lru_cache(maxsize=256)
 def _contraction_path(subscripts: str, shapes: tuple):
-    """The einsum contraction order for operands of these shapes."""
+    """The einsum contraction order for operands of these shapes: numpy's
+    greedy path with intermediates of at most PATH_CAP elements."""
     dummies = [np.broadcast_to(np.zeros((), dtype=complex), s) for s in shapes]
-    return np.einsum_path(subscripts, *dummies, optimize="greedy")[0]
+    return np.einsum_path(subscripts, *dummies, optimize=("greedy", PATH_CAP))[0]
 
 
 def _spanned(factors, n: int):
-    """Split factors into a scalar and (array, axes) pairs: each array
-    factor keeps only the grid axes it spans (length above 1)."""
-    scale, spans = 1, []
-    for f in map(np.asarray, factors):
-        if f.size == 1:
-            scale = scale * complex(f.reshape(()))
-            continue
-        shape = (1,) * (n - f.ndim) + f.shape
+    """(array, axes, bonds) triples: each factor keeps only the grid axes it
+    spans (length above 1), a scalar none, and a factor given as
+    (array, bonds) keeps its trailing bond axes."""
+    spans = []
+    for f in factors if isinstance(factors, list) else [factors]:
+        f, bonds = f if isinstance(f, tuple) else (f, "")
+        f = np.asarray(f)
+        grid = f.shape[: f.ndim - len(bonds)]
+        shape = (1,) * (n - len(grid)) + grid
         axes = tuple(k for k in range(n) if shape[k] != 1)
-        spans.append((f.reshape([shape[k] for k in axes]), axes))
-    return scale, spans
+        spans.append((f.reshape([shape[k] for k in axes] + list(f.shape[len(grid) :])), axes, bonds))
+    return spans
 
 
 def _contract(spans, measures):
-    """sum over the grid of prod(factors) * prod_i measures[i], for factors
-    given as (array, axes) pairs: the sum runs one variable at a time, so no
-    product is formed on the whole grid."""
-    operands = [f for f, _ in spans] + measures
-    terms = ["".join(_AXES[k] for k in axes) for _, axes in spans] + list(_AXES[: len(measures)])
-    subscripts = ",".join(terms) + "->"
+    """sum over the grid and the bond labels of prod(factors) *
+    prod_i measures[i], for factors given as (array, axes, bonds) triples:
+    the sum runs one index at a time, so no product is formed on the whole
+    grid."""
+    operands = [f for f, _, _ in spans] + measures
+    terms = ["".join(_AXES[k] for k in axes) + bonds for _, axes, bonds in spans]
+    subscripts = ",".join(terms + list(_AXES[: len(measures)])) + "->"
     path = _contraction_path(subscripts, tuple(op.shape for op in operands))
     return np.einsum(subscripts, *operands, optimize=path)
 
@@ -205,31 +213,27 @@ def nested_trapezoid(contours: ContourSpec, integrand, nodes: int, symmetric=Non
     scalars and arrays that each broadcast against that grid (a bare array
     is one factor): a factor computed from some of the ws spans only their
     axes, and the sum contracts the factors with the measures dw_i by
-    einsum, one variable at a time, so a factor of one or two variables
-    never spreads over the whole grid.
+    einsum, one index at a time, so a factor of one or two variables
+    never spreads over the whole grid.  A factor (array, bonds) carries
+    trailing axes after its grid axes, named by the upper-case letters of
+    bonds; each label is summed over, like a grid axis.
 
     symmetric, when given, is the one factor that spans every variable and
     is symmetric in them.  The nodes are cut into the fewest equal chunks
     (the last may be shorter) that keep a block of n chunks within
     BLOCK_LANES points, and symmetric is called once per block on that
-    block's open grid.  When all circles are equal it is called once per
-    sorted tuple of chunks, and every other ordering of that block is
-    contracted from the same values, transposed; each grid point is summed
-    once.  A factor or block sum that is not finite (a node on a pole; array
-    inputs bypass the scalar pole checks) raises ContourInvalid.  A node
-    count below 1 raises ValueError.
+    block's open grid.  A factor or block sum that is not finite (a node on
+    a pole; array inputs bypass the scalar pole checks) raises
+    ContourInvalid.  A node count below 1 raises ValueError.
     """
     if nodes < 1:
         raise ValueError(f"need at least one quadrature node per circle, got {nodes}")
     n = contours.n
     lines = [contours.nodes_of(i, nodes) for i in range(n)]
     with np.errstate(**_NODE_ERRSTATE):
-        factors = integrand(np.ix_(*(w for w, _ in lines)))
-        if not isinstance(factors, (list, tuple)):
-            factors = [factors]
-        if not all(np.all(np.isfinite(f)) for f in factors):
+        spans = _spanned(integrand(np.ix_(*(w for w, _ in lines))), n)
+        if not all(np.all(np.isfinite(f)) for f, _, _ in spans):
             raise ContourInvalid("a quadrature node sits on a pole of the integrand")
-        scale, spans = _spanned(factors, n)
         if symmetric is None:
             total = _contract(spans, [dw for _, dw in lines])
         else:
@@ -238,30 +242,17 @@ def nested_trapezoid(contours: ContourSpec, integrand, nodes: int, symmetric=Non
                 chunks += 1
                 size = -(-nodes // chunks)
             cut = [slice(s, s + size) for s in range(0, nodes, size)]
-            equal = len(set(contours.circles)) == 1
-            if equal:
-                blocks = combinations_with_replacement(range(len(cut)), n)
-            else:
-                blocks = product(range(len(cut)), repeat=n)
             total = 0j
-            for block in blocks:
-                ws = np.ix_(*(w[cut[c]] for (w, _), c in zip(lines, block)))
+            for block in product(cut, repeat=n):
+                ws = np.ix_(*(w[c] for (w, _), c in zip(lines, block)))
                 fb = np.broadcast_to(symmetric(ws), np.broadcast_shapes(*(x.shape for x in ws)))
                 if not np.all(np.isfinite(fb)):
                     raise ContourInvalid("a quadrature node sits on a pole of the integrand")
-                # the block at chunks (block[perm[0]], .., block[perm[n-1]])
-                # holds fb with its axis k taken from fb's axis perm[k]
-                orderings = {}
-                for perm in permutations(range(n)) if equal else [tuple(range(n))]:
-                    orderings.setdefault(tuple(block[p] for p in perm), perm)
-                for perm in orderings.values():
-                    at = [cut[block[p]] for p in perm]
-                    total += _contract(
-                        [(f[tuple(at[k] for k in axes)], axes) for f, axes in spans]
-                        + [(np.transpose(fb, perm), tuple(range(n)))],
-                        [dw[c] for (_, dw), c in zip(lines, at)],
-                    )
-        total = scale * total
+                total += _contract(
+                    [(f[tuple(block[k] for k in axes)], axes, bonds) for f, axes, bonds in spans]
+                    + [(fb, tuple(range(n)), "")],
+                    [dw[c] for (_, dw), c in zip(lines, block)],
+                )
     if not np.isfinite(total):
         raise ContourInvalid("the integrand overflows on the quadrature nodes")
     return complex(total)
@@ -683,6 +674,23 @@ def default_orthogonality_contour(params: ModelParams, max_part: int, nodes: int
     return nested_contours(*_orthogonality_points(params, max_part), 1, params.q, nodes)
 
 
+def _b_transfer(kappa, w, params: ModelParams):
+    """(configurations, M): M(w)[alpha, beta] = <alpha| Bdot(w) |beta> of
+    shape w.shape + (S, S) on the S configurations kappa dominates.  A Bdot
+    sweep moves no particle right and creates none, so beta is dominated by
+    alpha (_lambda_candidates) and F_kappa(w_1..w_n) = [M(w_1) .. M(w_n)]
+    at (kappa, ()).  One single-row OperatorStack evaluates every entry on
+    all of w's lanes at once; an exact w gives an object array."""
+    states = _lambda_candidates(kappa)
+    index = {s: i for i, s in enumerate(states)}
+    pairs = [(alpha, beta) for alpha in states for beta in _lambda_candidates(alpha)]
+    values = OperatorStack([(KIND_B, w)], params).elements(pairs)
+    M = np.zeros(np.shape(w) + (len(states),) * 2, dtype=complex if is_array(w) else object)
+    for (alpha, beta), v in zip(pairs, values):
+        M[..., index[alpha], index[beta]] = v
+    return states, M
+
+
 def orthogonality_check(
     kappa,
     nu,
@@ -696,12 +704,11 @@ def orthogonality_check(
     integration variables run over the same circle, the first circle of a
     caller's contour, which must pass the rules the default circle is built
     to.  nodes=None takes the node count of the caller's contour, or 128
-    without one.  F is symmetric in its variables (the Bdot(z) commute;
-    verify_operator_identity('bb_commute')), so nested_trapezoid evaluates
-    it once per sorted block of node tuples through the vectorised operator
-    stack, each row on its own variable's nodes; the rest of the integrand
-    is not symmetric and enters as one factor per variable and one per
-    pair.
+    without one.  F_kappa(w_1..w_n) is the (kappa, ()) entry of the chain
+    M(w_1) .. M(w_n) of one-row transfer matrices (_b_transfer), built once
+    on the circle's nodes; nested_trapezoid contracts the chain, one bond
+    per pair of neighbouring variables, with one factor per variable and
+    one per pair, so nothing spans the whole grid.
     """
     kappa, nu = as_config(kappa), as_config(nu)
     n = len(nu)
@@ -720,15 +727,9 @@ def orthogonality_check(
         (center, _), *_ = contour.circles
         points = _orthogonality_points(params, max_part, center)
         validate_contours(ContourSpec(contour.circles[:1]), *points, params.q)
-    q = complex(params.q)
-    a = complex(params.a)
-    fparams = ModelParams(
-        q=q,
-        a=a,
-        c=None,
-        y=tuple(complex(params.y_at(j)) for j in range(1, max_part + 1)),
-        c_infinite=True,
-    )
+    q, a = complex(params.q), complex(params.a)
+    ys = tuple(complex(params.y_at(j)) for j in range(1, max_part + 1))
+    fparams = ModelParams(q=q, a=a, c=None, y=ys, c_infinite=True)
 
     def integrand(ws):
         factors = []
@@ -736,16 +737,16 @@ def orthogonality_check(
             # (a - w), not (w - a): the orientation the degenerate Cauchy
             # identity produces, normalising the diagonal to +1
             val = (a - w) / (w * (1 - a * w)) * (1 - q * w * w) / (1 - w * w)
-            y_nu = complex(params.y_at(nu[i]))
-            val = val * y_nu / (1 - q * w * y_nu)
-            for j in range(1, nu[i]):
-                yj = complex(params.y_at(j))
+            val = val * ys[nu[i] - 1] / (1 - q * w * ys[nu[i] - 1])
+            for yj in ys[: nu[i] - 1]:
                 val = val * (1 - w * yj) / (1 - q * w * yj)
             factors.append(val)
-        return factors + pair_factors(ws, q)
+        # every variable runs over the same nodes, so one M serves them all;
+        # variable i's copy joins bonds i and i + 1, unit vectors close them
+        states, M = _b_transfer(kappa, ws[0].ravel(), fparams)
+        ends = np.eye(len(states))[[states.index(kappa), states.index(())]]
+        bonds = _AXES.upper()
+        chain = [(M.reshape(w.shape + M.shape[1:]), bonds[i : i + 2]) for i, w in enumerate(ws)]
+        return factors + pair_factors(ws, q) + chain + [(ends[0], "A"), (ends[1], bonds[n])]
 
-    def f_kappa(ws):
-        return OperatorStack([(KIND_B, w) for w in ws], fparams).element(kappa, ())
-
-    circles = ContourSpec(contour.circles[:1] * n, nodes)
-    return nested_trapezoid(circles, integrand, nodes, symmetric=f_kappa)
+    return nested_trapezoid(ContourSpec(contour.circles[:1] * n), integrand, nodes)

@@ -91,7 +91,7 @@ def params_from_json(obj: dict, backend: str = RATIONAL) -> ModelParams:
     return ModelParams(
         q=p("q"),
         a=p("a"),
-        c=None if c_infinite and "c" not in obj else p("c"),
+        c=None if c_infinite and obj.get("c") is None else p("c"),
         x=alph("x"),
         z=alph("z"),
         y=alph("y") or (Fraction(1) if backend == RATIONAL else 1.0,),

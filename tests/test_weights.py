@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from halfspace6v.errors import DivisionByZero
-from halfspace6v.scalars import rand_rational
+from halfspace6v.scalars import COMPLEX, RATIONAL, rand_rational
 from halfspace6v.weights import (
     DOTTED,
     LOCAL_RELATIONS,
@@ -207,6 +207,17 @@ def test_params_json_roundtrip():
     p = params_from_json(obj)
     assert p.q == F(1, 3) and p.x == (F(1, 2),)
     assert p.y_at(1) == 1 and p.y_at(10) == 1  # constant tail
+
+
+@pytest.mark.parametrize("backend", [RATIONAL, COMPLEX])
+def test_params_json_null_c_with_c_infinite(backend):
+    """A parameter file may spell the infinite boundary as "c": null."""
+    obj = {"q": "1/4", "a": "3", "y": ["1"], "c_infinite": True}
+    absent = params_from_json(obj, backend)
+    null = params_from_json({**obj, "c": None}, backend)
+    assert null == absent and null.c is None and null.c_infinite
+    with pytest.raises(ValueError):
+        params_from_json({**obj, "c": None, "c_infinite": False}, backend)
 
 
 def test_relations_float_backend_tolerance():
