@@ -6,8 +6,8 @@ which n of the L spectral parameters are attached to the occupied sites,
 and an equivalent n-fold contour integral whose integrand contains the
 triangular partition function on the extended alphabet (x, 1/w).  The
 two routes share no formula for Z: g_subset takes it from Kuperberg's
-even-subset sum (z_subset_kuperberg), the integrand from the single
-bordered Pfaffian batched over the quadrature nodes (z_triangular_vec).
+even-subset sum (z_subset_kuperberg), the integrand from the bordered
+Pfaffian split by a Schur complement into pair factors (z_factors).
 The contour machinery here realises the abstract nesting/exclusion rules
 as concentric circles with numerically validated constraints.
 """
@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from itertools import combinations, permutations, product
+from functools import lru_cache, partial
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -131,11 +131,6 @@ class ContourSpec:
         return len(self.circles)
 
 
-# Grid points per block of g_contour's symmetric factor (2 x 2 blocks of 64^2
-# at n = 2 with 128 nodes): a block's complex lane arrays stay within 128 KiB,
-# glibc's default threshold above which each temporary is a fresh mapping
-# that page-faults on first touch.
-BLOCK_LANES = 1 << 13
 # Largest einsum intermediate, in elements (32 MiB complex).  numpy's greedy
 # default caps it at the largest operand, which leaves bond chains in one naive
 # loop; four-fold orthogonality holds 16 N^3 at N nodes, within 2^21 to N = 50.
@@ -202,29 +197,23 @@ def pair_factors(ws, q) -> list:
     ]
 
 
-def nested_trapezoid(contours: ContourSpec, integrand, nodes: int, symmetric=None):
+def nested_trapezoid(contours: ContourSpec, integrand, nodes: int):
     """Trapezoid rule on the product of the circles of `contours`.
 
     Returns the sum over the grid of `nodes` points per circle of
-    integrand(ws) * prod_i dw_i/(2 pi i), times symmetric(ws) when given.
-    ws holds one open-grid array per circle (inner first): variable i has
-    shape (1, .., N, .., 1) with its nodes on axis i.  The integrand is
-    called once, on the whole grid, and returns its factors, a list of
-    scalars and arrays that each broadcast against that grid (a bare array
-    is one factor): a factor computed from some of the ws spans only their
-    axes, and the sum contracts the factors with the measures dw_i by
-    einsum, one index at a time, so a factor of one or two variables
-    never spreads over the whole grid.  A factor (array, bonds) carries
-    trailing axes after its grid axes, named by the upper-case letters of
-    bonds; each label is summed over, like a grid axis.
-
-    symmetric, when given, is the one factor that spans every variable and
-    is symmetric in them.  The nodes are cut into the fewest equal chunks
-    (the last may be shorter) that keep a block of n chunks within
-    BLOCK_LANES points, and symmetric is called once per block on that
-    block's open grid.  A factor or block sum that is not finite (a node on
-    a pole; array inputs bypass the scalar pole checks) raises
-    ContourInvalid.  A node count below 1 raises ValueError.
+    integrand(ws) * prod_i dw_i/(2 pi i).  ws holds one open-grid array per
+    circle (inner first): variable i has shape (1, .., N, .., 1) with its
+    nodes on axis i.  The integrand is called once, on the whole grid, and
+    returns its factors, a list of scalars and arrays that each broadcast
+    against that grid (a bare array is one factor): a factor computed from
+    some of the ws spans only their axes, and the sum contracts the factors
+    with the measures dw_i by einsum, one index at a time, so a factor of
+    one or two variables never spreads over the whole grid.  A factor
+    (array, bonds) carries trailing axes after its grid axes, named by the
+    upper-case letters of bonds; each label is summed over, like a grid
+    axis.  A factor or sum that is not finite (a node on a pole; array
+    inputs bypass the scalar pole checks) raises ContourInvalid.  A node
+    count below 1 raises ValueError.
     """
     if nodes < 1:
         raise ValueError(f"need at least one quadrature node per circle, got {nodes}")
@@ -234,25 +223,7 @@ def nested_trapezoid(contours: ContourSpec, integrand, nodes: int, symmetric=Non
         spans = _spanned(integrand(np.ix_(*(w for w, _ in lines))), n)
         if not all(np.all(np.isfinite(f)) for f, _, _ in spans):
             raise ContourInvalid("a quadrature node sits on a pole of the integrand")
-        if symmetric is None:
-            total = _contract(spans, [dw for _, dw in lines])
-        else:
-            chunks, size = 1, nodes
-            while size**n > BLOCK_LANES:
-                chunks += 1
-                size = -(-nodes // chunks)
-            cut = [slice(s, s + size) for s in range(0, nodes, size)]
-            total = 0j
-            for block in product(cut, repeat=n):
-                ws = np.ix_(*(w[c] for (w, _), c in zip(lines, block)))
-                fb = np.broadcast_to(symmetric(ws), np.broadcast_shapes(*(x.shape for x in ws)))
-                if not np.all(np.isfinite(fb)):
-                    raise ContourInvalid("a quadrature node sits on a pole of the integrand")
-                total += _contract(
-                    [(f[tuple(block[k] for k in axes)], axes, bonds) for f, axes, bonds in spans]
-                    + [(fb, tuple(range(n)), "")],
-                    [dw[c] for (_, dw), c in zip(lines, block)],
-                )
+        total = _contract(spans, [dw for _, dw in lines])
     if not np.isfinite(total):
         raise ContourInvalid("the integrand overflows on the quadrature nodes")
     return complex(total)
@@ -355,49 +326,84 @@ def nested_contours(
 # ---------------------------------------------------------------------------
 
 
-def z_triangular_vec(values, params: ModelParams):
-    """z_pfaffian over mixed scalar/ndarray alphabet entries.
+def _matchings(idx: tuple):
+    """(sign, pairs) of each perfect matching of idx, a term of its Pfaffian."""
+    if not idx:
+        yield 1, ()
+    for k, j in enumerate(idx[1:]):
+        for sign, pairs in _matchings(idx[1 : k + 1] + idx[k + 2 :]):
+            yield (-1) ** k * sign, ((idx[0], j),) + pairs
 
-    A quadrature integrand passes fixed x's with open-grid node arrays.
-    h(x_i), S(x_i, x_j) and Q(x_i, x_j) are computed on their own entries'
-    shapes, and only the assembled kernel (..., n, n) spans the broadcast
-    lanes, so one batched pfaffian call evaluates Z on every lane.  Odd
-    sizes are bordered as in z_pfaffian: the column -(1 - h(x_i)) and the
-    sign (-1)^m are the limit of an appended entry t -> 1, so alphabets
-    containing 1 or 1/q stay finite.  Scalar entries that coincide or have
-    x_i x_j = 1 raise DegeneratePoint, as in z_pfaffian; array entries skip
-    the pole checks.
+
+def z_factors(xs, ws, params: ModelParams) -> list:
+    """Z_{L+n}(x, 1/w) at fixed x's and open-grid w's, as nested_trapezoid
+    factors that each span at most two w's.
+
+    Z = prefactor * Pf K as in z_pfaffian.  K = [[A, B], [-B^T, C]] puts the
+    x's and the border in A (if odd in number, the last joins the w side,
+    which keeps its index order), so Pf K = Pf A * Pf(C + B^T A^-1 B),
+    A^-1 B by one linear solve, and the sum over matchings of that Pfaffian
+    is the bond label Z.  At c = infinity Z is prod (1 - h).  Scalar entries
+    that coincide or have x_i x_j = 1, or a singular A, raise DegeneratePoint.
     """
-    xs = list(values)
-    m = len(xs)
     q = complex(params.q)
     # complex boundary parameters: rational ones would make h an object array
     cparams = replace(
         params, a=complex(params.a), c=None if params.c is None else complex(params.c)
     )
-    hs = [h_func(x, cparams) for x in xs]
+    ys = [complex(x) for x in xs] + [1 / w for w in ws]
+    hs = [h_func(y, cparams) for y in ys]
     if params.c_infinite:
-        return math.prod(1 - h for h in hs)
-    hoa = [h_over_ac(x, cparams) for x in xs]
-    n = m + m % 2
-    M = np.zeros(np.broadcast_shapes(*(np.shape(x) for x in xs)) + (n, n), dtype=complex)
-    pref = (-1) ** m
+        return [1 - h for h in hs]
+    hoa = [h_over_ac(y, cparams) for y in ys]
+    L, m = len(xs), len(ys)
+
+    def s(i, j):
+        return (ys[i] - ys[j]) / (1 - ys[i] * ys[j])
+
+    def entry(i, j):
+        # K[i, j] of the bordered kernel; index m is the border
+        if i > j:
+            return -entry(j, i)
+        if j == m:
+            return hs[i] - 1
+        yy = ys[i] * ys[j]
+        return s(i, j) * ((1 - hs[i]) * (1 - hs[j]) - hs[i] * hoa[j] * (1 - q) * yy / (1 - q * yy))
+
+    fixed = list(range(L)) + [m] * (m % 2)
+    side = sorted([*range(L, m)] + ([fixed.pop()] if len(fixed) % 2 else []))
     try:
-        for i in range(m):
-            for j in range(i + 1, m):
-                xx = xs[i] * xs[j]
-                s = (xs[i] - xs[j]) / (1 - xx)
-                Q = (1 - hs[i]) * (1 - hs[j]) - hs[i] * hoa[j] * (1 - q) * xx / (1 - q * xx)
-                M[..., i, j] = s * Q
-                M[..., j, i] = -M[..., i, j]
-                pref = pref / s
-            if m % 2:
-                M[..., i, m] = hs[i] - 1
-                M[..., m, i] = 1 - hs[i]
+        # the order (fixed, side) is an even permutation of the kernel's: the
+        # border passes an even number of w's or stays last
+        pref = (-1) ** m / math.prod(s(i, j) for i, j in combinations(range(L), 2))
+        A = np.array([[entry(i, j) if i != j else 0 for j in fixed] for i in fixed], dtype=complex)
     except ZeroDivisionError as exc:
         # scalar entries only: x_i = x_j, x_i x_j = 1 or q x_i x_j = 1
         raise DegeneratePoint(f"Z kernel pole on the alphabet: {exc}") from exc
-    return pref * pfaffian(M, validate=False)
+    pf_a = complex(pfaffian(A, validate=False)) if fixed else 1.0
+    factors = [pref * pf_a] + [1 / s(i, j) for i, j in combinations(range(m), 2) if j >= L]
+    schur = {(u, v): entry(side[u], side[v]) for u, v in combinations(range(len(side)), 2)}
+    if fixed and side:
+        if pf_a == 0:
+            raise DegeneratePoint("the fixed block of the Z kernel is singular")
+        # column u of B on its w's axis, and A^-1 B by one solve over all nodes
+        cols = [np.stack(np.broadcast_arrays(*(entry(f, u) for f in fixed)), -1) for u in side]
+        sols = [np.linalg.solve(A, b.reshape(-1, len(fixed)).T).T.reshape(b.shape) for b in cols]
+        for u, v in schur:
+            schur[u, v] = schur[u, v] + np.einsum("...k,...k->...", cols[u], sols[v])
+    terms = list(_matchings(tuple(range(len(side)))))
+    # term t of the bond Z is matching t: an entry on the matchings holding it, 1 elsewhere
+    factors.append((np.array([t[0] for t in terms]), "Z"))
+    for p, e in schur.items():
+        bond = np.broadcast_arrays(*(e if p in pairs else 1 for _, pairs in terms))
+        factors.append((np.stack(bond, -1), "Z"))
+    return factors
+
+
+def z_triangular_vec(values, params: ModelParams):
+    """Z_m(values) at scalar entries: z_factors(values, [], params), whose
+    fixed block is the whole bordered kernel, contracted."""
+    return _contract(_spanned(z_factors(values, [], params), 0), [])
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +412,8 @@ def z_triangular_vec(values, params: ModelParams):
 
 
 def _g_integrand_factors(ws, xs, nu, params: ModelParams) -> list:
-    """Everything in the integrand except Z_{L+n}(x, 1/w), as factors for
-    nested_trapezoid: one per variable on its own nodes, then one per pair."""
+    """The integrand's factors for nested_trapezoid: one per variable on its
+    own nodes, one per pair, then Z_{L+n}(x, 1/w) from z_factors."""
     q = complex(params.q)
     a = complex(params.a)
     factors = []
@@ -427,7 +433,7 @@ def _g_integrand_factors(ws, xs, nu, params: ModelParams) -> list:
             yj = complex(params.y_at(j))
             val = val * (1 - w * yj) / (1 - q * w * yj)
         factors.append(val)
-    return factors + pair_factors(ws, q)
+    return factors + pair_factors(ws, q) + z_factors(xs, ws, params)
 
 
 def _g_contour_poles(nu, xs, params: ModelParams) -> list:
@@ -477,16 +483,10 @@ def g_contour(
     else:
         validate_contours(contours, xs, poles, params.q, pair_q_inverse=(n > 1))
 
-    def integrand(ws):
-        return _g_integrand_factors(ws, xs, nu, params)
-
-    def z_grid(ws):
-        # Z_{L+n}(x, 1/w) is symmetric in its alphabet (verify_z_properties)
-        return z_triangular_vec(xs + [1.0 / w for w in ws], params)
-
-    out = nested_trapezoid(contours, integrand, nodes, symmetric=z_grid)
+    integrand = partial(_g_integrand_factors, xs=xs, nu=nu, params=params)
+    out = nested_trapezoid(contours, integrand, nodes)
     if check_convergence:
-        out2 = nested_trapezoid(contours, integrand, 2 * nodes, symmetric=z_grid)
+        out2 = nested_trapezoid(contours, integrand, 2 * nodes)
         if abs(out2 - out) > _CONVERGENCE_TOL * max(1.0, abs(out2)):
             raise QuadratureNotConverged(
                 f"node doubling moved the result by {abs(out2 - out):.3e}"

@@ -57,6 +57,32 @@ def test_g_methods_agree(capsys, params_file):
     assert v1 == v2
 
 
+# the parameter file of the README
+README_PARAMS = {
+    "q": "1/4", "a": "3", "c": "-2",
+    "x": ["9/10", "19/20"], "y": ["1"], "z": ["1/3", "1/4"],
+    "c_infinite": False,
+}
+
+
+def test_f_readme_params(capsys, tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(README_PARAMS))
+    code, out = run(capsys, ["f", "--mu", "2,1", "--nu", "1", "--params", str(path)])
+    assert code == 0
+    assert json.loads(out)["value"] == {"num": "33896", "den": "46585"}
+
+
+def test_cauchy_readme_params(capsys, tmp_path):
+    # the final residual is 2.86e-10, below the default --tol
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(README_PARAMS))
+    code, out = run(capsys, ["cauchy", "--nu", "1", "--cutoff", "12", "--params", str(path)])
+    report = json.loads(out)
+    assert code == 0 and report["status"] == "pass" and report["decay_ok"] is True
+    assert report["final_residual"] < 1e-9
+
+
 def test_determinism_byte_identical(capsys, params_file):
     _, out1 = run(capsys, ["g", "--nu", "2,1", "--method", "operators", "--params", params_file])
     _, out2 = run(capsys, ["g", "--nu", "2,1", "--method", "operators", "--params", params_file])

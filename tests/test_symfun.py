@@ -105,17 +105,43 @@ def test_z_triangular_vec_scalar_pole_raises_degenerate_point(xs):
         z_pfaffian(TriangularSpec(xs, P))
 
 
+def _lanes(factors, shape):
+    """The product of z_factors' factors on each lane of an open grid of
+    this shape, its one bond label summed."""
+    plain, bonded = [np.ones(shape)], [np.ones(shape + (1,))]
+    for f in factors:
+        if isinstance(f, tuple):
+            bonded.append(f[0].reshape((1,) * (len(shape) + 1 - f[0].ndim) + f[0].shape))
+        else:
+            plain.append(f)
+    return np.prod(np.broadcast_arrays(*plain), axis=0) * np.prod(
+        np.broadcast_arrays(*bonded), axis=0
+    ).sum(-1)
+
+
 @pytest.mark.parametrize("c_infinite", [False, True])
 def test_z_triangular_vec_open_grid_matches_lanes(c_infinite):
+    """z_factors contracted on an open grid of 1 to 4 w's equals the scalar
+    z_triangular_vec on every lane: both kernel parities, with and without
+    a fixed index joining the w side, and the 3-matching sums (w side of
+    order 4)."""
     p = ModelParams(q=0.25, a=3.0, c=None if c_infinite else -2.0, c_infinite=c_infinite)
-    w1 = (0.3 + 0.2 * np.exp(2j * np.pi * np.arange(5) / 5))[:, None]
-    w2 = (-0.4 + 0.1 * np.exp(2j * np.pi * np.arange(4) / 4))[None, :]
-    grid = z_triangular_vec([0.55, w1, 0.7, w2, -0.2], p)
-    assert grid.shape == (5, 4)
-    for i in range(5):
-        for j in range(4):
-            lane = z_triangular_vec([0.55, complex(w1[i, 0]), 0.7, complex(w2[0, j]), -0.2], p)
-            assert abs(grid[i, j] - lane) <= 1e-14 * max(1.0, abs(lane))
+    circles = [(0.3, 0.2, 5), (-0.4, 0.1, 4), (1.9, 0.3, 3), (-2.6, 0.4, 3)]
+    for xs in ([0.55, 0.7, -0.2], [0.55, 0.7]):
+        for n in range(1, 5):
+            ws = np.ix_(*(c + r * np.exp(2j * np.pi * np.arange(k) / k) for c, r, k in circles[:n]))
+            shape = tuple(k for _, _, k in circles[:n])
+            grid = _lanes(symfun.z_factors(xs, ws, p), shape)
+            for lane in np.ndindex(*shape):
+                ref = z_triangular_vec(xs + [1 / complex(w.ravel()[i]) for w, i in zip(ws, lane)], p)
+                assert abs(grid[lane] - ref) <= 1e-13 * max(1.0, abs(ref)), (xs, n, lane)
+
+
+def test_z_factors_singular_fixed_block_raises():
+    # h(0) = 1: the fixed block of Z_3(0, 1/w_1, 1/w_2), the x and the
+    # border, is [[0, h - 1], [1 - h, 0]] = 0
+    with pytest.raises(DegeneratePoint):
+        symfun.z_factors([F(0)], np.ix_([0.3 + 0.1j, 0.2], [0.4 - 0.2j]), P)
 
 
 @pytest.mark.parametrize("nodes", [128, 256])
@@ -169,6 +195,31 @@ def test_g_contour_matches_subset_n2():
     assert abs(v - ref) < 1e-6 * abs(ref)
 
 
+X3 = (F(4, 5), F(7, 10), F(3, 5))
+
+
+@pytest.mark.parametrize(
+    "nu, xs, c_infinite, nodes",
+    [
+        ((3, 2, 1), X3, False, 64),
+        ((3, 2, 1), X3 + (F(1, 2),), False, 128),
+        ((2, 1), X3, False, 64),
+        ((3, 2, 1), X3, True, 64),
+    ],
+    ids=["x-joins-w-side", "bordered", "no-move", "c-infinite"],
+)
+def test_g_contour_three_variables(nu, xs, c_infinite, nodes):
+    """Every parity of z_factors' kernel split: Z_6 with one x joining the
+    w side, Z_7 bordered with a fixed block of 5 (its w side of order 4 is
+    a sum of 3 matchings), Z_5 with nothing moved, and the product form at
+    c = infinity.  Errors 2.9e-15, 5.4e-12, 3.8e-15 and 1.7e-15; at 64
+    nodes the L = 4 case drifts by 9.8e-7 under doubling."""
+    p = ModelParams(q=F(1, 10), a=F(3), c=None if c_infinite else F(-2), y=(F(1),),
+                    c_infinite=c_infinite)
+    ref = float(g_subset(nu, xs, p))
+    assert abs(g_contour(nu, xs, p, nodes=nodes) - ref) <= 1e-8 * abs(ref)
+
+
 NESTED = ContourSpec(((0j, 0.5), (0j, 0.7), (0j, 0.9)))
 
 
@@ -180,50 +231,6 @@ def _test_integrand(ws):
         for j in range(i + 1, len(ws)):
             val = val * (1 + ws[i] * ws[j])
     return val
-
-
-def _symmetric_factor(ws):
-    return 1 / (3 - sum(ws))
-
-
-def _full_product(ws):
-    """_test_integrand and _symmetric_factor as one array on the whole grid."""
-    return _test_integrand(ws) * _symmetric_factor(ws)
-
-
-@pytest.mark.parametrize("n, nodes", [(1, 64), (2, 12), (3, 8)])
-def test_nested_trapezoid_chunk_bound(monkeypatch, n, nodes):
-    """The symmetric factor is called on blocks of at most BLOCK_LANES
-    points, every chunk tuple its own block, and the blocks sum to the
-    whole grid."""
-    # a cap of 50 cuts 64 nodes into 2 chunks, 12 into 2 and 8 into 3 (3, 3, 2)
-    monkeypatch.setattr(symfun, "BLOCK_LANES", 50)
-    nested = ContourSpec(NESTED.circles[:n])
-    expected = nested_trapezoid(nested, _full_product, nodes)
-    sizes = []
-
-    def spy(ws):
-        sizes.append(int(np.prod(np.broadcast_shapes(*(w.shape for w in ws)))))
-        return _symmetric_factor(ws)
-
-    got = nested_trapezoid(nested, _test_integrand, nodes, symmetric=spy)
-    assert max(sizes) <= 50 and sum(sizes) == nodes**n
-    assert abs(got - expected) <= 1e-14 * abs(expected)
-
-
-@pytest.mark.parametrize("symmetric", [None, _symmetric_factor])
-def test_nested_trapezoid_calls_integrand_once(monkeypatch, symmetric):
-    """The integrand is called once, on the whole open grid, also when the
-    symmetric factor is cut into blocks."""
-    monkeypatch.setattr(symfun, "BLOCK_LANES", 50)
-    shapes = []
-
-    def spy(ws):
-        shapes.append([w.shape for w in ws])
-        return _test_integrand(ws)
-
-    nested_trapezoid(NESTED, spy, 8, symmetric=symmetric)
-    assert shapes == [[(8, 1, 1), (1, 8, 1), (1, 1, 8)]]
 
 
 def _factor_kinds(ws):
@@ -252,20 +259,32 @@ def _bond_chain(ws):
     return factors, np.einsum("...i,...i->...", full, v)
 
 
+@pytest.mark.parametrize("chain", [None, _bond_chain])
+def test_nested_trapezoid_calls_integrand_once(chain):
+    """The integrand is called once, on the whole open grid, also when it
+    returns bond-labelled factors."""
+    shapes = []
+
+    def spy(ws):
+        shapes.append([w.shape for w in ws])
+        return [_test_integrand(ws)] + (chain(ws)[0] if chain else [])
+
+    nested_trapezoid(NESTED, spy, 8)
+    assert shapes == [[(8, 1, 1), (1, 8, 1), (1, 1, 8)]]
+
+
 @pytest.mark.parametrize("n, nodes", [(1, 64), (2, 12), (3, 8)])
-def test_nested_trapezoid_factors_match_product(monkeypatch, n, nodes):
-    """Contracting the factors one variable at a time, with the symmetric
-    full-grid factor 1/(3 - sum w) in blocks, sums the same grid as
+def test_nested_trapezoid_factors_match_product(n, nodes):
+    """Contracting the factors one variable at a time sums the same grid as
     multiplying them all into one array.  From n = 2 a chain of
     bond-labelled matrix factors, summed over its labels, matches its
     product formed on the whole grid."""
-    monkeypatch.setattr(symfun, "BLOCK_LANES", 50)
 
     def product(ws):
-        return np.prod(np.broadcast_arrays(*_factor_kinds(ws), _symmetric_factor(ws)), axis=0)
+        return np.prod(np.broadcast_arrays(*_factor_kinds(ws)), axis=0)
 
     contours = ContourSpec(NESTED.circles[:n])
-    got = nested_trapezoid(contours, _factor_kinds, nodes, symmetric=_symmetric_factor)
+    got = nested_trapezoid(contours, _factor_kinds, nodes)
     expected = nested_trapezoid(contours, product, nodes)
     assert abs(got - expected) <= 1e-13 * abs(expected)
     if n > 1:
