@@ -345,7 +345,7 @@ def _formula_poles(params: AsepParams) -> list:
     return [0.0, q, 1.0 / q if q else 50.0, (q + alpha - 1.0) / alpha]
 
 
-def asep_contours(params: AsepParams, n: int, nodes: int = 128) -> ContourSpec:
+def asep_contours(params: AsepParams, n: int) -> ContourSpec:
     """Nested circles around 1 for the gamma = 0 transition formula.
 
     Radii follow a geometric ladder validated against the exclusions
@@ -361,21 +361,16 @@ def asep_contours(params: AsepParams, n: int, nodes: int = 128) -> ContourSpec:
     ladder = 0.55 * r_max
     for shrink in range(40):
         radii = [ladder * (0.995**shrink) * (0.62 ** (n - 1 - k)) for k in range(n)]
-        spec = ContourSpec(tuple((1.0 + 0.0j, r) for r in radii), nodes)
+        spec = ContourSpec(tuple((1.0 + 0.0j, r) for r in radii))
         try:
-            validate_contours(spec, [1.0], exclude, q, pair_inverse=True)
+            validate_contours(spec, [1.0], exclude, q)
             return spec
         except ContourInvalid:
             continue
     raise ContourInvalid("no admissible ladder of circles around 1")
 
 
-def transition_prob_formula(
-    nu,
-    params: AsepParams,
-    contours: ContourSpec | None = None,
-    nodes: int = 128,
-):
+def transition_prob_formula(nu, params: AsepParams, nodes: int = 128):
     """P_t(empty -> nu) for gamma = 0 by the n-fold contour integral
 
         alpha^n e^{-alpha t} oint.. prod_{i<j} [(w_j-w_i)/(q w_j-w_i)
@@ -384,7 +379,8 @@ def transition_prob_formula(
           ((1-w_i)/(1-q w_i))^(nu_i - 1) exp((1-q)^2 w_i t
           / ((1-w_i)(1-q w_i))) ]
 
-    with nested circles around the essential singularity at w = 1.
+    on the nested circles around the essential singularity at w = 1 that
+    asep_contours builds.
     """
     nu = as_config(nu)
     if params.gamma != 0:
@@ -393,12 +389,7 @@ def transition_prob_formula(
     q, alpha, t = params.q, params.alpha, params.t
     if n == 0:
         return math.exp(-alpha * t)
-    if contours is None:
-        contours = asep_contours(params, n, nodes)
-    elif contours.n != n:
-        raise ContourInvalid(f"need {n} contours, got {contours.n}")
-    else:
-        validate_contours(contours, [1.0], _formula_poles(params), q, pair_inverse=True)
+    contours = asep_contours(params, n)
 
     def integrand(ws):
         # one factor per variable on its own nodes, one per pair on its two

@@ -74,6 +74,8 @@ def _backend(args) -> str:
 def cmd_z(args) -> int:
     backend = _backend(args)
     params = _load_params(args, backend)
+    if args.m < 0:
+        raise ValueError(f"--m must be >= 0, got {args.m}")
     xs = params.x[: args.m] if args.m else params.x
     if args.m and len(xs) < args.m:
         raise ValueError(f"parameter file provides {len(params.x)} x values, need {args.m}")

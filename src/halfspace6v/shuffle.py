@@ -31,20 +31,18 @@ def _sort_key(v):
 class SymFun:
     """Symmetric function of fixed arity, evaluated on demand."""
 
-    def __init__(self, arity: int, fn, name: str = "f", memo: bool = True):
+    def __init__(self, arity: int, fn, name: str = "f"):
         if arity < 0:
             raise ArityError("arity must be >= 0")
         self.arity = arity
         self.fn = fn
         self.name = name
-        self._memo = {} if memo else None
+        self._memo = {}
 
     def __call__(self, args):
         args = tuple(args)
         if len(args) != self.arity:
             raise ArityError(f"{self.name}: expected {self.arity} args, got {len(args)}")
-        if self._memo is None:
-            return self.fn(args)
         key = tuple(sorted(args, key=_sort_key))
         got = self._memo.get(key)
         if got is None:
@@ -63,11 +61,11 @@ def constant(value=1) -> SymFun:
     return SymFun(0, lambda a: value, name=f"const({value})")
 
 
-def shuffle_product(f: SymFun, g: SymFun, cap: int = DEFAULT_ARITY_CAP) -> SymFun:
+def shuffle_product(f: SymFun, g: SymFun) -> SymFun:
     """Shuffle product f * g as a new SymFun of arity f.arity + g.arity."""
     k, l = f.arity, g.arity
-    if k + l > cap:
-        raise CapExceeded(f"shuffle arity {k + l} exceeds cap {cap}")
+    if k + l > DEFAULT_ARITY_CAP:
+        raise CapExceeded(f"shuffle arity {k + l} exceeds cap {DEFAULT_ARITY_CAP}")
     if k == 0:
         return g if _is_one(f) else g.scaled(f(()))
     if l == 0:
@@ -91,15 +89,15 @@ def shuffle_product(f: SymFun, g: SymFun, cap: int = DEFAULT_ARITY_CAP) -> SymFu
     return SymFun(k + l, ev, name=f"({f.name}*{g.name})")
 
 
-def shuffle_power(f: SymFun, j: int, cap: int = DEFAULT_ARITY_CAP) -> SymFun:
+def shuffle_power(f: SymFun, j: int) -> SymFun:
     """j-fold shuffle power; j = 0 is the identity."""
     if j < 0:
         raise ArityError("power must be >= 0")
-    if j * f.arity > cap:
-        raise CapExceeded(f"shuffle arity {j * f.arity} exceeds cap {cap}")
+    if j * f.arity > DEFAULT_ARITY_CAP:
+        raise CapExceeded(f"shuffle arity {j * f.arity} exceeds cap {DEFAULT_ARITY_CAP}")
     out = constant(1)
     for _ in range(j):
-        out = shuffle_product(out, f, cap=cap)
+        out = shuffle_product(out, f)
     return out
 
 

@@ -113,14 +113,13 @@ def _subset_sum(nu, xs, params: ModelParams):
 
 @dataclass
 class ContourSpec:
-    """Positively oriented circles (inner first) with per-circle node count."""
+    """Positively oriented circles, inner first."""
 
     circles: tuple  # ((center, radius), ...)
-    nodes: int = 256
 
-    def nodes_of(self, i: int, nodes: int | None = None):
+    def nodes_of(self, i: int, N: int):
+        """Circle i's N trapezoid nodes and their weights dw/(2 pi i)."""
         center, radius = self.circles[i]
-        N = nodes or self.nodes
         theta = 2.0 * np.pi * np.arange(N) / N
         w = center + radius * np.exp(1j * theta)
         dw = radius * np.exp(1j * theta) / N  # dw/(2 pi i) per node
@@ -229,27 +228,23 @@ def nested_trapezoid(contours: ContourSpec, integrand, nodes: int):
     return complex(total)
 
 
-def validate_contours(
-    spec: ContourSpec,
-    enclose,
-    exclude,
-    q,
-    pair_inverse: bool = True,
-    pair_q_inverse: bool = False,
-):
+def validate_contours(spec: ContourSpec, enclose, exclude, q, pair_q_inverse: bool = False):
     """Check the nesting/exclusion rules on concentric-ish circles.
 
     Every circle must strictly enclose all `enclose` points and strictly
-    exclude all `exclude` points; for i < j the images q*C_j, 1/C_j (when
-    pair_inverse) and q/C_j (when pair_q_inverse; a pole of the extended
-    triangular factor) must stay outside the open disk of C_i; circles
-    must be strictly nested inner-to-outer.
+    exclude all `exclude` points; for i < j the images q*C_j and 1/C_j, and
+    q/C_j when pair_q_inverse (a pole of the extended triangular factor),
+    must stay outside the open disk of C_i; circles must be strictly nested
+    inner-to-outer.
 
     No pole inside is not convergence: one just clear of a circle passes,
     and N nodes then converge at a rate near 1.  At q = 0.26, alpha = 0.51,
     t = 1, circles about 1 of radii 0.2213, 0.3309, 0.4949 pass (1/C_3
-    clears C_2 by 1.6e-4), and the ASEP formula for (3, 2, 1) gives -5.1e-4
-    at 64 nodes and 7.9e-5 at 512, where the value is 9.879e-5.
+    clears C_2 by 1.6e-4), and the ASEP formula for (3, 2, 1) on them gives
+    -5.1e-4 at 64 nodes and 7.9e-5 at 512, where the value is 9.879e-5.
+    No route integrates on such circles: each builds its own
+    (nested_contours, asep.asep_contours) with a margin, so only a direct
+    nested_trapezoid call can reach this.
     """
     qq = complex(q)
     circles = [(complex(c), float(r)) for c, r in spec.circles]
@@ -275,7 +270,7 @@ def validate_contours(
                     raise ContourInvalid(
                         "q-image of an outer circle meets an inner disk"
                     )
-                if pair_inverse and np.min(np.abs(1.0 / wj - ci)) <= ri * (1 + _MARGIN):
+                if np.min(np.abs(1.0 / wj - ci)) <= ri * (1 + _MARGIN):
                     raise ContourInvalid(
                         "inverse of an outer circle meets an inner disk"
                     )
@@ -286,14 +281,7 @@ def validate_contours(
     return True
 
 
-def nested_contours(
-    enclose,
-    exclude,
-    n: int,
-    q,
-    nodes: int = 256,
-    pair_q_inverse: bool = False,
-) -> ContourSpec:
+def nested_contours(enclose, exclude, n: int, q, pair_q_inverse: bool = False) -> ContourSpec:
     """Concentric circles around the centroid c of `enclose`: the default
     circles of g_contour and the orthogonality check.
 
@@ -312,7 +300,7 @@ def nested_contours(
     r_lo = max(reach, _R_LO_FLOOR * r_hi)
     while r_hi > r_lo * (1 + 1e-9):
         radii = [r_lo * (r_hi / r_lo) ** ((k + 1) / (n + 1)) for k in range(n)]
-        spec = ContourSpec(tuple((center, r) for r in radii), nodes)
+        spec = ContourSpec(tuple((center, r) for r in radii))
         try:
             validate_contours(spec, enclose, exclude, q, pair_q_inverse=pair_q_inverse)
             return spec
@@ -454,21 +442,13 @@ def _g_contour_poles(nu, xs, params: ModelParams) -> list:
     return exclude
 
 
-def g_contour(
-    nu,
-    x_alphabet,
-    params: ModelParams,
-    contours: ContourSpec | None = None,
-    nodes: int = 256,
-    check_convergence: bool = True,
-):
-    """n-fold contour integral for G_nu, trapezoid rule on circles.
+def g_contour(nu, x_alphabet, params: ModelParams, nodes: int = 256, check_convergence: bool = True):
+    """n-fold contour integral for G_nu, trapezoid rule on the nested_contours
+    circles around the x's.
 
     Circles are spectrally accurate for this analytic integrand; with
     check_convergence the node count is doubled once and the relative drift
-    is required to stay below _CONVERGENCE_TOL.  Caller-supplied contours
-    must pass the rules the default contours are built to
-    (validate_contours).
+    is required to stay below _CONVERGENCE_TOL.
     """
     nu = as_config(nu)
     xs = [complex(x) for x in x_alphabet]
@@ -476,13 +456,7 @@ def g_contour(
     if n == 0:
         return complex(z_triangular_vec(xs, params))
     poles = _g_contour_poles(nu, xs, params)
-    if contours is None:
-        contours = nested_contours(xs, poles, n, params.q, nodes, pair_q_inverse=(n > 1))
-    elif contours.n != n:
-        raise ContourInvalid(f"need {n} contours, got {contours.n}")
-    else:
-        validate_contours(contours, xs, poles, params.q, pair_q_inverse=(n > 1))
-
+    contours = nested_contours(xs, poles, n, params.q, pair_q_inverse=(n > 1))
     integrand = partial(_g_integrand_factors, xs=xs, nu=nu, params=params)
     out = nested_trapezoid(contours, integrand, nodes)
     if check_convergence:
@@ -596,7 +570,10 @@ def cauchy_check(mu, nu, x_alphabet, z_alphabet, params: ModelParams, cutoff: in
     cutoff (each factor exact on the semi-infinite lattice); RHS is the
     closed product times the finite lambda-sum.  Reports the residual at
     each intermediate cutoff; under the rho-guard the decay is geometric.
+    A negative cutoff raises ValueError.
     """
+    if cutoff < 0:
+        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     mu, nu = as_config(mu), as_config(nu)
     xs, zs = tuple(x_alphabet), tuple(z_alphabet)
     guard = guard_cauchy(xs, zs, params).require()
@@ -652,26 +629,26 @@ def cauchy_check(mu, nu, x_alphabet, z_alphabet, params: ModelParams, cutoff: in
 # ---------------------------------------------------------------------------
 
 
-def _orthogonality_points(params: ModelParams, max_part: int, center=None):
-    """(enclose, exclude) for an orthogonality circle about `center` (by
-    default the centroid of the enclosed points): the points 1/y_j inside
-    it, the poles of the integrand and of F outside, and the point at
-    |qc - c|/(1 + |q|) from c towards qc.  A circle C about c clears that
-    point iff qC stays off the disk of C, the pair rule of n copies of C."""
+def _orthogonality_points(params: ModelParams, max_part: int):
+    """(enclose, exclude) for an orthogonality circle about the centroid c of
+    the enclosed points: the points 1/y_j inside it, the poles of the
+    integrand and of F outside, and the point at |qc - c|/(1 + |q|) from c
+    towards qc.  A circle C about c clears that point iff qC stays off the
+    disk of C, the pair rule of n copies of C."""
     q = complex(params.q)
     a = complex(params.a)
     ys = [complex(params.y_at(j)) for j in range(1, max_part + 1)]
     inv = [1.0 / y for y in ys]
-    c = sum(inv) / len(inv) if center is None else complex(center)
+    c = sum(inv) / len(inv)
     exclude = [0.0, 1.0, -1.0, a, 1.0 / a, c + (q * c - c) / (1.0 + abs(q))]
     for y in ys:
         exclude += [y, y / q, 1.0 / (q * y)]
     return inv, exclude
 
 
-def default_orthogonality_contour(params: ModelParams, max_part: int, nodes: int = 128) -> ContourSpec:
+def default_orthogonality_contour(params: ModelParams, max_part: int) -> ContourSpec:
     """The nested_contours circle around the points 1/y_j."""
-    return nested_contours(*_orthogonality_points(params, max_part), 1, params.q, nodes)
+    return nested_contours(*_orthogonality_points(params, max_part), 1, params.q)
 
 
 def _b_transfer(kappa, w, params: ModelParams):
@@ -691,24 +668,17 @@ def _b_transfer(kappa, w, params: ModelParams):
     return states, M
 
 
-def orthogonality_check(
-    kappa,
-    nu,
-    params: ModelParams,
-    nodes: int | None = 128,
-    contour: ContourSpec | None = None,
-):
+def orthogonality_check(kappa, nu, params: ModelParams, nodes: int = 128):
     """n-fold quadrature of the orthogonality integrand against F_kappa.
 
     Conjecturally delta_{kappa,nu} in the c -> infinity model.  All n
-    integration variables run over the same circle, the first circle of a
-    caller's contour, which must pass the rules the default circle is built
-    to.  nodes=None takes the node count of the caller's contour, or 128
-    without one.  F_kappa(w_1..w_n) is the (kappa, ()) entry of the chain
-    M(w_1) .. M(w_n) of one-row transfer matrices (_b_transfer), built once
-    on the circle's nodes; nested_trapezoid contracts the chain, one bond
-    per pair of neighbouring variables, with one factor per variable and
-    one per pair, so nothing spans the whole grid.
+    integration variables run over the same circle, the one
+    default_orthogonality_contour builds.  F_kappa(w_1..w_n) is the
+    (kappa, ()) entry of the chain M(w_1) .. M(w_n) of one-row transfer
+    matrices (_b_transfer), built once on the circle's nodes;
+    nested_trapezoid contracts the chain, one bond per pair of neighbouring
+    variables, with one factor per variable and one per pair, so nothing
+    spans the whole grid.
     """
     kappa, nu = as_config(kappa), as_config(nu)
     n = len(nu)
@@ -719,14 +689,7 @@ def orthogonality_check(
     if n == 0:
         return 1.0 + 0.0j if kappa == () else 0.0 + 0.0j
     max_part = max(config_max(nu), config_max(kappa), 1)
-    if nodes is None:
-        nodes = 128 if contour is None else contour.nodes
-    if contour is None:
-        contour = default_orthogonality_contour(params, max_part, nodes)
-    else:
-        (center, _), *_ = contour.circles
-        points = _orthogonality_points(params, max_part, center)
-        validate_contours(ContourSpec(contour.circles[:1]), *points, params.q)
+    contour = default_orthogonality_contour(params, max_part)
     q, a = complex(params.q), complex(params.a)
     ys = tuple(complex(params.y_at(j)) for j in range(1, max_part + 1))
     fparams = ModelParams(q=q, a=a, c=None, y=ys, c_infinite=True)
@@ -749,4 +712,4 @@ def orthogonality_check(
         chain = [(M.reshape(w.shape + M.shape[1:]), bonds[i : i + 2]) for i, w in enumerate(ws)]
         return factors + pair_factors(ws, q) + chain + [(ends[0], "A"), (ends[1], bonds[n])]
 
-    return nested_trapezoid(ContourSpec(contour.circles[:1] * n), integrand, nodes)
+    return nested_trapezoid(ContourSpec(contour.circles * n), integrand, nodes)

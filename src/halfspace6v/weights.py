@@ -389,8 +389,11 @@ def _relation_point_ok(relation: str, pt: dict) -> bool:
 def verify_all_local_relations(trials: int = 20, seed: int = 0) -> dict:
     """Run every local relation at `trials` random rational points.
 
-    Returns {relation: (all_exact, max_residual)}.
+    Returns {relation: (all_exact, max_residual)}.  Fewer than one trial
+    raises ValueError: a report on no point would read as a pass.
     """
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     report = {}
     for idx, relation in enumerate(LOCAL_RELATIONS):
         rng = random.Random(100003 * seed + idx)

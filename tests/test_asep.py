@@ -32,7 +32,7 @@ from halfspace6v.errors import (
     DivisionByZero,
 )
 from halfspace6v.rowops import KIND_A, SparseState, apply_double_row, in_probability_regime
-from halfspace6v.symfun import ContourSpec
+from halfspace6v.symfun import ContourSpec, validate_contours
 from halfspace6v.weights import ModelParams
 from test_acceptance import family_wise_rejects
 
@@ -116,17 +116,17 @@ def test_formula_n0():
 
 def test_formula_node_on_pole_raises():
     # centre 3.5, radius 0.5: the theta = 0 node is w = 1/q = 4.0
-    circle = ContourSpec(((3.5 + 0j, 0.5),), 64)
+    circle = ContourSpec(((3.5 + 0j, 0.5),))
     with pytest.raises(ContourInvalid):
-        transition_prob_formula((1,), AP, contours=circle, nodes=64)
+        validate_contours(circle, [1.0], asep._formula_poles(AP), AP.q)
 
 
 def test_formula_rejects_caller_circle_over_a_pole():
-    # radius 0.9 around 1 takes in the pole at w = q; unchecked, the
-    # quadrature returned 0.24758 where the value is 0.24615
+    # radius 0.9 around 1 takes in the pole at w = q; the quadrature on it
+    # returned 0.24758 where the value is 0.24615
     ap = AsepParams(q=0.25, alpha=0.5, t=1.0)
     with pytest.raises(ContourInvalid):
-        transition_prob_formula((1,), ap, nodes=64, contours=ContourSpec(((1.0, 0.9),), 64))
+        validate_contours(ContourSpec(((1.0, 0.9),)), [1.0], asep._formula_poles(ap), ap.q)
 
 
 @pytest.mark.parametrize("nu, recorded", [

@@ -83,6 +83,39 @@ def test_cauchy_readme_params(capsys, tmp_path):
     assert report["final_residual"] < 1e-9
 
 
+def _error_exit(capsys, argv) -> dict:
+    """Run argv, require exit 2 with nothing on stdout, return the error JSON."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    return json.loads(captured.err)
+
+
+def test_z_negative_m_exit_two(capsys, tmp_path):
+    # x[:-1] would drop the last x and print "m": 1
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(README_PARAMS))
+    err = _error_exit(capsys, ["z", "--m", "-1", "--params", str(path)])
+    assert err["error"] == "ValueError" and "--m" in err["message"]
+
+
+def test_cauchy_negative_cutoff_exit_two(capsys, tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(README_PARAMS))
+    err = _error_exit(capsys, ["cauchy", "--nu", "1", "--cutoff", "-1", "--params", str(path)])
+    assert err["error"] == "ValueError" and "cutoff" in err["message"]
+    # cutoff 0 sums the kappas with no part: one residual, a report, no error
+    code, out = run(capsys, ["cauchy", "--nu", "1", "--cutoff", "0", "--params", str(path)])
+    assert code in (0, 1) and [c for c, _ in json.loads(out)["residuals"]] == [0]
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_local_relations_without_trials_exit_two(capsys, trials):
+    # checking no point must not report "ok": true
+    err = _error_exit(capsys, ["verify", "local-relations", "--trials", trials])
+    assert err["error"] == "ValueError" and "trial" in err["message"]
+
+
 def test_determinism_byte_identical(capsys, params_file):
     _, out1 = run(capsys, ["g", "--nu", "2,1", "--method", "operators", "--params", params_file])
     _, out2 = run(capsys, ["g", "--nu", "2,1", "--method", "operators", "--params", params_file])

@@ -127,4 +127,4 @@ def test_degenerate_point_raises():
 def test_cap_exceeded():
     f = z2_symfun(P)
     with pytest.raises(CapExceeded):
-        shuffle_power(f, 5, cap=8)
+        shuffle_power(f, 5)

@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction as F
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -165,12 +165,13 @@ def test_g_contour_pfaffian_order_8():
 
 
 # centre 2.5, radius 0.5: the theta = 0 node is w = 3.0, the pole w = a
-POLE_CIRCLE = ContourSpec(((2.5 + 0j, 0.5),), 64)
+POLE_CIRCLE = ContourSpec(((2.5 + 0j, 0.5),))
 
 
 def test_g_contour_node_on_pole_raises():
+    integrand = partial(symfun._g_integrand_factors, xs=[0.5 + 0j], nu=(1,), params=P)
     with pytest.raises(ContourInvalid):
-        g_contour((1,), (F(1, 2),), P, contours=POLE_CIRCLE, nodes=64)
+        nested_trapezoid(POLE_CIRCLE, integrand, 64)
 
 
 def test_g_contour_n0_is_Z():
@@ -455,37 +456,26 @@ def test_transfer_chain_equals_stack(kappa, c_infinite):
         assert got == want and isinstance(got, F) and got != 0, (kappa, n)
 
 
-def test_orthogonality_default_node_count():
-    """nodes=None takes 128 nodes without a contour, and a caller contour's
-    own node count with one."""
-    assert orthogonality_check((1,), (1,), ORTH_PARAMS, nodes=None) == orthogonality_check(
-        (1,), (1,), ORTH_PARAMS, nodes=128
-    )
-    spec = default_orthogonality_contour(ORTH_PARAMS, 2, nodes=16)
-    own = orthogonality_check((2,), (2,), ORTH_PARAMS, nodes=None, contour=spec)
-    assert own == orthogonality_check((2,), (2,), ORTH_PARAMS, nodes=16, contour=spec)
-    assert own != orthogonality_check((2,), (2,), ORTH_PARAMS, nodes=128, contour=spec)
-
-
 def test_orthogonality_node_on_pole_raises():
+    points = symfun._orthogonality_points(ORTH_PARAMS, 1)
     with pytest.raises(ContourInvalid):
-        orthogonality_check((1,), (1,), ORTH_PARAMS, nodes=64, contour=POLE_CIRCLE)
+        validate_contours(POLE_CIRCLE, *points, ORTH_PARAMS.q)
 
 
 def test_orthogonality_rejects_caller_circle_over_a_pole():
-    # radius 0.40 around 1.75 takes in y_4/q = 2.105; unchecked, the
-    # quadrature returned 13.05 where the value is 1
+    # radius 0.40 around 1.75 takes in y_4/q = 2.105; the quadrature on it
+    # returned 13.05 where the value is 1
+    points = symfun._orthogonality_points(ORTH_PARAMS, 4)
     with pytest.raises(ContourInvalid):
-        orthogonality_check(
-            (4,), (4,), ORTH_PARAMS, nodes=64, contour=ContourSpec(((1.75, 0.40),), 64)
-        )
+        validate_contours(ContourSpec(((1.75, 0.40),)), *points, ORTH_PARAMS.q)
 
 
 def test_g_contour_rejects_caller_circle_over_a_pole():
-    # radius 0.3 around 1/2 takes in the pole 1/a = 1/3; unchecked, the
-    # quadrature returned 0.157 where g_subset gives 0.309
+    # radius 0.3 around 1/2 takes in the pole 1/a = 1/3; the quadrature on
+    # it returned 0.157 where g_subset gives 0.309
+    xs = [0.5 + 0j]
     with pytest.raises(ContourInvalid):
-        g_contour((1,), (F(1, 2),), P, contours=ContourSpec(((0.5, 0.3),), 128), nodes=128)
+        validate_contours(ContourSpec(((0.5, 0.3),)), xs, symfun._g_contour_poles((1,), xs, P), P.q)
 
 
 def test_orthogonality_requires_c_infinite():
