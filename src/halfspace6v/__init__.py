@@ -4,7 +4,6 @@ model in half-space and the open half-line ASEP."""
 from .weights import ModelParams, bulk_weight, boundary_weight, h_func, verify_local_relation
 from .rowops import (
     OperatorStack,
-    SparseState,
     apply_double_row,
     in_probability_regime,
     partition_F,

@@ -420,8 +420,10 @@ def vertex_row_kernel(x, params: ModelParams, sites: int) -> np.ndarray:
     site, and the last column contracts straight into the target channel
     (0, 0).  The peak is the 4-channel array of S-1 sites next to the
     output, 2 * 4^S entries, and it is checked before allocating.  Raises
-    ValueError when a kernel entry has a nonzero imaginary part.
+    ValueError when sites < 1 or a kernel entry is not real.
     """
+    if sites < 1:
+        raise ValueError(f"need sites >= 1, got {sites}")
     # T[eta_in, eta_out, ch, ch'] per distinct y_j, channel ch = 2 b + t
     tensors = {}
     for yj in {params.y_at(j) for j in range(1, sites + 1)}:
@@ -458,8 +460,10 @@ def vertex_limit_check(mu, nu, vertex_params: ModelParams, t: float, L_list, sit
     the S-site ASEP reference (transition_prob_exact), and "window_leak",
     {L: 1 - total mass after the L sweeps}, the mass carried past site S by
     the S-site vertex kernel, which bounds that truncation's error while
-    the kernel is stochastic.
+    the kernel is stochastic.  Raises ValueError when some L < 1.
     """
+    if any(L < 1 for L in L_list):
+        raise ValueError(f"every row count L must be >= 1, got {L_list}")
     mu, nu = as_config(mu), as_config(nu)
     q = float(vertex_params.q)
     alpha, gamma = map_params(

@@ -33,13 +33,9 @@ from .pfaffian import det_exact, pfaffian, pfaffian_sum_check, stembridge_check
 from .scalars import COMPLEX, RATIONAL, format_scalar, parse_scalar
 
 def _parse_config(text: str) -> tuple:
-    if not text or text.strip() in ("", "-"):
+    if text.strip() == "-":
         return ()
-    parts = [int(p) for p in text.replace(" ", "").split(",") if p != ""]
-    cfg = tuple(sorted(parts, reverse=True))
-    if len(set(cfg)) != len(cfg) or (cfg and cfg[-1] < 1):
-        raise ValueError(f"positions must be distinct and >= 1: {text!r}")
-    return cfg
+    return rowops.as_config([int(p) for p in text.split(",") if p.strip()])
 
 
 def _emit(payload: dict, args) -> None:

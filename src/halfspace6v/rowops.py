@@ -22,7 +22,8 @@ products are evaluated two ways:
   truncated kernels cannot reach.  A family of elements
   (OperatorStack.elements) is contracted in the order of its column
   patterns, each resuming from the frontier of the column prefix it
-  shares with the previous one;
+  shares with the previous one.  apply_double_row reads one row's
+  elements on a truncated site window;
 * for an empty initial configuration, the equivalent finite lattice with
   boundary vertices on a staircase, which is cheap for long alphabets,
   summed one path line at a time; its triangle alone (triangle_states)
@@ -38,12 +39,6 @@ carries denominator 1 and its own scalars through the same operations.
 Local weights come from one table per argument (weights.bulk_table and
 weights.k_table), each entry evaluated once; a bulk-weight pole raises
 DegeneratePoint only when a state uses that entry.
-
-apply_double_row is the plain one-sweep Markov kernel on a truncated site
-window; its coefficients are exact for every output supported inside the
-window.  It sweeps one line per column over the states (channel, positions
-emitted so far); the tests check asep.vertex_row_kernel, the dense
-contraction of the same tables, against it.
 """
 
 from __future__ import annotations
@@ -79,7 +74,7 @@ _ENDS[None] = ({0: [((), 1)], 1: [((), 1)]}, 1)
 
 
 # ---------------------------------------------------------------------------
-# Configurations and sparse states
+# Configurations
 # ---------------------------------------------------------------------------
 
 
@@ -103,22 +98,6 @@ def configs_bounded(max_part: int, max_len: int):
     for r in range(max_len + 1):
         for comb in itertools.combinations(range(1, max_part + 1), r):
             yield tuple(sorted(comb, reverse=True))
-
-
-class SparseState(dict):
-    """Finitely supported map Config -> scalar (zero coefficients dropped)."""
-
-    def add(self, cfg, value):
-        cur = self.get(cfg)
-        new = value if cur is None else cur + value
-        if is_zero(new):
-            self.pop(cfg, None)
-        else:
-            self[cfg] = new
-
-    @classmethod
-    def unit(cls, cfg):
-        return cls({as_config(cfg): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -169,46 +148,6 @@ def _all_exact(params: ModelParams, values) -> bool:
     """Whether q, a, c, the y-alphabet and the given values are all rational."""
     scalars = [params.q, params.a, params.c, *params.y, *values]
     return all(is_exact(v) for v in scalars if v is not None)
-
-
-def apply_double_row(bra, kind, spectral, n_columns, params: ModelParams):
-    """One sweep of A(x) or Bdot(z) applied to a bra, truncated to n_columns.
-
-    Every output coefficient with support inside [1, n_columns] is the exact
-    infinite-lattice kernel weight(mu -> nu); outputs escaping the window are
-    dropped.
-    """
-    if not isinstance(bra, dict):
-        raise TypeError("bra must be a SparseState / dict")
-    for mu in bra:
-        if config_max(mu) > n_columns:
-            raise TruncationTooSmall(
-                f"bra support {config_max(mu)} exceeds n_columns={n_columns}"
-            )
-    exact = _all_exact(params, [spectral])
-    # columns past the y-prefix share the tail's table
-    n_tables = min(n_columns, len(params.y))
-    tables = [
-        _int_table(_column_moves(kind, spectral, params.y_at(j), params.q), exact)
-        for j in range(1, n_tables + 1)
-    ]
-    K = k_table(spectral, params)
-    start = over_one_den(
-        {((b, t),): K[b][t] for b in (0, 1) for t in (0, 1) if not is_zero(K[b][t])}, exact
-    )
-    out = SparseState()
-    target = _TARGET[kind]
-    for mu, coeff in bra.items():
-        # states (channel, *positions emitted so far): column j's line
-        # enters occupied when mu holds j and emits j when it leaves occupied
-        states = start
-        for j in range(1, n_columns + 1):
-            ends = ({0: [((), 1)], 1: [((j,), 1)]}, 1)
-            states = _line_sweep(states, [tables[min(j, n_tables) - 1]], ends, enter=int(j in mu))
-        for key in states[0]:
-            if key[0] == target:
-                out.add(tuple(reversed(key[1:])), coeff * frontier_value(states, key))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +272,6 @@ class OperatorStack:
             row, D = self._column_transfer(g, 0, eta_t, tail_col)
             trans[g] = row
             todo.extend(row.keys())
-        if tgt not in trans:
-            trans[tgt] = {}
         # states that cannot reach the target contribute 0 in the limit
         # (e.g. a right-mover passing at weight exactly 1 would otherwise
         # make I - T singular)
@@ -662,6 +599,25 @@ def stochastic_row_sum(mu, x_alphabet, params: ModelParams):
     return OperatorStack([(KIND_A, x) for x in x_alphabet], params).row_sum(mu)
 
 
+def apply_double_row(bra, kind, spectral, n_columns, params: ModelParams):
+    """A(x) or Bdot(z) applied to a bra: nu -> sum_mu bra[mu] <mu| row |nu>,
+    read off the one-row OperatorStack for every nu inside [1, n_columns]
+    (zeros dropped).  Each coefficient is the exact infinite-lattice kernel
+    weight(mu -> nu); outputs escaping the window are dropped."""
+    if not isinstance(bra, dict):
+        raise TypeError("bra must be a dict")
+    for mu in bra:
+        if config_max(mu) > n_columns:
+            raise TruncationTooSmall(f"bra support {config_max(mu)} exceeds n_columns={n_columns}")
+    stack = OperatorStack([(kind, spectral)], params)
+    nus = list(configs_bounded(n_columns, n_columns))
+    out = {}
+    for mu, coeff in bra.items():
+        for nu, w in zip(nus, stack.elements([(mu, nu) for nu in nus])):
+            out[nu] = out.get(nu, 0) + coeff * w
+    return {nu: v for nu, v in out.items() if not is_zero(v)}
+
+
 def in_probability_regime(x, params: ModelParams) -> bool:
     """Pointwise check that one sweep at spectral x is a genuine Markov
     kernel: every bulk weight (both row orientations) and boundary weight
@@ -809,7 +765,7 @@ def verify_operator_identity(
         lhs = elements([(KIND_A, 0 * params.q)])
         worst = max(abs(v) for v in lhs.values()) if lhs else 0
     elif identity == "a_at_one":
-        one = Fraction(1) if params.backend() == "rational" else 1.0
+        one = Fraction(1) if is_exact(params.q) else 1.0
         for s in (one, -one):
             lhs = elements([(KIND_A, s)])
             worst = max(
@@ -857,5 +813,5 @@ def verify_operator_identity(
         raise ValueError(f"unknown identity {identity!r}")
 
     return is_zero(worst) or float(abs(worst)) <= (
-        0.0 if params.backend() == "rational" else tol
+        0.0 if is_exact(params.q) else tol
     ), float(abs(worst))

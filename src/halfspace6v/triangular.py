@@ -28,6 +28,7 @@ from math import factorial
 from .errors import CapExceeded, DegeneratePoint
 from .pfaffian import pfaffian
 from .rowops import frontier_value, triangle_states
+from .scalars import is_exact
 from .shuffle import DEFAULT_ARITY_CAP, SymFun, shuffle_power, shuffle_product
 from .weights import ModelParams, h_func, h_over_ac
 
@@ -314,7 +315,7 @@ def z_altform(spec: TriangularSpec, route: str = "pfaffian"):
     m = len(xs)
     if m == 0:
         return 1
-    one = Fraction(1) if isinstance(params.q, (Fraction, int)) else 1.0
+    one = Fraction(1) if is_exact(params.q) else 1.0
     if route == "subset":
         return _z_altform_subset(xs, params, u)
     if route != "pfaffian":
@@ -423,7 +424,7 @@ def verify_z_properties(spec: TriangularSpec, rng=None) -> dict:
     at_zero = z((0 * q,) + xs[1:])
     report["x_to_zero"] = (at_zero == 0, float(abs(at_zero)))
 
-    one = Fraction(1) if isinstance(q, (Fraction, int)) else 1.0
+    one = Fraction(1) if is_exact(q) else 1.0
     ok_pm = True
     for s in (one, -one):
         lhs = z((s,) + xs[1:])

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import DivisionByZero
-from .scalars import COMPLEX, RATIONAL, is_array, is_exact, is_zero, parse_scalar, rand_rational
+from .scalars import RATIONAL, is_array, is_exact, is_zero, parse_scalar, rand_rational
 
 STOCHASTIC = "stochastic"
 DOTTED = "dotted"
@@ -76,9 +76,6 @@ class ModelParams:
 
     def with_y(self, y) -> "ModelParams":
         return replace(self, y=tuple(y))
-
-    def backend(self) -> str:
-        return RATIONAL if is_exact(self.q) else COMPLEX
 
 
 def params_from_json(obj: dict, backend: str = RATIONAL) -> ModelParams:

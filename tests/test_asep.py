@@ -31,7 +31,7 @@ from halfspace6v.errors import (
     CutoffTooSmall,
     DivisionByZero,
 )
-from halfspace6v.rowops import KIND_A, SparseState, apply_double_row, in_probability_regime
+from halfspace6v.rowops import KIND_A, OperatorStack, in_probability_regime
 from halfspace6v.symfun import ContourSpec, validate_contours
 from halfspace6v.weights import ModelParams
 from test_acceptance import family_wise_rejects
@@ -220,6 +220,21 @@ def test_vertex_limit_finite_c():
     assert rep["rows"][1][3] < rep["rows"][0][3]
 
 
+@pytest.mark.parametrize("L", [0, -5])
+def test_vertex_limit_rejects_nonpositive_row_count(L):
+    # L = 0 divided by zero; L = -5 ran no sweep and reported a row
+    vp = ModelParams(q=0.25, a=3.0, c_infinite=True, y=(1.0,))
+    with pytest.raises(ValueError, match="L must be >= 1"):
+        vertex_limit_check((), (1,), vp, t=0.5, L_list=(8, L), sites=5)
+
+
+@pytest.mark.parametrize("sites", [0, -1])
+def test_vertex_kernel_rejects_no_sites(sites):
+    # sites = 0 returned the (1, 1, 4) boundary array, not a 2-D kernel
+    with pytest.raises(ValueError, match="sites >= 1"):
+        vertex_row_kernel(0.9, KERNEL_PARAMS[0], sites)
+
+
 def test_vertex_limit_reports_truncations():
     vp = ModelParams(q=0.25, a=3.0, c_infinite=True, y=(1.0,))
     reps = {
@@ -237,15 +252,12 @@ def test_vertex_limit_reports_truncations():
 
 
 def _per_mask_kernel(x, params, sites):
-    """Reference kernel: one apply_double_row sweep per bitmask."""
-    dim = 1 << sites
-    M = np.zeros((dim, dim))
-    for m in range(dim):
-        mu = tuple(s for s in range(sites, 0, -1) if m >> (s - 1) & 1)
-        out = apply_double_row(SparseState.unit(mu), KIND_A, x, sites, params)
-        for nu, w in out.items():
-            M[m, sum(1 << (s - 1) for s in nu)] = w
-    return M
+    """Reference kernel: the one-row stack's element for every pair of
+    bitmasks, contracted as one family."""
+    masks = [tuple(s for s in range(sites, 0, -1) if m >> (s - 1) & 1) for m in range(1 << sites)]
+    pairs = [(mu, nu) for mu in masks for nu in masks]
+    w = OperatorStack([(KIND_A, x)], params).elements(pairs)
+    return np.array(w, dtype=float).reshape(len(masks), len(masks))
 
 
 KERNEL_PARAMS = [

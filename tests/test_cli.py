@@ -288,8 +288,10 @@ def test_contour_invalid_exit_two(capsys):
 
 
 def test_invalid_config_rejected(capsys, params_file):
-    code = main(["g", "--nu", "2,2", "--method", "operators", "--params", params_file])
-    assert code == 2
+    # repeated or non-positive positions
+    for nu in ("2,2", "3,0", "1,-2"):
+        err = _error_exit(capsys, ["g", f"--nu={nu}", "--method", "operators", "--params", params_file])
+        assert err["error"] == "ValueError" and "positions" in err["message"]
 
 
 def test_asep_limit_csv(capsys):
@@ -305,6 +307,27 @@ def test_asep_limit_csv(capsys):
     for line in lines[1:]:
         asep_bound, window_leak = (float(v) for v in line.split(",")[4:])
         assert 0 <= asep_bound < 1e-3 and 0 <= window_leak < 1
+
+
+@pytest.mark.parametrize("L", ["-5", "0"])
+def test_asep_limit_nonpositive_row_count_exit_two(capsys, L):
+    # --L -5 printed a row of zero sweeps; --L 0 divided by zero
+    err = _error_exit(capsys, ["asep", "limit", "--nu", "1", "--q", "0.25", "--a", "3.0",
+                               "--t", "0.5", "--sites", "8", "--L", L])
+    assert err["error"] == "ValueError" and "L must be >= 1" in err["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["z", "--m", "2", "--method", "enum", "--params", None],
+    ["asep", "limit", "--nu", "1", "--q", "0.25", "--a", "3.0", "--t", "0.25",
+     "--sites", "6", "--L", "8,16"],
+], ids=["json", "csv"])
+def test_output_file_holds_stdout(capsys, params_file, tmp_path, argv):
+    path = tmp_path / "out.txt"
+    argv = [params_file if a is None else a for a in argv]
+    assert main(["--output", str(path), *argv]) == 0
+    out = capsys.readouterr().out
+    assert out.strip() and path.read_text() == out
 
 
 def test_asep_limit_without_a_exit_two(capsys):
