@@ -97,9 +97,11 @@ CapExceeded before anything is allocated."""
 # of one sparse mat-vec) and per state (the mat-vec's state-length vectors)
 _EDGE_BYTES = 40
 _STATE_BYTES = 40
-# transition_prob_exact's bound on the truncation leakage, and the width in
-# sigmas of the Monte Carlo route's Wilson intervals
+# transition_prob_exact's bound on the truncation leakage, the mass that
+# transition_distribution_exact's uniformization series may leave unsummed,
+# and the width in sigmas of the Monte Carlo route's Wilson intervals
 _LEAK_TOL = 1e-4
+_SERIES_TOL = 1e-13
 _WILSON_Z = 3.0
 
 
@@ -182,13 +184,13 @@ def leakage_bound(mu, params: AsepParams) -> float:
     return _poisson_tail(params.t, params.sites - r0)
 
 
-def transition_distribution_exact(mu, params: AsepParams, series_tol: float = 1e-13):
+def transition_distribution_exact(mu, params: AsepParams):
     """Distribution at time t from mu on the truncated chain, by
     uniformization: e^(tL) = sum_k pois(Lambda t; k) (I + L/Lambda)^k.
 
     Raises CapExceeded rather than return an under-summed vector: when
     exp(-Lambda t) underflows (Lambda t > ~708) or the series has not
-    reached series_tol after 1000 (1 + Lambda t) terms.
+    reached _SERIES_TOL after 1000 (1 + Lambda t) terms.
     """
     S = params.sites
     lam_rate = S * (1.0 + params.q) + params.alpha + params.gamma
@@ -210,7 +212,7 @@ def transition_distribution_exact(mu, params: AsepParams, series_tol: float = 1e
     acc = weight
     k = 0
     max_terms = 1000 * (1 + int(lt))
-    while 1.0 - acc > series_tol:
+    while 1.0 - acc > _SERIES_TOL:
         if k == max_terms:
             raise CapExceeded(
                 f"uniformization missed mass {1.0 - acc:.3e} after {k} terms"
@@ -342,7 +344,9 @@ def _formula_poles(params: AsepParams) -> list:
     q, alpha = params.q, params.alpha
     if abs(alpha + q - 1.0) < 1e-12:
         raise ContourInvalid("alpha + q = 1 is excluded by the formula")
-    return [0.0, q, 1.0 / q if q else 50.0, (q + alpha - 1.0) / alpha]
+    poles = [0.0, q, 1.0 / q if q else 50.0]
+    # at alpha = 0 the factor q + alpha - 1 - alpha w is the constant q - 1
+    return poles + [(q + alpha - 1.0) / alpha] if alpha else poles
 
 
 def asep_contours(params: AsepParams, n: int) -> ContourSpec:

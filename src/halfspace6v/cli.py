@@ -10,9 +10,9 @@ Commands
   asep MODE       prob | sim | limit
 
 Scalars in parameter files are "p/q" strings (rational backend) or numbers
-/ [re, im] pairs (complex backend); the HSV_BACKEND environment variable
-overrides --backend.  Results are printed as JSON ({"num","den"} for exact
-rationals, {"re","im"} otherwise); sweep commands emit plot-ready CSV.
+/ [re, im] pairs (complex backend).  Results are printed as JSON
+({"num","den"} for exact rationals, {"re","im"} otherwise); sweep commands
+emit plot-ready CSV.
 Exit codes: 0 ok / all checks passed, 1 a verification failed, 2 bad
 input.
 """
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -53,29 +52,20 @@ def _write(text: str, args) -> None:
     print(text)
 
 
-def _load_params(args, backend) -> weights.ModelParams:
+def _load_params(args) -> weights.ModelParams:
     if not getattr(args, "params", None):
         raise ValueError("--params FILE is required for this command")
-    return weights.load_params(args.params, backend)
-
-
-def _backend(args) -> str:
-    env = os.environ.get("HSV_BACKEND")
-    b = env or args.backend
-    if b not in (RATIONAL, COMPLEX):
-        raise ValueError(f"unknown backend {b!r}")
-    return b
+    return weights.load_params(args.params, args.backend)
 
 
 def cmd_z(args) -> int:
-    backend = _backend(args)
-    params = _load_params(args, backend)
+    params = _load_params(args)
     if args.m < 0:
         raise ValueError(f"--m must be >= 0, got {args.m}")
     xs = params.x[: args.m] if args.m else params.x
     if args.m and len(xs) < args.m:
         raise ValueError(f"parameter file provides {len(params.x)} x values, need {args.m}")
-    spec = triangular.TriangularSpec(xs, params, u=parse_scalar(args.u, backend))
+    spec = triangular.TriangularSpec(xs, params, u=parse_scalar(args.u, args.backend))
     fn = {
         "enum": triangular.z_enumerate,
         "pfaffian": triangular.z_pfaffian,
@@ -88,10 +78,9 @@ def cmd_z(args) -> int:
 
 
 def cmd_g(args) -> int:
-    backend = _backend(args)
-    if args.method == "contour" and backend != COMPLEX:
+    if args.method == "contour" and args.backend != COMPLEX:
         raise ValueError("contour method requires the complex backend")
-    params = _load_params(args, backend)
+    params = _load_params(args)
     nu = _parse_config(args.nu)
     mu = _parse_config(args.mu)
     if args.method == "operators":
@@ -111,8 +100,7 @@ def cmd_g(args) -> int:
 
 
 def cmd_f(args) -> int:
-    backend = _backend(args)
-    params = _load_params(args, backend)
+    params = _load_params(args)
     mu = _parse_config(args.mu)
     nu = _parse_config(args.nu)
     val = rowops.partition_F(mu, nu, params.z, params)
@@ -121,8 +109,7 @@ def cmd_f(args) -> int:
 
 
 def cmd_cauchy(args) -> int:
-    backend = _backend(args)
-    params = _load_params(args, backend)
+    params = _load_params(args)
     report = symfun.cauchy_check(
         _parse_config(args.mu),
         _parse_config(args.nu),
@@ -147,10 +134,9 @@ def cmd_cauchy(args) -> int:
 
 
 def cmd_orthogonality(args) -> int:
-    backend = _backend(args)
-    if backend != COMPLEX:
+    if args.backend != COMPLEX:
         raise ValueError("orthogonality requires the complex backend")
-    params = _load_params(args, backend)
+    params = _load_params(args)
     kappa = _parse_config(args.kappa)
     nu = _parse_config(args.nu)
     val = symfun.orthogonality_check(kappa, nu, params, nodes=args.nodes)
@@ -269,8 +255,7 @@ def _random_alphabet(rng, m, p):
 
 
 def cmd_verify(args) -> int:
-    backend = _backend(args)
-    if backend != RATIONAL and args.suite not in ("g-recursions",):
+    if args.backend != RATIONAL and args.suite not in ("g-recursions",):
         raise ValueError("exact-identity suites require the rational backend")
     runner = {
         "local-relations": _verify_local_relations,

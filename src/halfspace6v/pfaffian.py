@@ -1,100 +1,89 @@
 """Pfaffians of skew-symmetric matrices over both backends.
 
-One skew LTL^T (Parlett-Reid) elimination serves every backend: exact
-entries stay exact (pivot on the first nonzero entry), floats and complex
-numbers pivot on the largest modulus, and an ndarray of shape (..., n, n)
-is eliminated lane by lane in one pass.  Also houses the exact determinant
-used as the independent Pf^2 = det oracle, the Pfaffian summation
-identity Pf(A+B) and the Stembridge factorisation used by the triangular
-partition function.
+One skew LTL^T (Parlett-Reid) elimination of a single matrix serves every
+backend: exact entries give an exact Fraction, anything else is converted
+to complex, and every pivot is the entry of largest modulus (for exact
+entries any nonzero pivot gives the same value).  Also houses the exact
+determinant used as the independent Pf^2 = det oracle, the Pfaffian
+summation identity Pf(A+B) and the Stembridge factorisation used by the
+triangular partition function.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import combinations
-
-import numpy as np
+from numbers import Number
 
 from .errors import DivisionByZero, NotSkewSymmetric
 from .scalars import is_exact
 
 
 def check_skew(M) -> int:
-    """Validate exact skew-symmetry of a matrix or a stack; return the order."""
-    if not isinstance(M, np.ndarray) and any(len(row) != len(M) for row in M):
+    """Validate exact skew-symmetry of one square matrix; return the order."""
+    n = len(M)
+    if any(len(row) != n for row in M):
         raise NotSkewSymmetric("matrix is not square")
-    A = np.asarray(M)
-    n = A.shape[-1]
-    if A.ndim < 2 or A.shape[-2] != n:
-        raise NotSkewSymmetric("matrix is not square")
-    if np.any(np.abs(np.diagonal(A, axis1=-2, axis2=-1)) > 0):
-        raise NotSkewSymmetric("nonzero diagonal entry")
-    if np.any(np.abs(A + np.swapaxes(A, -1, -2)) > 0):
-        raise NotSkewSymmetric("M[i][j] != -M[j][i]")
+    if not all(isinstance(v, Number) for row in M for v in row):
+        raise NotSkewSymmetric("entries must be scalars (one matrix, not a stack)")
+    for i in range(n):
+        if M[i][i] != 0:
+            raise NotSkewSymmetric("nonzero diagonal entry")
+        if any(M[i][j] != -M[j][i] for j in range(i + 1, n)):
+            raise NotSkewSymmetric("M[i][j] != -M[j][i]")
     return n
 
 
 def pfaffian(M, validate: bool = True):
     """Pfaffian of an even-order skew-symmetric matrix.
 
-    M is a nested list (exact rationals/ints give an exact Fraction, floats
-    or complex numbers a complex) or an ndarray of shape (..., n, n), whose
-    Pfaffians come back as a complex array of shape (...).
+    M is a sequence of rows (nested lists, or a 2-D ndarray).  All-exact
+    entries (rationals/ints) give an exact Fraction; otherwise every entry
+    is converted with complex() and the result is a complex.
     """
-    batched = isinstance(M, np.ndarray)
-    if not batched and len(M) == 0:
+    n = len(M)
+    if n == 0:
         return 1
     if validate:
         check_skew(M)
-    exact = not batched and all(is_exact(v) for row in M for v in row)
-    if exact:
-        A = np.array([[Fraction(v) for v in row] for row in M], dtype=object)
-    else:
-        A = np.array(M, dtype=complex)
-    n = A.shape[-1]
     if n % 2 != 0:
         raise NotSkewSymmetric("Pfaffian requires even order (border odd inputs)")
-    lead = A.shape[:-2]
-    pf = _skew_ltlt(A.reshape(math.prod(lead), n, n), exact)
-    return pf.reshape(lead) if batched else pf[0]
+    if all(is_exact(v) for row in M for v in row):
+        return _skew_ltlt([[Fraction(v) for v in row] for row in M], Fraction(1))
+    return _skew_ltlt([[complex(v) for v in row] for row in M], 1 + 0j)
 
 
-def _skew_ltlt(A, exact: bool):
-    """Pfaffians of the stack A (lanes, n, n), reduced in place.
+def _skew_ltlt(A, one):
+    """Pfaffian of the skew matrix A (a list of rows), reduced in place.
 
-    Step k moves the pivot row into place k+1 (a swap negates the
-    Pfaffian), takes the factor A[k, k+1] and replaces the trailing block
-    by its Schur complement.  A lane whose pivot column is zero has
-    Pfaffian 0; its trailing block is left alone.
+    Step k swaps row and column k+1 with the p > k of the largest |A[k][p]|
+    (a swap negates the Pfaffian), takes the factor A[k][k+1] and replaces
+    the trailing block by its Schur complement, updating the upper
+    triangle and mirroring it.  A zero pivot column means Pfaffian 0.
     """
-    lanes, n, _ = A.shape
-    one = Fraction(1) if exact else 1.0
-    lane = np.arange(lanes)
-    pf = np.full(lanes, one, dtype=A.dtype)
+    n = len(A)
+    pf = one
     for k in range(0, n - 1, 2):
-        below = A[:, k + 1 :, k]
-        p = k + 1 + np.argmax(below != 0 if exact else np.abs(below), axis=1)
-        swap = p != k + 1
-        if swap.any():
-            rows = A[lane, p].copy()
-            A[lane, p] = A[:, k + 1]
-            A[:, k + 1] = rows
-            cols = A[lane, :, p].copy()
-            A[lane, :, p] = A[:, :, k + 1]
-            A[:, :, k + 1] = cols
-            pf = np.where(swap, -pf, pf)
-        pivot = A[:, k, k + 1]
+        row_k = A[k]
+        p = max(range(k + 1, n), key=lambda i: abs(row_k[i]))
+        if row_k[p] == 0:
+            return 0 * one
+        if p != k + 1:
+            A[p], A[k + 1] = A[k + 1], A[p]
+            for row in A[k:]:  # rows above k are never read again
+                row[p], row[k + 1] = row[k + 1], row[p]
+            pf = -pf
+        pivot = row_k[k + 1]
         pf = pf * pivot
-        if k + 2 < n:
-            live = pivot != 0
-            inv = np.where(live, one / np.where(live, pivot, one), 0 * one)
-            tau = A[:, k, k + 2 :] * inv[:, None]
-            col = A[:, k + 2 :, k + 1]
-            A[:, k + 2 :, k + 2 :] += (
-                tau[:, :, None] * col[:, None, :] - col[:, :, None] * tau[:, None, :]
-            )
+        inv = 1 / pivot
+        tau = [v * inv for v in row_k[k + 2 :]]
+        col = [row[k + 1] for row in A[k + 2 :]]
+        for i, (t_i, c_i) in enumerate(zip(tau, col)):
+            row_i = A[k + 2 + i]
+            for j in range(i + 1, len(tau)):
+                v = row_i[k + 2 + j] + (t_i * col[j] - c_i * tau[j])
+                row_i[k + 2 + j] = v
+                A[k + 2 + j][k + 2 + i] = -v
     return pf
 
 

@@ -143,11 +143,12 @@ def test_formula_three_and_four_particles(nu, recorded):
     assert abs(pf - px) <= leak
 
 
-def test_uniformization_term_cap_raises():
+def test_uniformization_term_cap_raises(monkeypatch):
     # a negative tolerance is never met: the series stops at its term cap
+    monkeypatch.setattr(asep, "_SERIES_TOL", -1.0)
     ap = AsepParams(q=0.25, alpha=0.5, t=0.001, sites=3)
     with pytest.raises(CapExceeded):
-        transition_distribution_exact((), ap, series_tol=-1.0)
+        transition_distribution_exact((), ap)
 
 
 def test_formula_vs_exact_reference_point():
@@ -168,6 +169,16 @@ def test_contours_reject_alpha_q_one():
 
     with pytest.raises(ContourInvalid):
         asep_contours(AsepParams(q=0.25, alpha=0.75, gamma=0.0, t=1.0, sites=4), 1)
+
+
+@pytest.mark.parametrize("nu", [(1,), (2, 1), (3, 2, 1)])
+def test_formula_at_zero_injection_rate(nu):
+    # at alpha = 0 nothing enters the empty line, and the formula's factor
+    # q + alpha - 1 - alpha w is the constant q - 1, with no pole to exclude
+    ap = AsepParams(q=0.25, alpha=0.0, t=1.0, sites=12)
+    assert transition_prob_formula(nu, ap) == 0.0
+    assert transition_prob_exact((), nu, ap)[0] == 0.0
+    assert asep._formula_poles(replace(ap, alpha=0.5)) == [0.0, 0.25, 4.0, -0.5]
 
 
 def test_gillespie_frozen_configuration():

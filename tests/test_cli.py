@@ -338,15 +338,6 @@ def test_asep_limit_without_a_exit_two(capsys):
     assert err["error"] == "ValueError" and "--a" in err["message"]
 
 
-def test_env_var_overrides_backend(capsys, tmp_path, monkeypatch):
-    obj = {"q": 0.25, "a": 3.0, "c": -2.0, "x": [0.5], "y": [1.0], "z": []}
-    path = tmp_path / "pc.json"
-    path.write_text(json.dumps(obj))
-    monkeypatch.setenv("HSV_BACKEND", "complex")
-    code, out = run(capsys, ["g", "--nu", "1", "--method", "contour", "--params", str(path), "--nodes", "128"])
-    assert code == 0  # rational default would have been rejected
-
-
 def test_asep_sim_distribution(capsys):
     code, out = run(
         capsys,

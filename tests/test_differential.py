@@ -91,27 +91,6 @@ def test_exact_and_complex_pfaffian_agree(M):
     assert abs(approx - complex(exact)) <= 1e-9 * _hadamard_scale(M)
 
 
-@SETTINGS
-@given(st.integers(1, 5), st.lists(skew_matrices(max_order=10), min_size=1, max_size=1))
-def test_batched_pfaffian_equals_per_lane(lanes, base):
-    (M,) = base
-    n = len(M)
-    A = np.array(M, dtype=complex)
-    # lane l scales the upper triangle by (1 + l i) and zeroes lane 1's first
-    # row, so lanes differ in value and pivot order and one may be singular
-    batch = np.stack([A * (1 + 1j * lane) for lane in range(lanes)])
-    if lanes > 1:
-        batch[1, 0, :] = 0
-        batch[1, :, 0] = 0
-    batch = np.triu(batch) - np.swapaxes(np.triu(batch), 1, 2)
-    got = pfaffian(batch)
-    assert got.shape == (lanes,)
-    for lane in range(lanes):
-        one = pfaffian(batch[lane].tolist())
-        assert abs(got[lane] - one) <= 1e-12 * max(1.0, abs(one))
-    assert pfaffian(batch.reshape(1, lanes, n, n)).shape == (1, lanes)
-
-
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 @settings(SETTINGS, max_examples=10)
 @given(data=st.data())

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from halfspace6v.errors import NotSkewSymmetric
@@ -25,6 +26,8 @@ def rand_skew(rng, n):
 def test_two_by_two():
     a = F(5, 3)
     assert pfaffian([[F(0), a], [-a, F(0)]]) == a
+    pf = pfaffian([[0, 2], [-2, 0]])
+    assert pf == 2 and type(pf) is F
 
 
 def test_four_by_four_expansion():
@@ -45,7 +48,26 @@ def test_float_backend_matches_exact():
         M = rand_skew(rng, n)
         pf_exact = pfaffian(M)
         pf_float = pfaffian([[complex(v) for v in row] for row in M])
+        assert type(pf_exact) is F and type(pf_float) is complex
         assert abs(pf_float - complex(pf_exact)) <= 1e-9 * max(1.0, abs(complex(pf_exact)))
+
+
+def test_ndarray_rows_match_nested_lists():
+    A = np.array(rand_skew(random.Random(4), 6), dtype=complex)
+    assert pfaffian(A) == pfaffian(A.tolist())
+
+
+@pytest.mark.parametrize("zero", [0, 3])
+def test_zero_pivot_column_gives_ring_zero(zero):
+    # a zero row/column 0 stops the first step; a zero row/column 3 leaves
+    # a zero trailing block, which stops the second
+    M = rand_skew(random.Random(9), 4)
+    for i in range(4):
+        M[zero][i] = M[i][zero] = F(0)
+    pf = pfaffian(M)
+    assert pf == 0 and type(pf) is F
+    pf = pfaffian([[complex(v) for v in row] for row in M])
+    assert pf == 0 and type(pf) is complex
 
 
 def test_swap_negates():
@@ -63,6 +85,10 @@ def test_not_skew_raises():
         pfaffian([[F(0), F(1)], [F(1), F(0)]])
     with pytest.raises(NotSkewSymmetric):
         pfaffian([[F(1)]])
+    # one matrix only: a stack of matrices is not a matrix
+    for shape in ((3, 4, 4), (4, 4, 4)):
+        with pytest.raises(NotSkewSymmetric):
+            pfaffian(np.zeros(shape))
 
 
 def test_sum_identity_trivial_sides():
