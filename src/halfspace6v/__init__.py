@@ -16,6 +16,7 @@ from .triangular import (
     TriangularSpec,
     verify_z_properties,
     z_altform,
+    z_altform_subset,
     z_enumerate,
     z_pfaffian,
     z_shuffle,

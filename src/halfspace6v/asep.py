@@ -14,7 +14,8 @@ with gamma -> 0 and alpha -> a(1-q)/(a-1) in the c -> infinity model.
 The half-line is truncated at a cutoff S with right moves out of the
 window suppressed; the truncation error of any probability is bounded by
 the chance that the front (whose rightward jumps occur at rate 1) covers
-the buffer in time t, a Poisson tail.
+the buffer in time t, a Poisson tail; from the empty line, times the
+chance 1 - e^(-alpha t) that a particle enters at all.
 """
 
 from __future__ import annotations
@@ -50,9 +51,9 @@ class AsepParams:
             raise ValueError("need sites >= 1")
 
 
-def map_params(a, c, q, c_infinite: bool = False):
-    """(alpha, gamma) from the boundary parameters (a, c)."""
-    if c_infinite:
+def map_params(a, c, q):
+    """(alpha, gamma) from the boundary parameters (a, c); c None is infinite."""
+    if c is None:
         den = a - 1
         if den == 0:
             raise DivisionByZero("a = 1 in the c -> infinity rate map")
@@ -178,10 +179,13 @@ def leakage_bound(mu, params: AsepParams) -> float:
 
     The rightmost particle advances only through its own rate-1 right
     hops, so the front position is dominated by r0 + Poisson(t); the
-    truncated and infinite chains couple until the front reaches S.
+    truncated and infinite chains couple until the front reaches S.  From
+    the empty line no front exists before the first entry (rate alpha) and
+    1 + Poisson(t) dominates it after, so the bound gains 1 - e^(-alpha t).
     """
-    r0 = max(config_max(as_config(mu)), 1)
-    return _poisson_tail(params.t, params.sites - r0)
+    mu = as_config(mu)
+    tail = _poisson_tail(params.t, params.sites - max(config_max(mu), 1))
+    return tail if mu else -math.expm1(-params.alpha * params.t) * tail
 
 
 def transition_distribution_exact(mu, params: AsepParams):
@@ -474,7 +478,6 @@ def vertex_limit_check(mu, nu, vertex_params: ModelParams, t: float, L_list, sit
         float(vertex_params.a),
         None if vertex_params.c_infinite else float(vertex_params.c),
         q,
-        c_infinite=vertex_params.c_infinite,
     )
     ap = AsepParams(q=q, alpha=alpha, gamma=gamma, t=t, sites=sites)
     ref, asep_bound = transition_prob_exact(mu, nu, ap)

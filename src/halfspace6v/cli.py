@@ -194,7 +194,7 @@ def _verify_triangular(args) -> tuple[bool, dict]:
     out = {}
     all_ok = True
     for m in range(2, 5):
-        xs = _random_alphabet(rng, m, p)
+        xs = triangular._generic_alphabet(rng, m, p, ())
         rep = triangular.verify_z_properties(triangular.TriangularSpec(xs, p), rng=rng)
         ok = all(v[0] for v in rep.values())
         out[f"m={m}"] = {k: v[0] for k, v in rep.items()}
@@ -238,20 +238,6 @@ def _random_skew(rng, n):
             v = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             M[i][j], M[j][i] = v, -v
     return M
-
-
-def _random_alphabet(rng, m, p):
-    xs = []
-    while len(xs) < m:
-        v = Fraction(rng.randint(-40, 40), rng.randint(1, 30))
-        if v in (0, 1, -1) or v in xs or v in (p.a, p.c):
-            continue
-        if any(v * o == 1 or p.q * v * o == 1 for o in xs):
-            continue
-        if weights.h_func(v, p) == 1:
-            continue
-        xs.append(v)
-    return tuple(xs)
 
 
 def cmd_verify(args) -> int:

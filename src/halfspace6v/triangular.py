@@ -10,8 +10,12 @@ i and j, and all external edges empty.  Routes:
                       bordered at odd m
   z_subset_kuperberg  even-subset sum over Kuperberg Pfaffians
   z_shuffle           shuffle powers of the closed forms Z_1, Z_2
-  z_altform           even/odd Pfaffian pair (or its subset form) with a
-                      generating parameter u; u = 1 recovers Z_m
+  z_altform           even/odd Pfaffian pair with a generating parameter u;
+                      u = 1 recovers Z_m
+  z_altform_subset    the same Z_m(u; x) as an explicit sum over subsets
+
+Every Pfaffian here comes from one builder, _pf_over_s: prod_{i<j}
+1/S(x_i, x_j) times the Pfaffian of a skew kernel, bordered at odd size.
 
 Closed forms at small size:
   Z_0 = 1,  Z_1 = 1 - h(x_1),
@@ -23,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, prod
 
 from .errors import CapExceeded, DegeneratePoint
 from .pfaffian import pfaffian
@@ -137,6 +141,25 @@ def _check_distinct(xs):
                 raise DegeneratePoint("x_i x_j = 1 in prefactor")
 
 
+def _pf_over_s(xs, entry, border=None):
+    """prod_{i<j} 1/S(x_i, x_j) * Pf(entry(x_i, x_j)), the shape of every
+    Pfaffian route: entry fills the upper triangle and is mirrored, and a
+    given border appends the column border(x_i) (odd sizes)."""
+    m = len(xs)
+    n = m + (border is not None)
+    pref = 1
+    M = [[0] * n for _ in range(n)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            M[i][j] = entry(xs[i], xs[j])
+            M[j][i] = -M[i][j]
+            pref = pref / kernel_S(xs[i], xs[j])
+        if border is not None:
+            M[i][m] = border(xs[i])
+            M[m][i] = -M[i][m]
+    return pref * pfaffian(M, validate=False)
+
+
 def z_pfaffian(spec: TriangularSpec):
     """Prefactor times Pf((x_i-x_j)/(1-x_i x_j) * Q(x_i, x_j)).
 
@@ -149,19 +172,9 @@ def z_pfaffian(spec: TriangularSpec):
     xs, params = spec.x, spec.params
     m = len(xs)
     _check_distinct(xs)
-    n = m + m % 2
-    pref = (-1) ** m
-    M = [[0] * n for _ in range(n)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            s = kernel_S(xs[i], xs[j])
-            M[i][j] = s * kernel_Q(xs[i], xs[j], params)
-            M[j][i] = -M[i][j]
-            pref = pref / s
-        if m % 2:
-            M[i][m] = h_func(xs[i], params) - 1
-            M[m][i] = -M[i][m]
-    return pref * pfaffian(M, validate=False)
+    entry = lambda xi, xj: kernel_S(xi, xj) * kernel_Q(xi, xj, params)
+    border = (lambda x: h_func(x, params) - 1) if m % 2 else None
+    return (-1) ** m * _pf_over_s(xs, entry, border)
 
 
 # ---------------------------------------------------------------------------
@@ -172,23 +185,10 @@ def z_pfaffian(spec: TriangularSpec):
 def z_kuperberg(xs, q):
     """Z^K_m: the partition function at the off-diagonal boundary point
     a = 1, c = -1, as a single Pfaffian; vanishes for odd m."""
-    m = len(xs)
-    if m % 2 == 1:
+    if len(xs) % 2 == 1:
         return 0
-    if m == 0:
-        return 1
     _check_distinct(xs)
-    pref = 1
-    M = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                M[i][j] = kernel_M(xs[i], xs[j], q)
-            if i < j:
-                pref = pref * (1 - xs[i] * xs[j]) / (xs[i] - xs[j])
-    for x in xs:
-        pref = pref * x
-    return pref * pfaffian(M, validate=False)
+    return prod(xs) * _pf_over_s(xs, lambda xi, xj: kernel_M(xi, xj, q))
 
 
 def z_subset_kuperberg(spec: TriangularSpec):
@@ -270,44 +270,21 @@ def z_shuffle(spec: TriangularSpec):
 # ---------------------------------------------------------------------------
 
 
-def _pref_inv_s(xs):
-    pref = 1
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            pref = pref / kernel_S(xs[i], xs[j])
-    return pref
-
-
 def _z_even_pf(xs, params, u):
     """Z^e on an even alphabet."""
-    n = len(xs)
-    M = [
-        [0 if i == j else kernel_Qe(xs[i], xs[j], params, u) for j in range(n)]
-        for i in range(n)
-    ]
-    return _pref_inv_s(xs) * pfaffian(M, validate=False)
+    return _pf_over_s(xs, lambda xi, xj: kernel_Qe(xi, xj, params, u))
 
 
 def _z_odd_pf(xs, params, u):
     """Z^o on an odd alphabet: bordered Pfaffian with +-u h(x) edges."""
-    n = len(xs)
-    hs = [h_func(x, params) for x in xs]
-    M = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                M[i][j] = kernel_Qo(xs[i], xs[j], params, u)
-        M[i][n] = -u * hs[i]
-        M[n][i] = u * hs[i]
-    return _pref_inv_s(xs) * pfaffian(M, validate=False)
+    edge = lambda x: -u * h_func(x, params)
+    return _pf_over_s(xs, lambda xi, xj: kernel_Qo(xi, xj, params, u), edge)
 
 
-def z_altform(spec: TriangularSpec, route: str = "pfaffian"):
-    """Z_m(u; x) = Z^e_m + Z^o_m; at u = 1 this is Z_m.
-
-    route 'pfaffian' evaluates the even/odd Pfaffian pair (parities off by
-    one are crossed through the value 1); route 'subset' evaluates the
-    explicit sum over subsets S with weights g_S.  Finite c only.
+def z_altform(spec: TriangularSpec):
+    """Z_m(u; x) = Z^e_m + Z^o_m by the even/odd Pfaffian pair (parities
+    off by one are crossed through the value 1); at u = 1 this is Z_m.
+    Finite c only.
     """
     xs, params, u = spec.x, spec.params, spec.u
     if params.c_infinite:
@@ -316,10 +293,6 @@ def z_altform(spec: TriangularSpec, route: str = "pfaffian"):
     if m == 0:
         return 1
     one = Fraction(1) if is_exact(params.q) else 1.0
-    if route == "subset":
-        return _z_altform_subset(xs, params, u)
-    if route != "pfaffian":
-        raise ValueError(f"unknown route {route!r}")
     _check_distinct(xs + (one,))
     if m % 2 == 0:
         ze = _z_even_pf(xs, params, u)
@@ -330,7 +303,12 @@ def z_altform(spec: TriangularSpec, route: str = "pfaffian"):
     return ze + zo
 
 
-def _z_altform_subset(xs, params, u):
+def z_altform_subset(spec: TriangularSpec):
+    """Z_m(u; x) as the explicit sum over subsets S with weights g_S, the
+    second route of the alternative form.  Finite c only."""
+    xs, params, u = spec.x, spec.params, spec.u
+    if params.c_infinite:
+        raise DegeneratePoint("alternative form is implemented for finite c")
     m = len(xs)
     q = params.q
     hs = [h_func(x, params) for x in xs]
@@ -448,27 +426,20 @@ def verify_z_properties(spec: TriangularSpec, rng=None) -> dict:
     return report
 
 
-def _sample_points(rng, avoid, count):
-    """Distinct random rationals avoiding the degeneracies in `avoid`."""
+def _generic_alphabet(rng, count, params: ModelParams, others):
+    """`count` random rationals clear of every degeneracy: none is 0, +-1,
+    a, c or has h = 1, and none equals, or has product 1 or 1/q with,
+    another draw or a value in `others`."""
+    q = params.q
     pts = []
     while len(pts) < count:
         v = Fraction(rng.randint(-60, 60), rng.randint(1, 40))
-        if v in pts or any(bad(v) for bad in avoid):
+        if v in (0, 1, -1, params.a, params.c) or h_func(v, params) == 1:
+            continue
+        if any(v == o or v * o == 1 or q * v * o == 1 for o in (*others, *pts)):
             continue
         pts.append(v)
-    return pts
-
-
-def _avoiders(others, params):
-    q, a, c = params.q, params.a, params.c
-    def bad(v):
-        if v == 0 or v == 1 or v == -1 or v == a or v == c:
-            return True
-        for o in others:
-            if v == o or v * o == 1 or (q != 0 and q * v * o == 1):
-                return True
-        return False
-    return [bad]
+    return tuple(pts)
 
 
 def _check_recur3(xs, params, rng):
@@ -484,7 +455,7 @@ def _check_recur3(xs, params, rng):
         return (False, "q or x_j zero")
     target = 1 / (q * xj)
     others = list(xs[1:])
-    pts = _sample_points(rng, _avoiders(others, params), m + 2)
+    pts = _generic_alphabet(rng, m + 2, params, others)
     vals = [z_tilde((p,) + tuple(others), params) for p in pts]
     lhs = _lagrange_eval(pts, vals, target)
 
@@ -501,7 +472,7 @@ def _check_degree(xs, params, rng):
     """deg_{x_1} Z~ <= m+1: interpolate through m+2 points, test at an m+3rd."""
     m = len(xs)
     others = list(xs[1:])
-    pts = _sample_points(rng, _avoiders(others, params), m + 3)
+    pts = _generic_alphabet(rng, m + 3, params, others)
     vals = [z_tilde((p,) + tuple(others), params) for p in pts]
     predicted = _lagrange_eval(pts[: m + 2], vals[: m + 2], pts[m + 2])
     return (predicted == vals[m + 2], float(abs(predicted - vals[m + 2])))

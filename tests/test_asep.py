@@ -46,7 +46,7 @@ def _mask(cfg):
 def test_map_params_examples():
     assert map_params(F(-1), F(2), F(1, 2)) == (F(1, 2), F(1, 4))
     assert map_params(F(3), F(7), F(1)) == (0, 0)
-    alpha, gamma = map_params(F(3), None, F(1, 4), c_infinite=True)
+    alpha, gamma = map_params(F(3), None, F(1, 4))
     assert alpha == F(9, 8) and gamma == 0
     with pytest.raises(DivisionByZero):
         map_params(F(1), F(2), F(1, 2))
@@ -103,6 +103,27 @@ def test_mass_conserved_and_monotone_truncation():
 def test_cutoff_too_small():
     with pytest.raises(CutoffTooSmall):
         transition_prob_exact((), (), AsepParams(q=0.25, alpha=0.5, gamma=0.0, t=3.0, sites=3))
+
+
+def test_no_injection_no_leakage():
+    # from the empty line at alpha = 0 nothing ever enters
+    ap = AsepParams(q=0.25, alpha=0.0, t=1.0, sites=6)
+    assert transition_prob_exact((), (1,), ap) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("S, q, alpha, gamma, t", [
+    (3, 0.0, 0.05, 0.0, 2.0),
+    (4, 0.25, 0.5, 0.3, 1.0),
+    (5, 0.6, 2.0, 0.0, 0.3),
+    (6, 0.25, 0.05, 0.3, 2.0),
+])
+def test_empty_start_leakage_bounds_truncation_error(S, q, alpha, gamma, t):
+    # every state's probability on S sites against S + 8 sites, whose own
+    # truncation error is far below the S-site bound
+    ap = AsepParams(q=q, alpha=alpha, gamma=gamma, t=t, sites=S)
+    small = transition_distribution_exact((), ap)
+    large = transition_distribution_exact((), replace(ap, sites=S + 8))
+    assert np.abs(small - large[: 1 << S]).max() <= leakage_bound((), ap)
 
 
 def test_formula_requires_gamma_zero():

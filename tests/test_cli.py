@@ -4,8 +4,9 @@ import time
 
 import pytest
 
-from halfspace6v.asep import wilson_interval
+from halfspace6v.asep import AsepParams, transition_prob_exact, wilson_interval
 from halfspace6v.cli import main
+from test_symfun import ORTH_PARAMS
 
 PARAMS = {
     "q": "1/3",
@@ -253,6 +254,33 @@ def test_complex_backend_contour(capsys, tmp_path):
     assert code == 0
     val = json.loads(out)["value"]
     assert abs(val["im"]) < 1e-10
+
+
+def test_complex_orthogonality_passes(capsys, tmp_path):
+    obj = {"q": ORTH_PARAMS.q, "a": ORTH_PARAMS.a, "c": None, "y": list(ORTH_PARAMS.y),
+           "c_infinite": True}
+    path = tmp_path / "orth.json"
+    path.write_text(json.dumps(obj))
+    code, out = run(
+        capsys,
+        ["--backend", "complex", "orthogonality", "--kappa", "1", "--nu", "1",
+         "--params", str(path)],
+    )
+    rep = json.loads(out)
+    assert code == 0 and rep["status"] == "pass"
+    assert rep["residual"] < 1e-6  # the default --tol
+
+
+def test_asep_exact_prints_the_exact_route(capsys):
+    code, out = run(
+        capsys,
+        ["asep", "prob", "--method", "exact", "--nu", "2,1", "--q", "0.25",
+         "--alpha", "0.5", "--t", "1", "--sites", "10"],
+    )
+    rep = json.loads(out)
+    val, leak = transition_prob_exact((), (2, 1), AsepParams(q=0.25, alpha=0.5, t=1.0, sites=10))
+    assert code == 0
+    assert (rep["value"], rep["error_bound"]) == (val, leak)
 
 
 @pytest.mark.parametrize("nodes", ["-4", "0"])

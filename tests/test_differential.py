@@ -20,6 +20,7 @@ from halfspace6v.symfun import g_subset, z_triangular_vec
 from halfspace6v.triangular import (
     TriangularSpec,
     z_altform,
+    z_altform_subset,
     z_enumerate,
     z_pfaffian,
     z_subset_kuperberg,
@@ -98,7 +99,12 @@ def test_z_routes_equal_enumeration(m, data):
     params, xs = data.draw(model_points(m))
     spec = TriangularSpec(xs, params)
     try:
-        routes = (z_pfaffian(spec), z_subset_kuperberg(spec), z_altform(spec))
+        routes = (
+            z_pfaffian(spec),
+            z_subset_kuperberg(spec),
+            z_altform(spec),
+            z_altform_subset(spec),
+        )
     except DegeneratePoint:
         reject()
     expected = z_enumerate(spec)

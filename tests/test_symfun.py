@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from halfspace6v import symfun
-from halfspace6v.errors import ArityError, ContourInvalid, DegeneratePoint, GuardViolated
+from halfspace6v.errors import (
+    ArityError,
+    ContourInvalid,
+    DegeneratePoint,
+    GuardViolated,
+    QuadratureNotConverged,
+)
 from halfspace6v.rowops import KIND_B, OperatorStack, partition_G
 from halfspace6v.symfun import (
     ContourSpec,
@@ -315,6 +321,62 @@ def test_contour_validation_rejects_bad_circles():
         validate_contours(spec, [0.5], [0.6], 0.25)  # excluded point inside
     with pytest.raises(ContourInvalid):
         validate_contours(ContourSpec(((0.5, 0.1), (0.5, 0.05))), [0.45], [5.0], 0.25)
+
+
+@pytest.mark.parametrize("circles, rule", [
+    (((1.5, 0.2), (1.5, 0.1)), "not strictly nested"),
+    (((2j, 1.0), (2j, 2.0)), "q-image of an outer circle"),
+    (((1.5, 0.3), (1.5, 0.7)), "inverse of an outer circle"),
+    (((0.5, 0.1), (0.5, 0.2)), "q/w image"),
+])
+def test_contour_validation_rejects_each_pair_rule(circles, rule):
+    # each pair of circles breaks the named rule and no other (q = 1/4)
+    with pytest.raises(ContourInvalid, match=rule):
+        validate_contours(ContourSpec(circles), [], [], 0.25, pair_q_inverse=True)
+
+
+@pytest.mark.parametrize("q, xs, nu, validations", [
+    (0.1, (0.3, 0.2), (3, 2, 1), 2),
+    (0.3, (0.6,), (3, 2, 1), 5),
+    (0.2, (0.6, 0.5), (2, 1), 2),
+])
+def test_nested_contours_shrinks_until_the_pair_rules_hold(monkeypatch, q, xs, nu, validations):
+    p = ModelParams(q=q, a=3.0, c=-2.0, y=(1.0,))
+    calls = []
+
+    def spy(spec, *args, **kwargs):
+        calls.append(spec)
+        return validate_contours(spec, *args, **kwargs)
+
+    monkeypatch.setattr(symfun, "validate_contours", spy)
+    ws = [complex(x) for x in xs]
+    spec = nested_contours(ws, symfun._g_contour_poles(nu, ws, p), len(nu), q, pair_q_inverse=True)
+    assert len(calls) == validations and calls[-1] is spec
+
+
+@pytest.mark.parametrize("q, xs, nu, nodes", [
+    (0.1, (0.3, 0.2), (3, 2, 1), 128),
+    (0.2, (0.6, 0.5), (2, 1), 256),
+])
+def test_g_contour_on_shrunk_circles(q, xs, nu, nodes):
+    # with more parts than variables g_subset does not apply; the operator
+    # route gives G = 0 there
+    p = ModelParams(q=q, a=3.0, c=-2.0, y=(1.0,))
+    expected = g_subset(nu, xs, p) if len(nu) <= len(xs) else partition_G(nu, (), xs, p)
+    assert abs(g_contour(nu, xs, p, nodes=nodes) - expected) < 1e-8
+
+
+def test_nested_contours_no_annulus_raises():
+    # 1/a = 1/3 lies within the reach of the x's from their centroid
+    p = ModelParams(q=0.1, a=3.0, c=-2.0, y=(1.0,))
+    with pytest.raises(ContourInvalid, match="no annulus"):
+        g_contour((1,), (0.9, 0.5, 0.3), p)
+
+
+def test_g_contour_unconverged_raises():
+    p = ModelParams(q=0.25, a=3.0, c=-2.0, y=(1.0,))
+    with pytest.raises(QuadratureNotConverged):
+        g_contour((1,), (0.5,), p, nodes=2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -8,6 +8,7 @@ from halfspace6v.triangular import (
     TriangularSpec,
     verify_z_properties,
     z_altform,
+    z_altform_subset,
     z_enumerate,
     z_kuperberg,
     z_pfaffian,
@@ -55,7 +56,7 @@ def test_five_way_agreement(m):
         assert z_subset_kuperberg(spec) == ref
         assert z_shuffle(spec) == ref
         assert z_altform(spec) == ref
-        assert z_altform(spec, route="subset") == ref
+        assert z_altform_subset(spec) == ref
 
 
 def test_altform_u_zero_is_one():
@@ -63,14 +64,14 @@ def test_altform_u_zero_is_one():
     xs = sample_alphabet(rng, 3, P)
     spec = TriangularSpec(xs, P, u=F(0))
     assert z_altform(spec) == 1
-    assert z_altform(spec, route="subset") == 1
+    assert z_altform_subset(spec) == 1
 
 
 def test_altform_internal_routes_cross_check():
     rng = random.Random(12)
     xs = sample_alphabet(rng, 4, P)
     spec = TriangularSpec(xs, P, u=F(2, 3))
-    assert z_altform(spec) == z_altform(spec, route="subset")
+    assert z_altform(spec) == z_altform_subset(spec)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
