@@ -237,14 +237,17 @@ class OperatorStack:
         eta_t None means the top edge is summed over (free top); col indexes
         the column's y_j in the y-alphabet.  A fixed eta_t crosses the top
         row by its moves that leave with eta_t only, so no path is built
-        that the line's end would drop.
+        that the line's end would drop.  With no rows the line goes straight
+        through: the empty stack is the identity operator.
         """
         key = (gamma, eta_b, eta_t, self._y_class[col])
         got = self._column_cache.get(key)
         if got is None:
             top = self.n_rows - 1
-            rows = [self._column_moves_cached(r, col) for r in range(top)]
-            rows.append(self._column_moves_cached(top, col, eta_t))
+            rows = [
+                self._column_moves_cached(r, col, eta_t if r == top else None)
+                for r in range(self.n_rows)
+            ]
             got = _line_sweep(({gamma: 1}, 1), rows, _ENDS[eta_t], enter=eta_b)
             self._column_cache[key] = got
         return got
@@ -576,8 +579,6 @@ def partition_G(nu, mu, x_alphabet, params: ModelParams, method: str = "auto"):
         raise ValueError(f"unknown method {method!r}: expected auto, lattice or stack")
     mu, nu = as_config(mu), as_config(nu)
     xs = tuple(x_alphabet)
-    if not xs:
-        return 1 if mu == nu else 0
     if method == "lattice" or (method == "auto" and mu == ()):
         if mu != ():
             raise ArityError("lattice route requires empty mu")
@@ -587,11 +588,7 @@ def partition_G(nu, mu, x_alphabet, params: ModelParams, method: str = "auto"):
 
 def partition_F(mu, nu, z_alphabet, params: ModelParams):
     """F_{mu/nu}(z_1..z_M) = <mu| Bdot(z_1) ... Bdot(z_M) |nu>."""
-    mu, nu = as_config(mu), as_config(nu)
-    zs = tuple(z_alphabet)
-    if not zs:
-        return 1 if mu == nu else 0
-    return OperatorStack([(KIND_B, z) for z in zs], params).element(mu, nu)
+    return OperatorStack([(KIND_B, z) for z in z_alphabet], params).element(mu, nu)
 
 
 def stochastic_row_sum(mu, x_alphabet, params: ModelParams):
@@ -720,98 +717,83 @@ def guard_a_inverse(x, params: ModelParams) -> ConvergenceGuard:
 # ---------------------------------------------------------------------------
 
 
-def verify_operator_identity(
-    identity: str,
-    params: ModelParams,
-    x=None,
-    z=None,
-    support: int = 3,
-    tol: float = 1e-9,
-):
-    """Check one operator identity on all configurations in [1, support].
+# checked on the configurations with parts <= _SUPPORT, to _TOL off the rationals
+_SUPPORT, _TOL = 2, 1e-9
+_BRANCHING_SUPPORT, _BRANCHING_TOL = 1, 1e-6
+
+
+def verify_operator_identity(identity: str, params: ModelParams, spectral: tuple):
+    """Check one operator identity on every <mu|.|nu> with parts <= _SUPPORT.
+
+    spectral is (x1, x2) for aa_commute and branching, (z1, z2) for
+    bb_commute, (x, z) for ab_exchange, (x,) for a_inverse_pair, (x1, ...,
+    xL) for stochastic_rows and () for a_at_zero and a_at_one.
 
     Returns (ok, max_residual).  Equality is exact (residual 0) in the
     rational backend for everything except 'branching', whose infinite
     intermediate sum is only checked to stabilise geometrically.
     """
-    configs = list(configs_bounded(support, support))
+    if identity == "branching":
+        return _verify_branching(params, *spectral)
+    configs = list(configs_bounded(_SUPPORT, _SUPPORT))
+    pairs = [(m, n) for m in configs for n in configs]
+    delta = [1 if m == n else 0 for m, n in pairs]
+
+    def elements(*rows):
+        return OperatorStack(rows, params).elements(pairs)
+
+    if identity == "aa_commute":
+        x1, x2 = spectral
+        guard_aa(x1, x2, params).require()
+        lhs, rhs = elements((KIND_A, x1), (KIND_A, x2)), elements((KIND_A, x2), (KIND_A, x1))
+    elif identity == "bb_commute":
+        z1, z2 = spectral
+        lhs, rhs = elements((KIND_B, z1), (KIND_B, z2)), elements((KIND_B, z2), (KIND_B, z1))
+    elif identity == "ab_exchange":
+        x, z = spectral
+        guard_ab(x, z, params).require()
+        fac = (x - params.q * z) / (x - z) * (1 - x * z) / (1 - params.q * x * z)
+        lhs = elements((KIND_A, x), (KIND_B, z))
+        rhs = [fac * v for v in elements((KIND_B, z), (KIND_A, x))]
+    elif identity == "a_at_zero":
+        lhs, rhs = elements((KIND_A, 0 * params.q)), [0] * len(pairs)
+    elif identity == "a_at_one":
+        one = Fraction(1) if is_exact(params.q) else 1.0
+        lhs, rhs = elements((KIND_A, one)) + elements((KIND_A, -one)), delta + delta
+    elif identity == "a_inverse_pair":
+        (x,) = spectral
+        guard_a_inverse(x, params).require()
+        lhs, rhs = elements((KIND_A, x), (KIND_A, 1 / x)), delta
+    elif identity == "stochastic_rows":
+        lhs, rhs = [stochastic_row_sum(mu, spectral, params) for mu in configs], [1] * len(configs)
+    else:
+        raise ValueError(f"unknown identity {identity!r}")
+    worst = max(abs(a - b) for a, b in zip(lhs, rhs))
+    return is_zero(worst) or float(worst) <= (0.0 if is_exact(params.q) else _TOL), float(worst)
+
+
+def _verify_branching(params: ModelParams, x1, x2):
+    """A(x1) A(x2) against sum_kappa A(x1)|kappa><kappa|A(x2), kappa's parts cut at
+    three growing bounds: the residual may not grow and must end under _BRANCHING_TOL."""
+    guard_aa(x1, x2, params).require()
+    configs = list(configs_bounded(_BRANCHING_SUPPORT, _BRANCHING_SUPPORT))
 
     def table(stack, bras, kets):
         pairs = [(m, n) for m in bras for n in kets]
         return dict(zip(pairs, stack.elements(pairs)))
 
-    def elements(rows):
-        return table(OperatorStack(rows, params), configs, configs)
-
-    worst = 0
-    if identity == "aa_commute":
-        x1, x2 = x
-        guard_aa(x1, x2, params).require()
-        lhs = elements([(KIND_A, x1), (KIND_A, x2)])
-        rhs = elements([(KIND_A, x2), (KIND_A, x1)])
-        worst = max(abs(lhs[k] - rhs[k]) for k in lhs)
-    elif identity == "bb_commute":
-        z1, z2 = z
-        lhs = elements([(KIND_B, z1), (KIND_B, z2)])
-        rhs = elements([(KIND_B, z2), (KIND_B, z1)])
-        worst = max(abs(lhs[k] - rhs[k]) for k in lhs)
-    elif identity == "ab_exchange":
-        guard_ab(x, z, params).require()
-        fac = (x - params.q * z) / (x - z) * (1 - x * z) / (1 - params.q * x * z)
-        lhs = elements([(KIND_A, x), (KIND_B, z)])
-        rhs = elements([(KIND_B, z), (KIND_A, x)])
-        worst = max(abs(lhs[k] - fac * rhs[k]) for k in lhs)
-    elif identity == "a_at_zero":
-        lhs = elements([(KIND_A, 0 * params.q)])
-        worst = max(abs(v) for v in lhs.values()) if lhs else 0
-    elif identity == "a_at_one":
-        one = Fraction(1) if is_exact(params.q) else 1.0
-        for s in (one, -one):
-            lhs = elements([(KIND_A, s)])
-            worst = max(
-                worst,
-                max(abs(lhs[(m, n)] - (1 if m == n else 0)) for m in configs for n in configs),
-            )
-    elif identity == "a_inverse_pair":
-        guard_a_inverse(x, params).require()
-        lhs = elements([(KIND_A, x), (KIND_A, 1 / x)])
-        worst = max(
-            abs(lhs[(m, n)] - (1 if m == n else 0)) for m in configs for n in configs
-        )
-    elif identity == "stochastic_rows":
-        xs = x if isinstance(x, (tuple, list)) else (x,)
-        for mu in configs:
-            worst = max(worst, abs(stochastic_row_sum(mu, xs, params) - 1))
-    elif identity == "branching":
-        x1, x2 = x
-        guard_aa(x1, x2, params).require()
-        direct = elements([(KIND_A, x1), (KIND_A, x2)])
-        s1 = OperatorStack([(KIND_A, x1)], params)
-        s2 = OperatorStack([(KIND_A, x2)], params)
-        residuals = []
-        for cut in (support + 2, support + 4, support + 6):
-            kappas = list(configs_bounded(cut, cut))
-            second = table(s2, kappas, configs)
-            worst_cut = 0.0
-            for mu in configs:
-                first = table(s1, [mu], kappas)
-                for nu in configs:
-                    total = 0
-                    for kappa in kappas:
-                        a = first[mu, kappa]
-                        if is_zero(a):
-                            continue
-                        total = total + a * second[kappa, nu]
-                    worst_cut = max(worst_cut, abs(direct[mu, nu] - total))
-            residuals.append(worst_cut)
-        decreasing = all(
-            residuals[i + 1] <= residuals[i] or residuals[i + 1] < tol
-            for i in range(len(residuals) - 1)
-        )
-        return decreasing and float(residuals[-1]) < tol, float(residuals[-1])
-    else:
-        raise ValueError(f"unknown identity {identity!r}")
-
-    return is_zero(worst) or float(abs(worst)) <= (
-        0.0 if is_exact(params.q) else tol
-    ), float(abs(worst))
+    direct = table(OperatorStack([(KIND_A, x1), (KIND_A, x2)], params), configs, configs)
+    s1, s2 = (OperatorStack([(KIND_A, x)], params) for x in (x1, x2))
+    # one family per stack at the largest cut; each cut sums its part of it
+    kappas = list(configs_bounded(_BRANCHING_SUPPORT + 6, _BRANCHING_SUPPORT + 6))
+    first, second = table(s1, configs, kappas), table(s2, kappas, configs)
+    residuals = []
+    for cut in (_BRANCHING_SUPPORT + 2, _BRANCHING_SUPPORT + 4, _BRANCHING_SUPPORT + 6):
+        worst_cut = 0.0
+        for (mu, nu), d in direct.items():
+            terms = (first[mu, k] * second[k, nu] for k in kappas
+                     if config_max(k) <= cut and not is_zero(first[mu, k]))
+            worst_cut = max(worst_cut, abs(d - sum(terms)))
+        residuals.append(worst_cut)
+    decreasing = all(r1 <= r0 or r1 < _BRANCHING_TOL for r0, r1 in zip(residuals, residuals[1:]))
+    return decreasing and float(residuals[-1]) < _BRANCHING_TOL, float(residuals[-1])

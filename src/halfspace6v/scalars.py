@@ -16,6 +16,7 @@ from numpy import ndarray
 
 RATIONAL = "rational"
 COMPLEX = "complex"
+RAND_BOUND = 97  # |numerator| and denominator bound of rand_rational
 
 
 def is_exact(value) -> bool:
@@ -79,8 +80,6 @@ def format_scalar(value) -> dict:
     return {"re": value.real, "im": value.imag}
 
 
-def rand_rational(rng: random.Random, bound: int = 97) -> Fraction:
-    """Random rational with small numerator/denominator (|p|, q <= bound)."""
-    num = rng.randint(-bound, bound)
-    den = rng.randint(1, bound)
-    return Fraction(num, den)
+def rand_rational(rng: random.Random) -> Fraction:
+    """Random rational p/q with |p|, q <= RAND_BOUND."""
+    return Fraction(rng.randint(-RAND_BOUND, RAND_BOUND), rng.randint(1, RAND_BOUND))

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import factorial, prod
 
 from .errors import CapExceeded, DegeneratePoint
@@ -376,26 +376,23 @@ def _lagrange_eval(points, values, at):
     return total
 
 
-def verify_z_properties(spec: TriangularSpec, rng=None) -> dict:
+def verify_z_properties(spec: TriangularSpec, rng) -> dict:
     """Property report for Z_m: symmetry, the four boundary recursions, the
-    numerator freezing relation at x_i = 1/(q x_j), and the degree bound.
+    numerator freezing relation at x_i = 1/(q x_j), and the degree bound;
+    rng draws the generic interpolation points of the last two.
 
     Each entry is (ok, residual-or-note); all checks are exact in the
     rational backend.
     """
-    import itertools as it
-    import random
-
     xs, params = spec.x, spec.params
     m = len(xs)
-    rng = rng or random.Random(11)
     q = params.q
     report = {}
 
     z = lambda alph: z_enumerate(TriangularSpec(alph, params))
     base = z(xs)
 
-    perms = list(it.permutations(xs)) if m <= 3 else [xs, tuple(reversed(xs))]
+    perms = list(permutations(xs)) if m <= 3 else [xs, tuple(reversed(xs))]
     sym_ok = all(z(p) == base for p in perms)
     report["symmetry"] = (sym_ok, 0.0)
 

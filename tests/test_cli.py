@@ -84,6 +84,16 @@ def test_cauchy_readme_params(capsys, tmp_path):
     assert report["final_residual"] < 1e-9
 
 
+@pytest.mark.parametrize("empty", ["x", "z"])
+def test_cauchy_empty_alphabet(capsys, tmp_path, empty):
+    # a stack with no rows is the identity, so both sides are exact
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**README_PARAMS, empty: []}))
+    code, out = run(capsys, ["cauchy", "--nu", "1", "--params", str(path)])
+    report = json.loads(out)
+    assert code == 0 and report["status"] == "pass" and report["final_residual"] == 0.0
+
+
 def _error_exit(capsys, argv) -> dict:
     """Run argv, require exit 2 with nothing on stdout, return the error JSON."""
     code = main(argv)
@@ -223,6 +233,12 @@ def test_asep_sim_mask_width_cap_exit_two(capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert json.loads(captured.err)["error"] == "CapExceeded"
+
+
+def test_asep_unknown_method_exit_two(capsys):
+    # argparse's choices reject it before any command runs
+    code = main(["asep", "prob", "--method", "bogus"])
+    assert code == 2 and capsys.readouterr().out == ""
 
 
 def test_parse_error_exit_two(capsys, tmp_path):

@@ -203,6 +203,14 @@ def test_stochastic_row_sums_exact():
     assert stochastic_row_sum((2,), (F(1, 2), F(2, 5)), P_INHOM) == 1
 
 
+def test_empty_stack_is_identity():
+    configs = list(rowops.configs_bounded(3, 3))
+    pairs = [(m, n) for m in configs for n in configs]
+    for params in (P, P_INHOM):
+        assert OperatorStack([], params).elements(pairs) == [int(m == n) for m, n in pairs]
+        assert all(stochastic_row_sum(mu, (), params) == 1 for mu in configs)
+
+
 def test_symmetry_in_x_alphabet():
     xs = (F(1, 2), F(2, 5), F(3, 8))
     base = g_lattice((2, 1), xs, P)
@@ -215,32 +223,30 @@ def test_symmetry_in_x_alphabet():
 
 
 IDENTITY_CASES = [
-    ("a_at_zero", {}),
-    ("a_at_one", {}),
-    ("a_inverse_pair", {"x": F(9, 10)}),
-    ("aa_commute", {"x": (F(1, 2), F(2, 5))}),
-    ("bb_commute", {"z": (F(1, 3), F(2, 7))}),
-    ("ab_exchange", {"x": F(1, 2), "z": F(1, 3)}),
-    ("stochastic_rows", {"x": (F(1, 2),)}),
+    ("a_at_zero", {"spectral": ()}),
+    ("a_at_one", {"spectral": ()}),
+    ("a_inverse_pair", {"spectral": (F(9, 10),)}),
+    ("aa_commute", {"spectral": (F(1, 2), F(2, 5))}),
+    ("bb_commute", {"spectral": (F(1, 3), F(2, 7))}),
+    ("ab_exchange", {"spectral": (F(1, 2), F(1, 3))}),
+    ("stochastic_rows", {"spectral": (F(1, 2),)}),
 ]
 
 
 @pytest.mark.parametrize("identity,kw", IDENTITY_CASES)
 def test_operator_identities_exact(identity, kw):
-    ok, resid = verify_operator_identity(identity, P, support=2, **kw)
+    ok, resid = verify_operator_identity(identity, P, **kw)
     assert ok and resid == 0.0
 
 
 def test_branching_stabilises():
-    ok, resid = verify_operator_identity(
-        "branching", P, x=(F(1, 2), F(2, 5)), support=1, tol=1e-6
-    )
+    ok, resid = verify_operator_identity("branching", P, (F(1, 2), F(2, 5)))
     assert ok and resid < 1e-6
 
 
 def test_guard_violated():
     with pytest.raises(GuardViolated):
-        verify_operator_identity("a_inverse_pair", P, x=F(2, 5), support=1)
+        verify_operator_identity("a_inverse_pair", P, (F(2, 5),))
     assert guard_aa(F(1, 2), F(2, 5), P).passes
     assert not guard_cauchy((F(5),), (F(1, 3),), P).passes
 
