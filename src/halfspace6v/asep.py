@@ -436,7 +436,7 @@ def vertex_row_kernel(x, params: ModelParams, sites: int) -> np.ndarray:
     tensors = {}
     for yj in {params.y_at(j) for j in range(1, sites + 1)}:
         T = tensors[yj] = np.zeros((2, 2, 4, 4), complex)
-        for (eta_in, (b, t)), moves in _column_moves(KIND_A, x, yj, params.q).items():
+        for (eta_in, (b, t)), moves in _column_moves(KIND_A, x, yj, params.q, False)[0].items():
             for eta_out, (b2, t2), w in moves:
                 T[eta_in, eta_out, 2 * b + t, 2 * b2 + t2] += complex(w)
     K = np.array([[[complex(w) for row in k_table(x, params) for w in row]]])

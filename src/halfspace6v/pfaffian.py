@@ -1,22 +1,26 @@
 """Pfaffians of skew-symmetric matrices over both backends.
 
-One skew LTL^T (Parlett-Reid) elimination of a single matrix serves every
-backend: exact entries give an exact Fraction, anything else is converted
-to complex, and every pivot is the entry of largest modulus (for exact
-entries any nonzero pivot gives the same value).  Also houses the exact
-determinant used as the independent Pf^2 = det oracle, the Pfaffian
-summation identity Pf(A+B) and the Stembridge factorisation used by the
-triangular partition function.
+One fraction-free (Bareiss-type) skew elimination of a single matrix
+serves every backend, with the entry of largest modulus as every pivot.
+Exact entries are cleared to integers with the lcm D of their
+denominators, eliminated with exact integer division, and give the
+Fraction +-p_last / D^(n/2); anything else is converted to complex and
+eliminated with true division.  Also houses the exact determinant used as
+the independent Pf^2 = det oracle, the Pfaffian summation identity
+Pf(A+B) and the Stembridge factorisation used by the triangular
+partition function.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from numbers import Number
+from operator import floordiv, truediv
 
 from .errors import DivisionByZero, NotSkewSymmetric
-from .scalars import is_exact
+from .scalars import is_exact, numerator
 
 
 def check_skew(M) -> int:
@@ -49,42 +53,55 @@ def pfaffian(M, validate: bool = True):
     if n % 2 != 0:
         raise NotSkewSymmetric("Pfaffian requires even order (border odd inputs)")
     if all(is_exact(v) for row in M for v in row):
-        return _skew_ltlt([[Fraction(v) for v in row] for row in M], Fraction(1))
-    return _skew_ltlt([[complex(v) for v in row] for row in M], 1 + 0j)
+        # Pf(D M) = D^(n/2) Pf(M): clear the denominators, eliminate over ints
+        den = math.lcm(*(v.denominator for row in M for v in row))
+        pf = _skew_bareiss([[numerator(v, den) for v in row] for row in M], floordiv)
+        return Fraction(pf, den ** (n // 2))
+    return _skew_bareiss([[complex(v) for v in row] for row in M], truediv)
 
 
-def _skew_ltlt(A, one):
-    """Pfaffian of the skew matrix A (a list of rows), reduced in place.
+def _skew_bareiss(A, div):
+    """Pfaffian of the skew matrix A (a list of rows), reduced in place by
+    fraction-free skew elimination; div is exact division in A's ring
+    (floordiv on ints, truediv on complex).
 
-    Step k swaps row and column k+1 with the p > k of the largest |A[k][p]|
-    (a swap negates the Pfaffian), takes the factor A[k][k+1] and replaces
-    the trailing block by its Schur complement, updating the upper
-    triangle and mirroring it.  A zero pivot column means Pfaffian 0.
+    Step k swaps index k+1 with the p > k of the largest |A[k][p]| (a swap
+    negates the Pfaffian) and takes the pivot p_k = A[k][k+1].  Every entry
+    of the trailing block becomes
+
+        (p_k A[i][j] - A[k][i] A[k+1][j] + A[k][j] A[k+1][i]) / p_{k-1},
+
+    the Pfaffian of A restricted to the indices 0..k+1, i and j (p_{-1} = 1),
+    so over the integers every division is exact and every entry stays an
+    integer.  Only the upper triangle is kept, and the last pivot is the
+    Pfaffian.  A zero pivot column means Pfaffian 0.
     """
     n = len(A)
-    pf = one
+    sign, prev = 1, 1
     for k in range(0, n - 1, 2):
-        row_k = A[k]
-        p = max(range(k + 1, n), key=lambda i: abs(row_k[i]))
+        row_k, s = A[k], k + 1
+        p = max(range(s, n), key=lambda i: abs(row_k[i]))
         if row_k[p] == 0:
-            return 0 * one
-        if p != k + 1:
-            A[p], A[k + 1] = A[k + 1], A[p]
-            for row in A[k:]:  # rows above k are never read again
-                row[p], row[k + 1] = row[k + 1], row[p]
-            pf = -pf
-        pivot = row_k[k + 1]
-        pf = pf * pivot
-        inv = 1 / pivot
-        tau = [v * inv for v in row_k[k + 2 :]]
-        col = [row[k + 1] for row in A[k + 2 :]]
-        for i, (t_i, c_i) in enumerate(zip(tau, col)):
-            row_i = A[k + 2 + i]
-            for j in range(i + 1, len(tau)):
-                v = row_i[k + 2 + j] + (t_i * col[j] - c_i * tau[j])
-                row_i[k + 2 + j] = v
-                A[k + 2 + j][k + 2 + i] = -v
-    return pf
+            return 0 * row_k[p]
+        if p != s:
+            # swap indices s < p in the upper triangle: A[i][p] = -A[p][i]
+            # for s < i < p, and rows above k are never read again
+            row_s, row_p = A[s], A[p]
+            row_k[s], row_k[p] = row_k[p], row_k[s]
+            row_s[p] = -row_s[p]
+            for i in range(s + 1, p):
+                row_s[i], A[i][p] = -A[i][p], -row_s[i]
+            row_s[p + 1 :], row_p[p + 1 :] = row_p[p + 1 :], row_s[p + 1 :]
+            sign = -sign
+        pivot, row_s = row_k[s], A[s]
+        for i in range(s + 1, n - 1):
+            a_i, b_i, row_i = row_k[i], row_s[i], A[i]
+            row_i[i + 1 :] = map(div, [
+                pivot * v - a_i * b_j + a_j * b_i
+                for v, a_j, b_j in zip(row_i[i + 1 :], row_k[i + 1 :], row_s[i + 1 :])
+            ], repeat(prev))
+        prev = pivot
+    return sign * prev
 
 
 def det_exact(M):

@@ -14,12 +14,15 @@ one column of a double row (_column_moves) is such a table, with the
 row's channel (b, t) as the horizontal edge.  Matrix elements of operator
 products are evaluated two ways:
 
-* the stack of double rows, contracted column by column.  A column's
-  transfer from a channel tuple is that column's line swept up through
-  the rows, memoised per y_j; the homogeneous far-right tail is summed in
-  closed form by solving a small linear system (exact in the rational
-  backend) -- this realises the infinite-column limit that products of
-  truncated kernels cannot reach.  A family of elements
+* the stack of double rows, contracted column by column.  Each column
+  with fixed external edges is one column operator per y_j class,
+  {gamma: ((gamma', weight), ...)}, whose row for a channel tuple is that
+  column's line swept up through the rows, filled the first time a
+  frontier reaches the tuple.  The homogeneous far-right tail is summed
+  in closed form by solving a small linear system (by fraction-free
+  Bareiss elimination in the rational backend) -- this realises the
+  infinite-column limit that products of truncated kernels cannot reach.
+  A family of elements
   (OperatorStack.elements) is contracted in the order of its column
   patterns, each resuming from the frontier of the column prefix it
   shares with the previous one.  apply_double_row reads one row's
@@ -31,10 +34,12 @@ products are evaluated two ways:
 
 When q, a, c, the y-alphabet and the spectral values are rational, every
 sweep is fraction-free: each move table and each boundary turn holds
-integer numerators over one denominator, every frontier is a map of
-integers over the product of the denominators it has crossed, and the
-result is reduced to a Fraction once, at the close.  Any other input
-carries denominator 1 and its own scalars through the same operations.
+integer numerators over one denominator, the stack's initial frontier is
+a product of integer K tables, every frontier is a map of integers over
+the product of the denominators it has crossed (its zeros found by a
+truth test), the tail is solved over the integers, and the result is
+reduced to a Fraction once, at the close.  Any other input carries
+denominator 1 and its own scalars through the same operations.
 
 Local weights come from one table per argument (weights.bulk_table and
 weights.k_table), each entry evaluated once; a bulk-weight pole raises
@@ -47,11 +52,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import floordiv, truediv
 
 import numpy as np
 
 from .errors import ArityError, DegeneratePoint, GuardViolated, TruncationTooSmall
-from .scalars import is_array, is_exact, is_zero, numerator, over_one_den
+from .scalars import is_array, is_exact, is_zero, nonzero, numerator, over_one_den
 from .weights import (
     DOTTED,
     ROTATED,
@@ -105,18 +111,20 @@ def configs_bounded(max_part: int, max_len: int):
 # ---------------------------------------------------------------------------
 
 
-def _column_moves(kind, x, yj, q) -> dict:
-    """The move table of one double row at one column with parameter y_j:
-    {(eta_in, (b, t)): [(eta_out, (b_right, t_right), weight)]} for every
-    incoming vertical edge eta_in and left channel (b, t), with the outgoing
-    edge free: the crossing shape of bulk_table.  The lower row's rotated
-    weights (z = x/y_j) and the upper row's weights (z = x*y_j) are each
-    evaluated once.  A weight pole (e.g. x = y_j/q) raises DegeneratePoint.
+def _column_moves(kind, x, yj, q, exact: bool):
+    """The move table of one double row at one column with parameter y_j,
+    as (table, den): {(eta_in, (b, t)): [(eta_out, (b_right, t_right),
+    weight)]} for every incoming vertical edge eta_in and left channel
+    (b, t), with the outgoing edge free: the crossing shape of bulk_table.
+    The lower row's rotated weights (z = x/y_j) and the upper row's weights
+    (z = x*y_j) are each evaluated once; when exact, each as integer
+    numerators over its own denominator, so the weights are integers over
+    the product den.  A weight pole (e.g. x = y_j/q) raises DegeneratePoint.
     """
     table = {}
     try:
-        bot = bulk_table(x / yj, ROTATED, q)
-        top = bulk_table(x * yj, _TOP_VARIANT[kind], q)
+        bot, den_bot = _int_table(bulk_table(x / yj, ROTATED, q), exact)
+        top, den_top = _int_table(bulk_table(x * yj, _TOP_VARIANT[kind], q), exact)
         for eta_in, b, t in itertools.product((0, 1), repeat=3):
             moves = table[eta_in, (b, t)] = []
             # rotated entries are keyed by (vert_in, right_in); iterate right_in
@@ -130,7 +138,7 @@ def _column_moves(kind, x, yj, q) -> dict:
                             moves.append((eta_out, (b_right, t_right), w))
     except ZeroDivisionError as exc:
         raise DegeneratePoint(f"row weight pole at x={x}, y_j={yj}: {exc}") from exc
-    return table
+    return table, den_bot * den_top
 
 
 def _int_table(table: dict, exact: bool):
@@ -188,8 +196,10 @@ class OperatorStack:
         self._y_class = [
             classes.setdefault(id(y) if is_array(y) else y, len(classes)) for y in params.y
         ]
+        self._zero = self._zero_like()
         self._tail = None
-        self._column_cache = {}
+        self._column_ops = {}
+        self._rows_cache = {}
         self._moves_cache = {}
 
     @property
@@ -197,19 +207,16 @@ class OperatorStack:
         return len(self.rows)
 
     def _initial_frontier(self):
-        tables = [k_table(row.spectral, self.params) for row in self.rows]
-        frontier = {}
-        for gamma in itertools.product(
-            itertools.product((0, 1), (0, 1)), repeat=self.n_rows
-        ):
-            w = 1
-            for K, (b, t) in zip(tables, gamma):
-                w = w * K[b][t]
-                if is_zero(w):
-                    break
-            else:
-                frontier[gamma] = w
-        return over_one_den(frontier, self._exact)
+        """The boundary turns of every row as one frontier: the product of
+        the rows' K tables, each over its own denominator when exact."""
+        frontier, den = {(): 1}, 1
+        for row in self.rows:
+            K = k_table(row.spectral, self.params)
+            turns, d = over_one_den({(b, t): K[b][t] for b in (0, 1) for t in (0, 1)}, self._exact)
+            turns = [(bt, k) for bt, k in turns.items() if not is_zero(k)]
+            frontier = {g + (bt,): w * k for g, w in frontier.items() for bt, k in turns}
+            den *= d
+        return frontier, den
 
     def _column_moves_cached(self, r, col, eta_out=None):
         """Row r's move table for the column parameter y[col], with the
@@ -221,66 +228,66 @@ class OperatorStack:
         if got is None:
             if eta_out is None:
                 row = self.rows[r]
-                table = _column_moves(row.kind, row.spectral, self.params.y[col], self.q)
-                got = _int_table(table, self._exact)
+                got = _column_moves(row.kind, row.spectral, self.params.y[col], self.q, self._exact)
             else:
                 table, den = self._column_moves_cached(r, col)
                 got = {k: [m for m in ms if m[0] == eta_out] for k, ms in table.items()}, den
             self._moves_cache[key] = got
         return got
 
-    def _column_transfer(self, gamma, eta_b, eta_t, col):
-        """(dict gamma' -> weight numerator, column denominator) for one
-        column with fixed external edges: the column's line swept up through
-        the rows from channel tuple gamma, memoised per y_j class.
+    def _column_op(self, eta_b, eta_t, col):
+        """The column operator for fixed external edges (see _ColumnOperator),
+        one per (eta_b, eta_t, y_j class).
 
         eta_t None means the top edge is summed over (free top); col indexes
         the column's y_j in the y-alphabet.  A fixed eta_t crosses the top
         row by its moves that leave with eta_t only, so no path is built
-        that the line's end would drop.  With no rows the line goes straight
-        through: the empty stack is the identity operator.
+        that the line's end would drop; both eta_b share one row-table list.
         """
-        key = (gamma, eta_b, eta_t, self._y_class[col])
-        got = self._column_cache.get(key)
-        if got is None:
-            top = self.n_rows - 1
-            rows = [
-                self._column_moves_cached(r, col, eta_t if r == top else None)
-                for r in range(self.n_rows)
-            ]
-            got = _line_sweep(({gamma: 1}, 1), rows, _ENDS[eta_t], enter=eta_b)
-            self._column_cache[key] = got
-        return got
+        y_class = self._y_class[col]
+        op = self._column_ops.get((eta_b, eta_t, y_class))
+        if op is None:
+            rows = self._rows_cache.get((eta_t, y_class))
+            if rows is None:
+                top = self.n_rows - 1
+                rows = self._rows_cache[eta_t, y_class] = [
+                    self._column_moves_cached(r, col, eta_t if r == top else None)
+                    for r in range(self.n_rows)
+                ]
+            op = self._column_ops[eta_b, eta_t, y_class] = _ColumnOperator(rows, _ENDS[eta_t], eta_b)
+        return op
 
     def target(self):
         return tuple(_TARGET[row.kind] for row in self.rows)
 
     def _tail_values(self, support, free_top: bool):
-        """S[gamma] = lim_M (T^M)[gamma -> target] on the far-right tail,
-        as (values, den) like a frontier."""
+        """S[gamma] = lim_M (T^M)[gamma -> target] on the far-right tail, as
+        (states reached, nonzero values, den): the states reached from the
+        support hold S = 0 unless listed, and the values and den are a
+        frontier."""
         tail_col = len(self.params.y) - 1
         eta_t = None if free_top else 0
         tgt = self.target()
         # forward closure of the frontier support (plus target); every tail
         # column shares one denominator D, so T = T_int / D
+        op = self._column_op(0, eta_t, tail_col)
+        D = op.den
         trans = {}
         todo = list(support) + [tgt]
         seen = set()
-        D = 1
         while todo:
             g = todo.pop()
             if g in seen:
                 continue
             seen.add(g)
-            row, D = self._column_transfer(g, 0, eta_t, tail_col)
-            trans[g] = row
-            todo.extend(row.keys())
+            trans[g] = row = op[g]
+            todo.extend(g2 for g2, _ in row)
         # states that cannot reach the target contribute 0 in the limit
         # (e.g. a right-mover passing at weight exactly 1 would otherwise
         # make I - T singular)
         rev = {}
         for g, row in trans.items():
-            for g2 in row:
+            for g2, _ in row:
                 rev.setdefault(g2, []).append(g)
         live = {tgt}
         todo = [tgt]
@@ -292,15 +299,14 @@ class OperatorStack:
                     todo.append(g0)
         others = sorted(g for g in live if g != tgt)
         if not others:
-            return {g: (1 if g == tgt else 0) for g in seen}, 1
+            return seen, {tgt: 1}, 1
         oidx = {g: i for i, g in enumerate(others)}
         n = len(others)
-        zero = self._zero_like()
         A = [[None] * n for _ in range(n)]
-        b = [zero] * n
+        b = [self._zero] * n
         for g in others:
             i = oidx[g]
-            for g2, w in trans[g].items():
+            for g2, w in trans[g]:
                 if g2 == tgt:
                     b[i] = b[i] + w
                 elif g2 in oidx:
@@ -314,12 +320,9 @@ class OperatorStack:
             ]
             for i in range(n)
         ]
-        sol = _solve_dense(M, b)
-        S = {g: 0 for g in seen}
+        S = dict(zip(others, _solve_dense(M, b)))
         S[tgt] = 1
-        for g in others:
-            S[g] = sol[oidx[g]]
-        return over_one_den(S, self._exact)
+        return seen, *over_one_den(nonzero(S), self._exact)
 
     def _zero_like(self):
         """0 of the stack's scalar ring; with array rows, zeros over the
@@ -347,10 +350,20 @@ class OperatorStack:
         external edges (eta_b, eta_t) of every column.  Each pattern resumes
         from the frontier after the prefix it shares with the previous one;
         a frontier is saved only at a depth that a later pattern resumes from
-        (a running minimum of the shared lengths), so one pair saves none."""
+        (a running minimum of the shared lengths), so one pair saves none.
+        Each distinct configuration is normalised once."""
+        configs = {}
+
+        def config(positions):
+            positions = tuple(positions)
+            got = configs.get(positions)
+            if got is None:
+                got = configs[positions] = as_config(positions)
+            return got
+
         patterns = []
         for mu, nu in pairs:
-            mu, nu = as_config(mu), as_config(nu)
+            mu, nu = config(mu), config(nu)
             n_cols = max(config_max(mu), config_max(nu), len(self.params.y))
             patterns.append(tuple([
                 (int(j in mu), None if free_top else int(j in nu)) for j in range(1, n_cols + 1)
@@ -377,32 +390,53 @@ class OperatorStack:
 
     def _column_step(self, frontier, eta_b, eta_t, col):
         values, den = frontier
+        op = self._column_op(eta_b, eta_t, col)
         new = {}
-        col_den = 1
         for gamma, w in values.items():
-            transfer, col_den = self._column_transfer(gamma, eta_b, eta_t, col)
-            for gamma2, wt in transfer.items():
+            for gamma2, wt in op[gamma]:
                 val = w * wt
                 if gamma2 in new:
                     new[gamma2] = new[gamma2] + val
                 else:
                     new[gamma2] = val
-        return {k: v for k, v in new.items() if not is_zero(v)}, den * col_den
+        return nonzero(new), den * op.den
 
     def _close(self, frontier, free_top: bool):
         """Sum the frontier against the exact far-right tail; an exact stack
-        reduces the integer total over its denominator once, here."""
+        reduces the integer total over its denominator once, here.  The tail
+        is kept as its support and its nonzero entries."""
         values, den = frontier
         if self._tail is None or self._tail[0] != free_top:
             self._tail = (free_top, *self._tail_values(values.keys(), free_top))
-        elif any(g not in self._tail[1] for g in values):
+        elif not values.keys() <= self._tail[1]:
             support = set(self._tail[1]) | set(values)
             self._tail = (free_top, *self._tail_values(support, free_top))
-        _, S, s_den = self._tail
-        terms = [w * S[g] for g, w in values.items() if g in S and not is_zero(S[g])]
-        total = sum(terms, self._zero_like())
+        _, _, S, s_den = self._tail
+        terms = [w * S[g] for g, w in values.items() if g in S]
+        total = sum(terms, self._zero)
         # with no term the element is the ring's zero (the int 0 when exact)
         return Fraction(total, den * s_den) if self._exact and terms else total
+
+
+class _ColumnOperator(dict):
+    """One column's transfer for fixed external edges, filled lazily:
+    {gamma: ((gamma', weight numerator), ...)}, every weight over den.
+
+    An entry is the column's line swept up through the rows' move tables
+    from channel tuple gamma (entering with eta_b, leaving by ends).  With
+    no rows the line goes straight through: the empty stack is the identity
+    operator.
+    """
+
+    def __init__(self, rows, ends, eta_b):
+        super().__init__()
+        self.rows, self.ends, self.eta_b = rows, ends, eta_b
+        self.den = ends[1] * math.prod(d for _, d in rows)
+
+    def __missing__(self, gamma):
+        values, _ = _line_sweep(({gamma: 1}, 1), self.rows, self.ends, enter=self.eta_b)
+        got = self[gamma] = tuple(values.items())
+        return got
 
 
 def _common_prefix(a, b) -> int:
@@ -415,9 +449,15 @@ def _common_prefix(a, b) -> int:
 def _solve_dense(M, b):
     """Solve M s = b over the active scalar ring.
 
-    Fractions use exact Gaussian elimination with abs-max pivoting; numpy
-    array entries are batched through numpy.linalg.solve over the lanes all
-    entries broadcast to.
+    Rational entries are cleared to integers over their lcm and solved by
+    fraction-free (Bareiss) elimination with the largest-modulus pivot: step
+    k replaces each lower row's entry by (p_k A[r][c] - A[r][k] A[k][c]) /
+    p_{k-1}, an exact integer division, so the last pivot is det = +-det M.
+    A fraction-free back substitution then gives the integers det * s, and
+    the solution is returned as Fractions.  Complex entries run the same
+    loop with true division; numpy array entries are batched through
+    numpy.linalg.solve over the lanes all entries broadcast to.  A singular
+    system raises DegeneratePoint.
     """
     n = len(M)
     entries = [v for row in M for v in row] + list(b)
@@ -433,29 +473,29 @@ def _solve_dense(M, b):
         # right-hand side as a matrix unless it is 1-D
         sol = np.linalg.solve(Mb, bb[..., None])
         return [sol[..., i, 0] for i in range(n)]
-    A = [row[:] + [b[i]] for i, row in enumerate(M)]
-    if all(is_exact(v) for row in A for v in row):
-        A = [[Fraction(v) for v in row] for row in A]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(A[r][col]))
-        if A[piv][col] == 0:
+    A = [[*row, b[i]] for i, row in enumerate(M)]
+    exact = all(is_exact(v) for v in entries)
+    if exact:
+        den = math.lcm(*(v.denominator for v in entries))
+        A = [[numerator(v, den) for v in row] for row in A]
+    div = floordiv if exact else truediv
+    prev = 1
+    for k in range(n):
+        piv = max(range(k, n), key=lambda r: abs(A[r][k]))
+        if A[piv][k] == 0:
             raise DegeneratePoint("tail system singular at this parameter point")
-        if piv != col:
-            A[piv], A[col] = A[col], A[piv]
-        inv_p = A[col][col]
-        for r in range(col + 1, n):
-            if A[r][col] == 0:
-                continue
-            f = A[r][col] / inv_p
-            for c in range(col, n + 1):
-                A[r][c] -= f * A[col][c]
-    sol = [0] * n
+        A[piv], A[k] = A[k], A[piv]
+        row_k, p = A[k], A[k][k]
+        for row in A[k + 1 :]:
+            f = row[k]
+            row[k + 1 :] = map(div, [p * v - f * u for v, u in zip(row[k + 1 :], row_k[k + 1 :])],
+                               itertools.repeat(prev))
+        prev = p
+    y = [0] * n
     for r in range(n - 1, -1, -1):
-        acc = A[r][n]
-        for c in range(r + 1, n):
-            acc -= A[r][c] * sol[c]
-        sol[r] = acc / A[r][r]
-    return sol
+        acc = prev * A[r][n] - sum(A[r][c] * y[c] for c in range(r + 1, n))
+        y[r] = div(acc, A[r][r])
+    return [Fraction(v, prev) for v in y] if exact else [v / prev for v in y]
 
 
 # ---------------------------------------------------------------------------
@@ -488,17 +528,16 @@ def _line_sweep(states, crossings, ends, enter=0):
     new = {}
     try:
         for hs, w in values.items():
-            frontier = [(enter, hs, w)]
-            for k, (table, _) in enumerate(crossings):
-                nf = []
-                for v, cur, wv in frontier:
-                    h = cur[k]
-                    for v2, h2, wt in table[v, h]:
-                        nf.append((v2, cur if h2 == h else cur[:k] + (h2,) + cur[k + 1 :], wv * wt))
-                frontier = nf
-            for v, cur, wv in frontier:
+            # each path carries the states it has left on the lines crossed
+            frontier = [(enter, (), w)]
+            for (table, _), h in zip(crossings, hs):
+                frontier = [
+                    (v2, out + (h2,), wv * wt) for v, out, wv in frontier for v2, h2, wt in table[v, h]
+                ]
+            rest = hs[len(crossings) :]
+            for v, out, wv in frontier:
                 for suffix, we in ends[v]:
-                    key = cur + suffix
+                    key = out + rest + suffix
                     val = wv if we is None else wv * we
                     if key in new:
                         new[key] = new[key] + val
@@ -506,7 +545,7 @@ def _line_sweep(states, crossings, ends, enter=0):
                         new[key] = val
     except ZeroDivisionError as exc:
         raise DegeneratePoint(f"weight pole in the lattice route: {exc}") from exc
-    return {k: v for k, v in new.items() if not is_zero(v)}, den
+    return nonzero(new), den
 
 
 def frontier_value(frontier, key):
@@ -612,7 +651,7 @@ def apply_double_row(bra, kind, spectral, n_columns, params: ModelParams):
     for mu, coeff in bra.items():
         for nu, w in zip(nus, stack.elements([(mu, nu) for nu in nus])):
             out[nu] = out.get(nu, 0) + coeff * w
-    return {nu: v for nu, v in out.items() if not is_zero(v)}
+    return nonzero(out)
 
 
 def in_probability_regime(x, params: ModelParams) -> bool:

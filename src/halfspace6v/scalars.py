@@ -30,7 +30,12 @@ def is_array(value) -> bool:
 
 def is_zero(value) -> bool:
     """value == 0; for an array, on every lane (NaN is nonzero, -0.0 zero)."""
-    return not value.any() if is_array(value) else value == 0
+    return not value.any() if isinstance(value, ndarray) else value == 0
+
+
+def nonzero(values: dict) -> dict:
+    """values without its zero entries (see is_zero), by one truth test each."""
+    return {k: v for k, v in values.items() if (v.any() if isinstance(v, ndarray) else v)}
 
 
 def numerator(w, den: int) -> int:

@@ -8,8 +8,10 @@ f (arity k) and g (arity l) evaluates as
 
 which requires pairwise distinct arguments.  Products are commutative up
 to the sign (-1)^(k*l); the arity-0 constant 1 is the identity.  Values
-are memoised per function on the sorted argument tuple (evaluators are
-symmetric, so sorting is harmless).
+are memoised per function on the argument tuple as given: a product
+passes each factor its arguments in their original order, so the nested
+evaluations of one call meet every subset in one order.  Each product
+keeps the cross factors (1 - ab)/(a - b) it has evaluated.
 """
 
 from __future__ import annotations
@@ -21,11 +23,6 @@ from math import factorial
 from .errors import ArityError, CapExceeded, DegeneratePoint
 
 DEFAULT_ARITY_CAP = 8
-
-
-def _sort_key(v):
-    c = complex(v)
-    return (c.real, c.imag)
 
 
 class SymFun:
@@ -43,11 +40,9 @@ class SymFun:
         args = tuple(args)
         if len(args) != self.arity:
             raise ArityError(f"{self.name}: expected {self.arity} args, got {len(args)}")
-        key = tuple(sorted(args, key=_sort_key))
-        got = self._memo.get(key)
+        got = self._memo.get(args)
         if got is None:
-            got = self.fn(args)
-            self._memo[key] = got
+            got = self._memo[args] = self.fn(args)
         return got
 
     def scaled(self, factor) -> "SymFun":
@@ -71,18 +66,29 @@ def shuffle_product(f: SymFun, g: SymFun) -> SymFun:
     if l == 0:
         return f if _is_one(g) else f.scaled(g(()))
 
+    cross = {}  # (1 - ab)/(a - b) by argument pair, over every evaluation
+
+    def kernel(a, b):
+        got = cross.get((a, b))
+        if got is None:
+            got = cross[a, b] = (1 - a * b) / (a - b)
+        return got
+
     def ev(args):
         n = len(args)
         if len(set(args)) != n:
             raise DegeneratePoint("shuffle product needs pairwise distinct arguments")
+        kern_of = [[kernel(a, b) if i != j else None for j, b in enumerate(args)]
+                   for i, a in enumerate(args)]
         total = 0
         idx = range(n)
         for S in combinations(idx, k):
             comp = tuple(i for i in idx if i not in S)
             kern = 1
             for i in S:
+                row = kern_of[i]
                 for j in comp:
-                    kern = kern * (1 - args[i] * args[j]) / (args[i] - args[j])
+                    kern = kern * row[j]
             total = total + f([args[i] for i in S]) * g([args[j] for j in comp]) * kern
         return total
 

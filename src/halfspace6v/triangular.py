@@ -14,8 +14,11 @@ i and j, and all external edges empty.  Routes:
                       u = 1 recovers Z_m
   z_altform_subset    the same Z_m(u; x) as an explicit sum over subsets
 
-Every Pfaffian here comes from one builder, _pf_over_s: prod_{i<j}
-1/S(x_i, x_j) times the Pfaffian of a skew kernel, bordered at odd size.
+Every single-Pfaffian formula comes from one builder, _pf_over_s:
+prod_{i<j} 1/S(x_i, x_j) times the Pfaffian of a skew kernel, bordered at
+odd size.  h(x_i) and h(x_i)/(ac) are evaluated once per alphabet entry,
+and the subset route takes its Kuperberg Pfaffians as submatrices of one
+kernel matrix built once per alphabet.
 
 Closed forms at small size:
   Z_0 = 1,  Z_1 = 1 - h(x_1),
@@ -76,36 +79,36 @@ def kernel_M(xi, xj, q):
     return (1 - q) * (xi - xj) / den
 
 
-def kernel_Q(xi, xj, params: ModelParams):
-    """Symmetric kernel of the single-Pfaffian formula."""
-    q = params.q
+def _h_tables(xs, params: ModelParams):
+    """[h(x_i)] and [h(x_i)/(ac)] over the alphabet, each entry evaluated once."""
+    return [h_func(x, params) for x in xs], [h_over_ac(x, params) for x in xs]
+
+
+def _q_den(xi, xj, q, name):
     den = 1 - q * xi * xj
     if den == 0:
-        raise DegeneratePoint("1 - q x_i x_j vanished in Q")
-    pair = h_func(xi, params) * h_over_ac(xj, params)
-    return (1 - h_func(xi, params)) * (1 - h_func(xj, params)) - pair * (
-        1 - q
-    ) * xi * xj / den
+        raise DegeneratePoint(f"1 - q x_i x_j vanished in {name}")
+    return den
 
 
-def kernel_Qe(xi, xj, params: ModelParams, u):
-    """Even kernel of the alternative form (q^(1/2) factors cancel)."""
-    q = params.q
-    den = 1 - q * xi * xj
-    if den == 0:
-        raise DegeneratePoint("1 - q x_i x_j vanished in Q^e")
-    pair = h_func(xi, params) * h_over_ac(xj, params)
-    return kernel_S(xi, xj) + u * u * q * xi * xj * pair * (xi - xj) / den
+def kernel_Q(xi, xj, hi, hj, hoa_j, q):
+    """Symmetric kernel of the single-Pfaffian formula, from hi = h(x_i),
+    hj = h(x_j) and hoa_j = h(x_j)/(ac)."""
+    den = _q_den(xi, xj, q, "Q")
+    return (1 - hi) * (1 - hj) - hi * hoa_j * (1 - q) * xi * xj / den
 
 
-def kernel_Qo(xi, xj, params: ModelParams, u):
-    """Odd kernel of the alternative form."""
-    q = params.q
-    den = 1 - q * xi * xj
-    if den == 0:
-        raise DegeneratePoint("1 - q x_i x_j vanished in Q^o")
-    pair = h_func(xi, params) * h_over_ac(xj, params)
-    return xi * xj * kernel_S(xi, xj) + u * u * pair * (xi - xj) / den
+def kernel_Qe(xi, xj, s, hi, hoa_j, q, u):
+    """Even kernel of the alternative form (q^(1/2) factors cancel), with
+    s = S(x_i, x_j)."""
+    den = _q_den(xi, xj, q, "Q^e")
+    return s + u * u * q * xi * xj * (hi * hoa_j) * (xi - xj) / den
+
+
+def kernel_Qo(xi, xj, s, hi, hoa_j, q, u):
+    """Odd kernel of the alternative form, with s = S(x_i, x_j)."""
+    den = _q_den(xi, xj, q, "Q^o")
+    return xi * xj * s + u * u * (hi * hoa_j) * (xi - xj) / den
 
 
 # ---------------------------------------------------------------------------
@@ -142,20 +145,22 @@ def _check_distinct(xs):
 
 
 def _pf_over_s(xs, entry, border=None):
-    """prod_{i<j} 1/S(x_i, x_j) * Pf(entry(x_i, x_j)), the shape of every
-    Pfaffian route: entry fills the upper triangle and is mirrored, and a
-    given border appends the column border(x_i) (odd sizes)."""
+    """prod_{i<j} 1/S(x_i, x_j) * Pf(entry(i, j, S(x_i, x_j))), the shape of
+    every single-Pfaffian formula: entry fills the upper triangle by index
+    and is mirrored, and a given border appends the column border(i) (odd
+    sizes)."""
     m = len(xs)
     n = m + (border is not None)
     pref = 1
     M = [[0] * n for _ in range(n)]
     for i in range(m):
         for j in range(i + 1, m):
-            M[i][j] = entry(xs[i], xs[j])
+            s = kernel_S(xs[i], xs[j])
+            M[i][j] = entry(i, j, s)
             M[j][i] = -M[i][j]
-            pref = pref / kernel_S(xs[i], xs[j])
+            pref = pref / s
         if border is not None:
-            M[i][m] = border(xs[i])
+            M[i][m] = border(i)
             M[m][i] = -M[i][m]
     return pref * pfaffian(M, validate=False)
 
@@ -172,8 +177,9 @@ def z_pfaffian(spec: TriangularSpec):
     xs, params = spec.x, spec.params
     m = len(xs)
     _check_distinct(xs)
-    entry = lambda xi, xj: kernel_S(xi, xj) * kernel_Q(xi, xj, params)
-    border = (lambda x: h_func(x, params) - 1) if m % 2 else None
+    hs, hoa = _h_tables(xs, params)
+    entry = lambda i, j, s: s * kernel_Q(xs[i], xs[j], hs[i], hs[j], hoa[j], params.q)
+    border = (lambda i: hs[i] - 1) if m % 2 else None
     return (-1) ** m * _pf_over_s(xs, entry, border)
 
 
@@ -188,7 +194,7 @@ def z_kuperberg(xs, q):
     if len(xs) % 2 == 1:
         return 0
     _check_distinct(xs)
-    return prod(xs) * _pf_over_s(xs, lambda xi, xj: kernel_M(xi, xj, q))
+    return prod(xs) * _pf_over_s(xs, lambda i, j, s: kernel_M(xs[i], xs[j], q))
 
 
 def z_subset_kuperberg(spec: TriangularSpec):
@@ -196,6 +202,11 @@ def z_subset_kuperberg(spec: TriangularSpec):
 
     With the c -> infinity table only the empty subset survives and the
     function factorises to prod x_i (1 - a x_i)/(x_i - a).
+
+    The subset S's term is (-1/(ac))^(|S|/2) prod_{i in S} h_i/(1-h_i) x_i
+    prod_{i in S, j not in S} 1/S(x_i, x_j) times Z^K on S, whose prefactor
+    prod_{i<j in S} 1/S(x_i, x_j) and Kuperberg Pfaffian come from the same
+    1/S table and one Kuperberg matrix over the whole alphabet.
     """
     xs, params = spec.x, spec.params
     m = len(xs)
@@ -211,6 +222,14 @@ def z_subset_kuperberg(spec: TriangularSpec):
             raise DegeneratePoint("h(x_i) = 1 makes the subset weights singular")
     q = params.q
     inv_ac = -1 / (params.a * params.c)
+    weight = [h * x / (1 - h) for h, x in zip(hs, xs)]
+    # 1/S(x_i, x_j) = (1 - x_i x_j)/(x_i - x_j); the Kuperberg kernel on i < j
+    inv_s = [[(1 - xi * xj) / (xi - xj) if i != j else None for j, xj in enumerate(xs)]
+             for i, xi in enumerate(xs)]
+    K = [[0] * m for _ in range(m)]
+    for i, j in combinations(range(m), 2):
+        K[i][j] = kernel_M(xs[i], xs[j], q)
+        K[j][i] = -K[i][j]
     total = 0
     idx = range(m)
     for r in range(0, m // 2 + 1):
@@ -218,11 +237,13 @@ def z_subset_kuperberg(spec: TriangularSpec):
             comp = [i for i in idx if i not in S]
             term = inv_ac**r if r else 1
             for i in S:
-                term = term * hs[i] / (1 - hs[i])
+                term = term * weight[i]
                 for j in comp:
-                    den = xs[i] - xs[j]
-                    term = term * (1 - xs[i] * xs[j]) / den
-            term = term * z_kuperberg([xs[i] for i in S], q)
+                    term = term * inv_s[i][j]
+            for i, j in combinations(S, 2):
+                term = term * inv_s[i][j]
+            if S:
+                term = term * pfaffian([[K[i][j] for j in S] for i in S], validate=False)
             total = total + term
     return H * total
 
@@ -237,15 +258,21 @@ def z1_symfun(params: ModelParams) -> SymFun:
 
 
 def z2_symfun(params: ModelParams) -> SymFun:
+    hs = {}  # (h(x), h(x)/(ac)) per argument, each evaluated once
+
+    def h_of(x):
+        got = hs.get(x)
+        if got is None:
+            got = hs[x] = h_func(x, params), h_over_ac(x, params)
+        return got
+
     def ev(args):
         x1, x2 = args
         den = 1 - params.q * x1 * x2
         if den == 0:
             raise DegeneratePoint("1 - q x_1 x_2 vanished in Z_2")
-        pair = h_func(x1, params) * h_over_ac(x2, params)
-        return (1 - h_func(x1, params)) * (1 - h_func(x2, params)) - pair * (
-            1 - params.q
-        ) * x1 * x2 / den
+        (h1, _), (h2, hoa2) = h_of(x1), h_of(x2)
+        return (1 - h1) * (1 - h2) - h1 * hoa2 * (1 - params.q) * x1 * x2 / den
 
     return SymFun(2, ev, name="Z2")
 
@@ -270,15 +297,15 @@ def z_shuffle(spec: TriangularSpec):
 # ---------------------------------------------------------------------------
 
 
-def _z_even_pf(xs, params, u):
-    """Z^e on an even alphabet."""
-    return _pf_over_s(xs, lambda xi, xj: kernel_Qe(xi, xj, params, u))
+def _z_even_pf(xs, hs, hoa, q, u):
+    """Z^e on an even alphabet, from its h and h/(ac) tables."""
+    return _pf_over_s(xs, lambda i, j, s: kernel_Qe(xs[i], xs[j], s, hs[i], hoa[j], q, u))
 
 
-def _z_odd_pf(xs, params, u):
+def _z_odd_pf(xs, hs, hoa, q, u):
     """Z^o on an odd alphabet: bordered Pfaffian with +-u h(x) edges."""
-    edge = lambda x: -u * h_func(x, params)
-    return _pf_over_s(xs, lambda xi, xj: kernel_Qo(xi, xj, params, u), edge)
+    edge = lambda i: -u * hs[i]
+    return _pf_over_s(xs, lambda i, j, s: kernel_Qo(xs[i], xs[j], s, hs[i], hoa[j], q, u), edge)
 
 
 def z_altform(spec: TriangularSpec):
@@ -293,13 +320,16 @@ def z_altform(spec: TriangularSpec):
     if m == 0:
         return 1
     one = Fraction(1) if is_exact(params.q) else 1.0
-    _check_distinct(xs + (one,))
+    ext = xs + (one,)
+    _check_distinct(ext)
+    hs, hoa = _h_tables(ext, params)
+    q = params.q
     if m % 2 == 0:
-        ze = _z_even_pf(xs, params, u)
-        zo = _z_odd_pf(xs + (one,), params, u)  # Z^o_m := Z^o_{m+1}(x, 1)
+        ze = _z_even_pf(xs, hs, hoa, q, u)
+        zo = _z_odd_pf(ext, hs, hoa, q, u)  # Z^o_m := Z^o_{m+1}(x, 1)
     else:
-        ze = _z_even_pf(xs + (one,), params, u)  # Z^e_m := Z^e_{m+1}(x, 1)
-        zo = _z_odd_pf(xs, params, u)
+        ze = _z_even_pf(ext, hs, hoa, q, u)  # Z^e_m := Z^e_{m+1}(x, 1)
+        zo = _z_odd_pf(xs, hs, hoa, q, u)
     return ze + zo
 
 

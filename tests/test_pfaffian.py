@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halfspace6v.errors import NotSkewSymmetric
 from halfspace6v.pfaffian import (
@@ -123,3 +125,48 @@ def test_stembridge_coinciding_arguments_vanish():
     xs = [F(1, 2), F(1, 2), F(1, 3), F(1, 5)]
     # both sides are 0 by antisymmetry
     assert stembridge_check(xs)
+
+
+def pf_first_row(M):
+    """Pf by expansion along the first row: sum_j (-1)^(j+1) M[0][j]
+    Pf(M without rows and columns 0 and j), independent of any elimination."""
+    n = len(M)
+    if n == 0:
+        return 1
+    total = 0
+    for j in range(1, n):
+        if M[0][j] != 0:
+            rest = [i for i in range(1, n) if i != j]
+            total += (-1) ** (j + 1) * M[0][j] * pf_first_row([[M[a][b] for b in rest] for a in rest])
+    return total
+
+
+@st.composite
+def skew_matrices(draw, entries):
+    n = 2 * draw(st.integers(1, 4))
+    M = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = draw(entries)
+            M[i][j], M[j][i] = v, -v
+    return M
+
+
+PF_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+# exact zeros make some pivot columns, or whole rows, vanish
+fractions = st.one_of(st.just(F(0)), st.builds(F, st.integers(-40, 40), st.integers(1, 40)))
+
+
+@PF_SETTINGS
+@given(skew_matrices(fractions))
+def test_exact_pfaffian_matches_first_row_expansion(M):
+    pf = pfaffian(M)
+    assert type(pf) is F and pf == pf_first_row(M)
+
+
+@PF_SETTINGS
+@given(skew_matrices(st.one_of(st.just(0), st.integers(-30, 30))))
+def test_int_rows_give_the_fraction_rows_value(M):
+    pf = pfaffian(M)
+    assert type(pf) is F
+    assert pf == pfaffian([[F(v) for v in row] for row in M]) == pf_first_row(M)

@@ -10,6 +10,7 @@ import pytest
 
 from halfspace6v import rowops
 from halfspace6v.errors import DegeneratePoint, GuardViolated, TruncationTooSmall
+from halfspace6v.pfaffian import det_exact
 from halfspace6v.rowops import (
     KIND_A,
     KIND_B,
@@ -309,6 +310,36 @@ def test_probability_regime_pointwise():
     assert not in_probability_regime(F(1, 2), bad)
     # pole is reported as out-of-regime, not an exception
     assert not in_probability_regime(F(3), good)
+
+
+def test_solve_dense_singular_integer_system_raises():
+    # row 3 = row 1 + row 2, and a zero leading entry forces a row swap first
+    M = [[0, 2, 1], [3, 1, 4], [3, 3, 5]]
+    with pytest.raises(DegeneratePoint):
+        rowops._solve_dense(M, [1, 2, 3])
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+def test_solve_dense_integer_system_matches_cramer(n):
+    """The fraction-free solve gives Cramer's rule, det(M_i)/det(M) by
+    det_exact, as Fractions; zeros on the diagonal make it pivot."""
+    rng = random.Random(40 + n)
+    while True:
+        M = [[rng.choice((0, rng.randint(-9, 9))) for _ in range(n)] for _ in range(n)]
+        det = det_exact(M)
+        if det != 0:
+            break
+    b = [rng.randint(-9, 9) for _ in range(n)]
+    cramer = [
+        det_exact([row[:i] + [b[r]] + row[i + 1 :] for r, row in enumerate(M)]) / det
+        for i in range(n)
+    ]
+    got = rowops._solve_dense(M, b)
+    assert got == cramer and all(type(v) is F for v in got)
+    # the same loop over complex entries agrees with numpy
+    got_c = rowops._solve_dense([[complex(v) for v in row] for row in M], [complex(v) for v in b])
+    ref = np.linalg.solve(np.array(M, dtype=complex), np.array(b, dtype=complex))
+    assert np.max(np.abs(np.array(got_c) - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_stack_pole_raises_degenerate_point():

@@ -59,6 +59,16 @@ def test_five_way_agreement(m):
         assert z_altform_subset(spec) == ref
 
 
+def test_five_routes_equal_enumeration_at_m7():
+    """A bordered order-8 Pfaffian, 64 even subsets and an arity-7 shuffle,
+    each exactly equal to the line-by-line sum."""
+    xs = (F(1, 5), F(10, 21), F(-34, 3), F(7), F(6, 19), F(-11, 10), F(24, 7))
+    spec = TriangularSpec(xs, P)
+    ref = z_enumerate(spec)
+    for route in (z_pfaffian, z_subset_kuperberg, z_shuffle, z_altform, z_altform_subset):
+        assert route(spec) == ref, route.__name__
+
+
 def test_altform_u_zero_is_one():
     rng = random.Random(9)
     xs = sample_alphabet(rng, 3, P)
