@@ -28,7 +28,9 @@ def check_skew(M) -> int:
     n = len(M)
     if any(len(row) != n for row in M):
         raise NotSkewSymmetric("matrix is not square")
-    if not all(isinstance(v, Number) for row in M for v in row):
+    # built-in scalar types pass without the slower ABC isinstance
+    if not all(type(v) in (int, Fraction, float, complex) or isinstance(v, Number)
+               for row in M for v in row):
         raise NotSkewSymmetric("entries must be scalars (one matrix, not a stack)")
     for i in range(n):
         if M[i][i] != 0:
@@ -48,15 +50,17 @@ def pfaffian(M, validate: bool = True):
     n = len(M)
     if n == 0:
         return 1
+    exact = all(is_exact(v) for row in M for v in row)
+    if exact:
+        # Pf(D M) = D^(n/2) Pf(M), D > 0: validate and eliminate over ints
+        den = math.lcm(*(v.denominator for row in M for v in row))
+        M = [[numerator(v, den) for v in row] for row in M]
     if validate:
         check_skew(M)
     if n % 2 != 0:
         raise NotSkewSymmetric("Pfaffian requires even order (border odd inputs)")
-    if all(is_exact(v) for row in M for v in row):
-        # Pf(D M) = D^(n/2) Pf(M): clear the denominators, eliminate over ints
-        den = math.lcm(*(v.denominator for row in M for v in row))
-        pf = _skew_bareiss([[numerator(v, den) for v in row] for row in M], floordiv)
-        return Fraction(pf, den ** (n // 2))
+    if exact:
+        return Fraction(_skew_bareiss(M, floordiv), den ** (n // 2))
     return _skew_bareiss([[complex(v) for v in row] for row in M], truediv)
 
 

@@ -22,7 +22,10 @@ products are evaluated two ways:
   in closed form by solving a small linear system (by fraction-free
   Bareiss elimination in the rational backend) -- this realises the
   infinite-column limit that products of truncated kernels cannot reach.
-  A family of elements
+  Every vertex conserves particles, so column j changes the charge
+  C = sum over rows of (b - t) by exactly [j in nu] - [j in mu]; only the
+  boundary turns create charge, and a contraction keeps only the initial
+  tuples of the one sector that can reach the target.  A family of elements
   (OperatorStack.elements) is contracted in the order of its column
   patterns, each resuming from the frontier of the column prefix it
   shares with the previous one.  apply_double_row reads one row's
@@ -179,6 +182,9 @@ class OperatorStack:
     non-target states.  Spectral parameters may be numpy arrays of
     different broadcastable shapes (one open-grid axis per row), in which
     case everything broadcasts and the tail solve is batched.
+
+    Moves conserve eta_in + b_right + t = eta_out + b + t_right, so <mu|.|nu>
+    sees only boundary tuples of charge sum(b - t) = target()'s - |nu| + |mu|.
 
     A frontier is a pair (values, den): the weight of channel tuple gamma is
     values[gamma] / den.  Over the rationals the values are integers (see
@@ -346,12 +352,13 @@ class OperatorStack:
         return self._contract([(mu, ())], free_top=True)[0]
 
     def _contract(self, pairs, free_top: bool):
-        """Contract the pairs in the order of their column patterns, the
-        external edges (eta_b, eta_t) of every column.  Each pattern resumes
-        from the frontier after the prefix it shares with the previous one;
-        a frontier is saved only at a depth that a later pattern resumes from
-        (a running minimum of the shared lengths), so one pair saves none.
-        Each distinct configuration is normalised once."""
+        """Contract the pairs in the order of their patterns: the charge
+        sector, target()'s charge - |nu| + |mu| (None with a free top), whose
+        tuples depth 1 keeps, then the external edges (eta_b, eta_t) of every
+        column.  Each pattern resumes from the frontier after the prefix it
+        shares with the previous one; a frontier is saved only at a depth that
+        a later pattern resumes from (a running minimum of the shared lengths),
+        so one pair saves none.  Each distinct configuration is normalised once."""
         configs = {}
 
         def config(positions):
@@ -362,10 +369,11 @@ class OperatorStack:
             return got
 
         patterns = []
+        charge = sum(b - t for b, t in self.target())
         for mu, nu in pairs:
             mu, nu = config(mu), config(nu)
             n_cols = max(config_max(mu), config_max(nu), len(self.params.y))
-            patterns.append(tuple([
+            patterns.append((None if free_top else charge - len(nu) + len(mu), *[
                 (int(j in mu), None if free_top else int(j in nu)) for j in range(1, n_cols + 1)
             ]))
         order = sorted(range(len(pairs)), key=patterns.__getitem__)
@@ -382,7 +390,8 @@ class OperatorStack:
         for k, i in enumerate(order):
             depth, frontier = saved[-1] if shared[k] in keep[k] else saved.pop()
             for j in range(depth + 1, len(patterns[i]) + 1):
-                frontier = self._column_step(frontier, *patterns[i][j - 1], min(j, n_y) - 1)
+                frontier = (_in_sector(frontier, patterns[i][0]) if j == 1 else self._column_step(
+                    frontier, *patterns[i][j - 1], min(j - 1, n_y) - 1))
                 if j in keep[k]:
                     saved.append((j, frontier))
             out[i] = self._close(frontier, free_top)
@@ -437,6 +446,13 @@ class _ColumnOperator(dict):
         values, _ = _line_sweep(({gamma: 1}, 1), self.rows, self.ends, enter=self.eta_b)
         got = self[gamma] = tuple(values.items())
         return got
+
+
+def _in_sector(frontier, sector):
+    """The frontier's channel tuples of charge sum(b - t) == sector (all if None)."""
+    values, den = frontier
+    return {g: w for g, w in values.items()
+            if sector is None or sum(b - t for b, t in g) == sector}, den
 
 
 def _common_prefix(a, b) -> int:

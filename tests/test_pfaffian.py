@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from halfspace6v.errors import NotSkewSymmetric
 from halfspace6v.pfaffian import (
+    check_skew,
     det_exact,
     pfaffian,
     pfaffian_sum,
@@ -91,6 +93,26 @@ def test_not_skew_raises():
     for shape in ((3, 4, 4), (4, 4, 4)):
         with pytest.raises(NotSkewSymmetric):
             pfaffian(np.zeros(shape))
+
+
+def test_exact_validation_messages():
+    """An exact matrix is validated after its denominators are cleared; each
+    defect raises the message check_skew gives on the Fractions themselves."""
+    h = F(1, 2)
+    cases = [
+        ([[F(0), h], [-h]], "matrix is not square"),
+        ([[F(0), h, 0], [-h, F(1, 3), 0], [0, 0, 0]], "nonzero diagonal entry"),
+        ([[F(0), h], [h, F(0)]], "M[i][j] != -M[j][i]"),
+        ([[0, F(1, 3), 0, 0], [F(-1, 3), 0, 0, 0], [0, 0, 0, h], [0, 0, h, 0]],
+         "M[i][j] != -M[j][i]"),
+    ]
+    for M, msg in cases:
+        with pytest.raises(NotSkewSymmetric, match=re.escape(msg)):
+            check_skew(M)
+        with pytest.raises(NotSkewSymmetric, match=re.escape(msg)):
+            pfaffian(M)
+    with pytest.raises(NotSkewSymmetric, match="even order"):
+        pfaffian([[F(0), h, 0], [-h, 0, 0], [0, 0, 0]])
 
 
 def test_sum_identity_trivial_sides():

@@ -7,6 +7,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halfspace6v import rowops
 from halfspace6v.errors import DegeneratePoint, GuardViolated, TruncationTooSmall
@@ -518,3 +520,58 @@ def test_mixed_stack_takes_den_one_path():
     pairs = [((), ()), ((2,), (1,)), ((3, 1), (2,))]
     for got, want in zip(stack.elements(pairs), ref.elements(pairs)):
         assert isinstance(got, complex) and abs(got - want) <= 1e-14 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("kind", [KIND_A, KIND_B])
+@pytest.mark.parametrize("exact", [True, False])
+def test_column_moves_conserve_charge(kind, exact):
+    """Each vertex conserves particles, so every move of one double row at
+    one column has eta_in + b_right + t == eta_out + b + t_right."""
+    x, q, ys = F(2, 7), P_INHOM.q, P_INHOM.y
+    if not exact:
+        x, q, ys = 0.3 + 0.1j, complex(q), [complex(y) for y in ys]
+    for yj in ys:
+        table, _ = rowops._column_moves(kind, x, yj, q, exact)
+        moves = [(key, m) for key, ms in table.items() for m in ms]
+        assert moves
+        for (eta_in, (b, t)), (eta_out, (b_right, t_right), _) in moves:
+            assert eta_in + b_right + t == eta_out + b + t_right
+
+
+SMALL_CONFIGS = [as_config(c) for r in range(4) for c in itertools.combinations((3, 2, 1), r)]
+SPECTRAL = (F(1, 2), F(2, 5), F(1, 3), F(2, 7), F(3, 7))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(
+    rows=st.lists(st.tuples(st.sampled_from((KIND_A, KIND_B)), st.sampled_from(SPECTRAL)),
+                  min_size=1, max_size=2),
+    pairs=st.lists(st.tuples(st.sampled_from(SMALL_CONFIGS), st.sampled_from(SMALL_CONFIGS)),
+                   min_size=2, max_size=8, unique=True),
+)
+def test_family_across_charge_sectors_matches_single_elements(rows, pairs):
+    """A family whose pairs differ in |nu| - |mu| (so in charge sector)
+    gives each pair's lone element; one-row stacks match the brute-force
+    row and A stacks with mu = () the staircase lattice."""
+    family = OperatorStack(rows, P_INHOM).elements(pairs)
+    for (mu, nu), got in zip(pairs, family):
+        assert got == OperatorStack(rows, P_INHOM).element(mu, nu), (mu, nu)
+        if len(rows) == 1:
+            (kind, x), = rows
+            assert got == brute_force_row(mu, nu, kind, x, 3, P_INHOM), (mu, nu)
+        if mu == () and all(kind == KIND_A for kind, _ in rows):
+            assert got == g_lattice(nu, [x for _, x in rows], P_INHOM), nu
+
+
+def test_unreachable_charge_sector_is_exactly_zero():
+    """|nu| - |mu| > R on R A rows: no boundary tuple has the charge the
+    target needs, so the element is exactly 0 (and, for mu = (), equals the
+    staircase lattice)."""
+    x = (F(1, 2),)
+    assert partition_G((3, 2, 1), (1,), x, P_INHOM) == 0
+    assert partition_G((3, 2), (), x, P_INHOM, method="stack") == 0 == g_lattice((3, 2), x, P_INHOM)
+    xs = (F(1, 2), F(2, 5))
+    assert partition_G((4, 2, 1), (), xs, P_INHOM, method="stack") == 0
+    assert g_lattice((4, 2, 1), xs, P_INHOM) == 0
+    pc = ModelParams(q=1 / 3, a=2.0, c=5.0, y=(0.75, 1.25, 1.0))
+    assert OperatorStack([(KIND_A, 0.5 + 0.1j)], pc).element((1,), (3, 2, 1)) == 0
