@@ -36,17 +36,21 @@ products are evaluated two ways:
   gives the triangular partition function Z_m.
 
 When q, a, c, the y-alphabet and the spectral values are rational, every
-sweep is fraction-free: each move table and each boundary turn holds
-integer numerators over one denominator, the stack's initial frontier is
-a product of integer K tables, every frontier is a map of integers over
-the product of the denominators it has crossed (its zeros found by a
-truth test), the tail is solved over the integers, and the result is
-reduced to a Fraction once, at the close.  Any other input carries
-denominator 1 and its own scalars through the same operations.
+sweep is fraction-free: each move table and each boundary turn is built
+in integers from the numerators and denominators of its arguments
+(weights.bulk_ints and weights.k_ints, with x*y_j and x/y_j taken as
+products of numerators and denominators), so it holds integer numerators
+over one denominator; the stack's initial frontier is a product of
+integer K tables, every frontier is a map of integers over the product
+of the denominators it has crossed (its zeros found by a truth test),
+the tail is solved over the integers, and the result is reduced to a
+Fraction once, at the close.  Any other input reads weights.bulk_table
+and weights.k_table and carries denominator 1 and its own scalars
+through the same operations.
 
-Local weights come from one table per argument (weights.bulk_table and
-weights.k_table), each entry evaluated once; a bulk-weight pole raises
-DegeneratePoint only when a state uses that entry.
+Local weights come from one table per argument, each entry evaluated
+once; a bulk-weight pole raises DegeneratePoint only when a state uses
+that entry.
 """
 
 from __future__ import annotations
@@ -66,7 +70,9 @@ from .weights import (
     ROTATED,
     STOCHASTIC,
     ModelParams,
+    bulk_ints,
     bulk_table,
+    k_ints,
     k_table,
 )
 
@@ -120,14 +126,20 @@ def _column_moves(kind, x, yj, q, exact: bool):
     weight)]} for every incoming vertical edge eta_in and left channel
     (b, t), with the outgoing edge free: the crossing shape of bulk_table.
     The lower row's rotated weights (z = x/y_j) and the upper row's weights
-    (z = x*y_j) are each evaluated once; when exact, each as integer
-    numerators over its own denominator, so the weights are integers over
-    the product den.  A weight pole (e.g. x = y_j/q) raises DegeneratePoint.
+    (z = x*y_j) are each evaluated once; when exact, each as bulk_ints
+    numerators over its own denominator, with z's numerator and denominator
+    the products of x's and y_j's, so the weights are integers over the
+    product den.  A weight pole (e.g. x = y_j/q) raises DegeneratePoint.
     """
     table = {}
     try:
-        bot, den_bot = _int_table(bulk_table(x / yj, ROTATED, q), exact)
-        top, den_top = _int_table(bulk_table(x * yj, _TOP_VARIANT[kind], q), exact)
+        if exact:
+            xn, xd, yn, yd = x.numerator, x.denominator, yj.numerator, yj.denominator
+            bot, den_bot = bulk_ints(xn * yd, xd * yn, ROTATED, q.numerator, q.denominator)
+            top, den_top = bulk_ints(xn * yn, xd * yd, _TOP_VARIANT[kind], q.numerator, q.denominator)
+        else:
+            bot, den_bot = bulk_table(x / yj, ROTATED, q), 1
+            top, den_top = bulk_table(x * yj, _TOP_VARIANT[kind], q), 1
         for eta_in, b, t in itertools.product((0, 1), repeat=3):
             moves = table[eta_in, (b, t)] = []
             # rotated entries are keyed by (vert_in, right_in); iterate right_in
@@ -144,15 +156,20 @@ def _column_moves(kind, x, yj, q, exact: bool):
     return table, den_bot * den_top
 
 
-def _int_table(table: dict, exact: bool):
-    """(table, den) with the table's weights as integer numerators over their
-    lcm den when exact; (table, 1) otherwise.  Entries are tuples whose last
-    item is the weight, and the table keeps its type."""
-    if not exact:
-        return table, 1
-    den = math.lcm(*(e[-1].denominator for es in table.values() for e in es))
-    ints = {k: [(*e[:-1], numerator(e[-1], den)) for e in es] for k, es in table.items()}
-    return type(table)(ints), den
+def _product_table(u, v, q, exact: bool):
+    """The stochastic table at z = u*v as (table, den): bulk_ints numerators
+    over their den, from the products of u's and v's numerators and
+    denominators, when exact; (bulk_table, 1) otherwise."""
+    if exact:
+        return bulk_ints(u.numerator * v.numerator, u.denominator * v.denominator,
+                         STOCHASTIC, q.numerator, q.denominator)
+    return bulk_table(u * v, STOCHASTIC, q), 1
+
+
+def _k_form(x, params: ModelParams, exact: bool):
+    """The K table at x as (table, den): k_ints when exact, (k_table, 1)
+    otherwise."""
+    return k_ints(x.numerator, x.denominator, params) if exact else (k_table(x, params), 1)
 
 
 def _all_exact(params: ModelParams, values) -> bool:
@@ -217,9 +234,8 @@ class OperatorStack:
         the rows' K tables, each over its own denominator when exact."""
         frontier, den = {(): 1}, 1
         for row in self.rows:
-            K = k_table(row.spectral, self.params)
-            turns, d = over_one_den({(b, t): K[b][t] for b in (0, 1) for t in (0, 1)}, self._exact)
-            turns = [(bt, k) for bt, k in turns.items() if not is_zero(k)]
+            K, d = _k_form(row.spectral, self.params, self._exact)
+            turns = [((b, t), K[b][t]) for b in (0, 1) for t in (0, 1) if not is_zero(K[b][t])]
             frontier = {g + (bt,): w * k for g, w in frontier.items() for bt, k in turns}
             den *= d
         return frontier, den
@@ -585,12 +601,12 @@ def triangle_states(xs, params: ModelParams):
     states = {(): 1}, 1
     for i, xi in enumerate(xs):
         try:
-            K = k_table(xi, params)
+            K, k_den = _k_form(xi, params, exact)
         except ZeroDivisionError as exc:
             raise DegeneratePoint(f"boundary weight pole at x={xi}: {exc}") from exc
         turn = {v: [((h,), K[v][h]) for h in (0, 1) if not is_zero(K[v][h])] for v in (0, 1)}
-        crossings = [_int_table(bulk_table(xi * xj, STOCHASTIC, params.q), exact) for xj in xs[:i]]
-        states = _line_sweep(states, crossings, _int_table(turn, exact))
+        crossings = [_product_table(xi, xj, params.q, exact) for xj in xs[:i]]
+        states = _line_sweep(states, crossings, (turn, k_den))
     return states
 
 
@@ -611,8 +627,7 @@ def g_lattice(nu, x_alphabet, params: ModelParams):
     for j in range(1, config_max(nu) + 1):
         col = min(j, len(params.y))
         if col not in columns:
-            zs = [x * params.y_at(j) for x in xs]
-            columns[col] = [_int_table(bulk_table(z, STOCHASTIC, params.q), exact) for z in zs]
+            columns[col] = [_product_table(x, params.y_at(j), params.q, exact) for x in xs]
         states = _line_sweep(states, columns[col], _ENDS[int(j in nu)])
     return frontier_value(states, (0,) * len(xs))
 

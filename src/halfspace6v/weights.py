@@ -15,11 +15,19 @@ parameterised through
 
 with the c -> infinity degeneration h(x) = a*(1-x^2)/(a-x) implemented as
 its own table (entries 1-h, h, 0, 1).
+
+Exact tables are built in integers: bulk_ints, k_ints and h_ints take each
+rational argument as its numerator and denominator and return integer
+numerators over one positive denominator, reduced by one gcd, with no
+Fraction arithmetic.  bulk_table, k_table, h_func and h_over_ac are views
+of these on rational input (each entry one Fraction); on any other input
+they evaluate the same formulas in the argument's own scalars.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -106,6 +114,47 @@ def load_params(path: str, backend: str = RATIONAL) -> ModelParams:
 # ---------------------------------------------------------------------------
 
 
+def h_ints(xn: int, xd: int, params: ModelParams):
+    """h(x) and h(x)/(ac) at x = xn/xd as one integer triple (H, O, P):
+    h = H/P and h/(ac) = O/P, with P > 0 and gcd(H, O, P) = 1 (O = 0 when c
+    is infinite).  a and c must be rational.
+
+    From (1-x^2) xd^2 = xd^2 - xn^2 and (a-x) ad xd = an xd - ad xn:
+    H = an cn (xd^2 - xn^2), O = ad cd (xd^2 - xn^2) and P = (an xd - ad xn)
+    (cn xd - cd xn); at infinite c, H = an (xd^2 - xn^2) and P = xd (an xd -
+    ad xn).  x = +-1 gives (0, 0, 1) before any pole is checked (see h_func).
+    """
+    if xd == 0:
+        raise ZeroDivisionError(f"x = {xn}/0")
+    s = xd * xd - xn * xn
+    if s == 0:
+        return 0, 0, 1
+    a = params.a
+    bottom = a.numerator * xd - a.denominator * xn
+    if params.c_infinite:
+        H, O, P = a.numerator * s, 0, xd * bottom
+    else:
+        c = params.c
+        H, O = a.numerator * c.numerator * s, a.denominator * c.denominator * s
+        P = bottom * (c.numerator * xd - c.denominator * xn)
+    if P == 0:
+        raise DivisionByZero(f"h(x): pole (a-x) or (c-x) vanishes at x={Fraction(xn, xd)}")
+    g = math.gcd(H, O, P) if P > 0 else -math.gcd(H, O, P)
+    return H // g, O // g, P // g
+
+
+def k_ints(xn: int, xd: int, params: ModelParams):
+    """The K table at x = xn/xd as (((1-h, h), (-h/(ac), 1+h/(ac))) numerators,
+    den), integers over den = P of h_ints, reduced."""
+    H, O, P = h_ints(xn, xd, params)
+    return ((P - H, H), (-O, P + O)), P
+
+
+def _k_rational(x, params: ModelParams) -> bool:
+    """Whether x, a and (unless infinite) c are rational."""
+    return is_exact(x) and is_exact(params.a) and (params.c_infinite or is_exact(params.c))
+
+
 def h_func(x, params: ModelParams):
     """h(x) = ac(1-x^2)/((a-x)(c-x)); a(1-x^2)/(a-x) when c is infinite.
 
@@ -115,6 +164,9 @@ def h_func(x, params: ModelParams):
     Z_{2l-1}(x) = Z_{2l}(x, 1) even at degenerate boundary points like
     a = 1, c = -1.
     """
+    if _k_rational(x, params):
+        H, _, P = h_ints(x.numerator, x.denominator, params)
+        return Fraction(H, P)
     if not is_array(x) and (x == 1 or x == -1):
         return 0 * x
     top = params.a if params.c_infinite else params.a * params.c
@@ -131,6 +183,12 @@ def h_over_ac(x, params: ModelParams):
     """h(x)/(ac) = (1-x^2)/((a-x)(c-x)); identically 0 when c is infinite."""
     if params.c_infinite:
         return 0
+    if _k_rational(x, params):
+        try:
+            _, O, P = h_ints(x.numerator, x.denominator, params)
+        except DivisionByZero:
+            raise DivisionByZero(f"h(x)/ac: pole vanishes at x={x}") from None
+        return Fraction(O, P)
     if not is_array(x) and (x == 1 or x == -1):
         return 0 * x
     bottom = (params.a - x) * (params.c - x)
@@ -141,7 +199,11 @@ def h_over_ac(x, params: ModelParams):
 
 def k_table(x, params: ModelParams):
     """The four K-weights at x as K[i][j] (incoming i, outgoing j), with
-    h(x) and h(x)/(ac) each evaluated once."""
+    h(x) and h(x)/(ac) each evaluated once: the k_ints table when x, a and c
+    are rational."""
+    if _k_rational(x, params):
+        K, den = k_ints(x.numerator, x.denominator, params)
+        return tuple(tuple(Fraction(k, den) for k in row) for row in K)
     h, hoa = h_func(x, params), h_over_ac(x, params)
     return (1 - h, h), (-hoa, 1 + hoa)
 
@@ -166,27 +228,23 @@ class WeightTable(dict):
         raise DivisionByZero(f"bulk weight pole for input edges {key}")
 
 
-def bulk_table(z, variant, q) -> WeightTable:
-    """The nonzero bulk weights at spectral argument z as {(i, j): [(k, l, w)]},
-    each written once over the variant's one denominator: 1 - qz for the
-    stochastic table, 1 - z for the dotted one.  The rotated table is the
-    stochastic one with keys (j, i; l, k): (vertical-in, right-in;
-    vertical-out, left-out) of a left-moving lower row."""
+def _check_variant(variant):
     if variant not in (STOCHASTIC, DOTTED, ROTATED):
         raise ValueError(f"unknown bulk weight variant {variant!r}")
-    den = 1 - z if variant == DOTTED else 1 - q * z
-    if not is_array(den) and den == 0:  # only the vertices of weight 1 do not divide
-        return WeightTable({} if variant == DOTTED else {(0, 0): [(0, 0, 1)], (1, 1): [(1, 1, 1)]})
-    # a path entering from the left (input (0, 1)) or from below (1, 0)
-    if variant == DOTTED:
-        full = (1 - q * z) / den
-        left, below = (1, z * (1 - q) / den), (q, (1 - q) / den)
-    else:
-        full = 1
-        left = ((1 - z) / den, z * (1 - q) / den)
-        below = (q * (1 - z) / den, (1 - q) / den)
-        if variant == ROTATED:  # the rotation swaps the two inputs' weights
-            left, below = below, left
+
+
+def _pole_table(variant) -> WeightTable:
+    """The table at a zero of its denominator: only the vertices of weight 1
+    do not divide."""
+    return WeightTable({} if variant == DOTTED else {(0, 0): [(0, 0, 1)], (1, 1): [(1, 1, 1)]})
+
+
+def _weight_rows(full, left, below, variant) -> WeightTable:
+    """The table from its full-vertex weight and the weights of a path
+    entering from the left (input (0, 1)) or from below (1, 0), zeros
+    dropped; the rotation swaps the two inputs' weights."""
+    if variant == ROTATED:
+        left, below = below, left
     rows = {
         (0, 0): [(0, 0, full)],
         (0, 1): [(0, 1, left[0]), (1, 0, left[1])],
@@ -194,6 +252,56 @@ def bulk_table(z, variant, q) -> WeightTable:
         (1, 1): [(1, 1, full)],
     }
     return WeightTable({ij: [e for e in es if not is_zero(e[2])] for ij, es in rows.items()})
+
+
+def bulk_ints(zn: int, zd: int, variant, qn: int, qd: int):
+    """bulk_table at z = zn/zd and q = qn/qd as (table of integer numerators,
+    den), den > 0 and the gcd of den and the numerators 1.
+
+    Over qd zd, the stochastic weights 1, (1-z, z(1-q)) and (q(1-z), 1-q) and
+    their denominator 1 - qz have the numerators full = qd zd - qn zn,
+    (qd (zd-zn), zn (qd-qn)) and (qn (zd-zn), zd (qd-qn)); the dotted table
+    has the same numerators over (1-z) qd zd = qd (zd - zn).
+    """
+    _check_variant(variant)
+    if zd == 0:
+        raise ZeroDivisionError(f"z = {zn}/0")
+    full = qd * zd - qn * zn
+    den = qd * (zd - zn) if variant == DOTTED else full
+    if den == 0:
+        return _pole_table(variant), 1
+    left = (qd * (zd - zn), zn * (qd - qn))
+    below = (qn * (zd - zn), zd * (qd - qn))
+    g = math.gcd(den, full, *left, *below)
+    if den < 0:
+        g = -g
+    left, below = (left[0] // g, left[1] // g), (below[0] // g, below[1] // g)
+    return _weight_rows(full // g, left, below, variant), den // g
+
+
+def bulk_table(z, variant, q) -> WeightTable:
+    """The nonzero bulk weights at spectral argument z as {(i, j): [(k, l, w)]},
+    each written once over the variant's one denominator: 1 - qz for the
+    stochastic table, 1 - z for the dotted one.  The rotated table is the
+    stochastic one with keys (j, i; l, k): (vertical-in, right-in;
+    vertical-out, left-out) of a left-moving lower row.  On rational z and q
+    each weight is its bulk_ints numerator over the table's den."""
+    if is_exact(z) and is_exact(q):
+        table, den = bulk_ints(z.numerator, z.denominator, variant, q.numerator, q.denominator)
+        return WeightTable({ij: [(k, l, Fraction(w, den)) for k, l, w in es]
+                            for ij, es in table.items()})
+    _check_variant(variant)
+    den = 1 - z if variant == DOTTED else 1 - q * z
+    if not is_array(den) and den == 0:
+        return _pole_table(variant)
+    if variant == DOTTED:
+        full = (1 - q * z) / den
+        left, below = (1, z * (1 - q) / den), (q, (1 - q) / den)
+    else:
+        full = 1
+        left = ((1 - z) / den, z * (1 - q) / den)
+        below = (q * (1 - z) / den, (1 - q) / den)
+    return _weight_rows(full, left, below, variant)
 
 
 def bulk_weight(i, j, k, l, z, variant, q):
@@ -226,8 +334,19 @@ def _matmul(A, B):
     return out
 
 
-def _eye(n):
-    return [[1 if r == c else 0 for c in range(n)] for r in range(n)]
+def _eye(n, diag=1):
+    return [[diag if r == c else 0 for c in range(n)] for r in range(n)]
+
+
+def _r_of(table):
+    """4x4 R-matrix of a stochastic table; every input is read, so a table
+    at a pole raises DivisionByZero."""
+    M = [[0] * 4 for _ in range(4)]
+    for i in range(2):
+        for j in range(2):
+            for k, l, w in table[i, j]:
+                M[2 * j + i][2 * l + k] = w
+    return M
 
 
 def r_matrix(z, q):
@@ -236,13 +355,7 @@ def r_matrix(z, q):
     Row/column index is 2*v1 + v2; entry [(j, i), (l, k)] is the vertex
     weight (i, j; k, l).
     """
-    M = [[0] * 4 for _ in range(4)]
-    table = bulk_table(z, STOCHASTIC, q)
-    for i in range(2):
-        for j in range(2):
-            for k, l, w in table[i, j]:
-                M[2 * j + i][2 * l + k] = w
-    return M
+    return _r_of(bulk_table(z, STOCHASTIC, q))
 
 
 def k_matrix(x, params: ModelParams):
@@ -284,58 +397,73 @@ def verify_local_relation(relation: str, point: dict) -> tuple[bool, float]:
     for every fixed boundary assignment, i.e. compared entrywise as dense
     matrices.  Returns (equal, max residual); equality is exact in the
     rational backend, within _FLOAT_TOL otherwise.
+
+    Each distinct matrix is built once, as (entries, den).  On a rational
+    point the entries are integers (bulk_ints, k_ints) and every spectral
+    argument a (numerator, denominator) pair, so both sides are integer
+    matrices over the same product of dens: equality is integer equality.
     """
+    exact = all(is_exact(v) for v in point.values() if not isinstance(v, bool))
     q = point.get("q")
-    x = point.get("x")
-    y = point.get("y")
-    z = point.get("z")
+    x, y, z = (point.get(k) for k in "xyz")
+    if exact:
+        x, y, z = ((v.numerator, v.denominator) if v is not None else None for v in (x, y, z))
+        div = lambda u, v: (u[0] * v[1], u[1] * v[0])
+        mul = lambda u, v: (u[0] * v[0], u[1] * v[1])
+        inv = lambda u: (u[1], u[0])
+        one = (1, 1)
+
+        def R(w):
+            table, den = bulk_ints(*w, STOCHASTIC, q.numerator, q.denominator)
+            return _r_of(table), den
+
+        K = lambda w, params: k_ints(*w, params)
+    else:
+        div = lambda u, v: u / v
+        mul = lambda u, v: u * v
+        inv = lambda u: 1 / u
+        one = 1
+        R = lambda w: (r_matrix(w, q), 1)
+        K = lambda w, params: (k_matrix(w, params), 1)
 
     if relation == "ybe":
-        lhs = _matmul(
-            _matmul(
-                _embed(r_matrix(y / x, q), 3, (0, 1)),
-                _embed(r_matrix(z / x, q), 3, (0, 2)),
-            ),
-            _embed(r_matrix(z / y, q), 3, (1, 2)),
-        )
-        rhs = _matmul(
-            _matmul(
-                _embed(r_matrix(z / y, q), 3, (1, 2)),
-                _embed(r_matrix(z / x, q), 3, (0, 2)),
-            ),
-            _embed(r_matrix(y / x, q), 3, (0, 1)),
-        )
+        (R12, d12), (R13, d13), (R23, d23) = R(div(y, x)), R(div(z, x)), R(div(z, y))
+        E12, E13, E23 = _embed(R12, 3, (0, 1)), _embed(R13, 3, (0, 2)), _embed(R23, 3, (1, 2))
+        lhs = _matmul(_matmul(E12, E13), E23)
+        rhs = _matmul(_matmul(E23, E13), E12)
+        den = d12 * d13 * d23
     elif relation == "reflection":
         params = _point_params(point)
-        R12 = lambda w: _embed(r_matrix(w, q), 2, (0, 1))
-        R21 = lambda w: _embed(r_matrix(w, q), 2, (1, 0))
-        K1 = _embed(k_matrix(x, params), 2, (0,))
-        K2 = _embed(k_matrix(y, params), 2, (1,))
-        lhs = _matmul(_matmul(_matmul(R21(x / y), K1), R12(x * y)), K2)
-        rhs = _matmul(_matmul(_matmul(K2, R21(x * y)), K1), R12(x / y))
+        (Ra, da), (Rb, db) = R(div(x, y)), R(mul(x, y))
+        (K1, d1), (K2, d2) = K(x, params), K(y, params)
+        K1, K2 = _embed(K1, 2, (0,)), _embed(K2, 2, (1,))
+        lhs = _matmul(_matmul(_matmul(_embed(Ra, 2, (1, 0)), K1), _embed(Rb, 2, (0, 1))), K2)
+        rhs = _matmul(_matmul(_matmul(K2, _embed(Rb, 2, (1, 0))), K1), _embed(Ra, 2, (0, 1)))
+        den = da * db * d1 * d2
     elif relation == "r_unitarity":
-        lhs = _matmul(
-            _embed(r_matrix(x / y, q), 2, (1, 0)),
-            _embed(r_matrix(y / x, q), 2, (0, 1)),
-        )
-        rhs = _eye(4)
+        (Ra, da), (Rb, db) = R(div(x, y)), R(div(y, x))
+        lhs = _matmul(_embed(Ra, 2, (1, 0)), _embed(Rb, 2, (0, 1)))
+        den = da * db
+        rhs = _eye(4, den)
     elif relation == "k_unitarity":
         params = _point_params(point)
-        lhs = _matmul(k_matrix(x, params), k_matrix(1 / x, params))
-        rhs = _eye(2)
+        (Ka, da), (Kb, db) = K(x, params), K(inv(x), params)
+        lhs = _matmul(Ka, Kb)
+        den = da * db
+        rhs = _eye(2, den)
     elif relation == "factorization":
-        lhs = r_matrix(1, q)
+        lhs, den = R(one)
         rhs = [[0] * 4 for _ in range(4)]
         for i in range(2):
             for j in range(2):
-                rhs[2 * j + i][2 * i + j] = 1  # delta_{i,l} delta_{j,k}
+                rhs[2 * j + i][2 * i + j] = den  # delta_{i,l} delta_{j,k}
     else:
         raise ValueError(f"unknown relation {relation!r}")
 
     resid = _max_abs_diff(lhs, rhs)
-    exact = all(is_exact(v) for v in point.values() if not isinstance(v, bool))
-    ok = resid == 0 if exact else float(resid) <= _FLOAT_TOL
-    return ok, float(resid)
+    if exact:
+        return resid == 0, float(Fraction(resid, den))
+    return float(resid) <= _FLOAT_TOL, float(resid)
 
 
 def _point_params(point: dict) -> ModelParams:

@@ -39,6 +39,7 @@ from halfspace6v.weights import (
     bulk_weight,
     h_func,
 )
+from test_weights import _disable_fraction_arithmetic
 
 P = ModelParams(q=F(1, 3), a=F(2), c=F(5), y=(F(1),))
 P_INHOM = ModelParams(q=F(1, 3), a=F(2), c=F(5), y=(F(3, 4), F(5, 4), F(1)))
@@ -536,6 +537,26 @@ def test_column_moves_conserve_charge(kind, exact):
         assert moves
         for (eta_in, (b, t)), (eta_out, (b_right, t_right), _) in moves:
             assert eta_in + b_right + t == eta_out + b + t_right
+
+
+def test_exact_tables_run_no_fraction_arithmetic(monkeypatch):
+    """On rational input the move tables, the stack's initial frontier and
+    the triangle's edge states are built from numerators and denominators
+    only: with every Fraction operation and constructor disabled they come
+    out the same."""
+    xs = (F(2, 7), F(-3, 5), F(1, 2))
+
+    def build():
+        moves = [rowops._column_moves(kind, x, yj, P_INHOM.q, True)
+                 for kind in (KIND_A, KIND_B) for x in xs for yj in P_INHOM.y]
+        stack = OperatorStack([(KIND_A, xs[0]), (KIND_B, xs[1])], P_INHOM)
+        return moves, stack._initial_frontier(), triangle_states(xs, P_INHOM)
+
+    expected = build()
+    with monkeypatch.context() as m:
+        _disable_fraction_arithmetic(m)
+        got = build()
+    assert got == expected
 
 
 SMALL_CONFIGS = [as_config(c) for r in range(4) for c in itertools.combinations((3, 2, 1), r)]
