@@ -60,14 +60,14 @@ def pfaffian(M, validate: bool = True):
     if n % 2 != 0:
         raise NotSkewSymmetric("Pfaffian requires even order (border odd inputs)")
     if exact:
-        return Fraction(_skew_bareiss(M, floordiv), den ** (n // 2))
-    return _skew_bareiss([[complex(v) for v in row] for row in M], truediv)
+        return Fraction(pfaffian_upper(M, True), den ** (n // 2))
+    return pfaffian_upper([[complex(v) for v in row] for row in M], False)
 
 
-def _skew_bareiss(A, div):
-    """Pfaffian of the skew matrix A (a list of rows), reduced in place by
-    fraction-free skew elimination; div is exact division in A's ring
-    (floordiv on ints, truediv on complex).
+def pfaffian_upper(A, exact: bool):
+    """Pfaffian of the skew matrix A (a list of rows), without validation,
+    reduced in place by fraction-free skew elimination: A holds integers
+    when exact (and every division is exact), else complex numbers.
 
     Step k swaps index k+1 with the p > k of the largest |A[k][p]| (a swap
     negates the Pfaffian) and takes the pivot p_k = A[k][k+1].  Every entry
@@ -80,7 +80,7 @@ def _skew_bareiss(A, div):
     integer.  Only the upper triangle is kept, and the last pivot is the
     Pfaffian.  A zero pivot column means Pfaffian 0.
     """
-    n = len(A)
+    n, div = len(A), floordiv if exact else truediv
     sign, prev = 1, 1
     for k in range(0, n - 1, 2):
         row_k, s = A[k], k + 1

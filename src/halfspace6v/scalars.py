@@ -52,6 +52,27 @@ def over_one_den(weights: dict, exact: bool):
     return {k: numerator(w, den) for k, w in weights.items()}, den
 
 
+def as_pair(v, exact: bool) -> tuple:
+    """v as (num, den): integers when exact, else (v, 1)."""
+    return (v.numerator, v.denominator) if exact else (v, 1)
+
+
+def add_ratio(acc: tuple, num, den) -> tuple:
+    """acc = (n, d) plus num/den, over the lcm of d and den when both are
+    integers, else as the value n/d + num/den over 1."""
+    n, d = acc
+    if type(d) is not int or type(den) is not int:
+        return n / d + num / den, 1
+    g = math.gcd(d, den)
+    return n * (den // g) + num * (d // g), d // g * den
+
+
+def pair_ints(a: tuple, b: tuple, q: tuple) -> tuple:
+    """(s, r, t) at x = a[0]/a[1], y = b[0]/b[1], q = q[0]/q[1]: S(x, y) =
+    (x - y)/(1 - xy) = s/r and 1 - qxy = t/(q[1] a[1] b[1])."""
+    return a[0] * b[1] - b[0] * a[1], a[1] * b[1] - a[0] * b[0], q[1] * a[1] * b[1] - q[0] * a[0] * b[0]
+
+
 def parse_scalar(obj, backend: str = RATIONAL):
     """Parse one scalar from its JSON encoding.
 

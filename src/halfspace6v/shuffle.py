@@ -7,11 +7,15 @@ f (arity k) and g (arity l) evaluates as
                           prod_{i in S, j in Sc} (1-x_i x_j)/(x_i-x_j),
 
 which requires pairwise distinct arguments.  Products are commutative up
-to the sign (-1)^(k*l); the arity-0 constant 1 is the identity.  Values
-are memoised per function on the argument tuple as given: a product
-passes each factor its arguments in their original order, so the nested
-evaluations of one call meet every subset in one order.  Each product
-keeps the cross factors (1 - ab)/(a - b) it has evaluated.
+to the sign (-1)^(k*l); the arity-0 constant 1 is the identity.
+
+Products are fraction-free: they evaluate on arguments given as pairs
+(num, den) (scalars.as_pair), integers for rationals, with the cross factor
+r/s of scalars.pair_ints and terms added over the lcm of their
+denominators; a call makes its one Fraction at the end.  Pair values are
+memoised per function on the argument pairs as given (no Fraction is
+hashed); a product passes each factor its arguments in their original
+order, so one evaluation meets each subset in one order.
 """
 
 from __future__ import annotations
@@ -21,28 +25,46 @@ from itertools import combinations
 from math import factorial
 
 from .errors import ArityError, CapExceeded, DegeneratePoint
+from .scalars import add_ratio, as_pair, is_exact, pair_ints
 
 DEFAULT_ARITY_CAP = 8
 
 
 class SymFun:
-    """Symmetric function of fixed arity, evaluated on demand."""
+    """Symmetric function of fixed arity, evaluated on demand by fn or, when
+    given, by ints on argument pairs (returning a pair)."""
 
-    def __init__(self, arity: int, fn, name: str = "f"):
+    def __init__(self, arity: int, fn, name: str = "f", ints=None):
         if arity < 0:
             raise ArityError("arity must be >= 0")
         self.arity = arity
         self.fn = fn
         self.name = name
-        self._memo = {}
+        self.ints = ints
+        self._memo, self._pair_memo = {}, {}
 
     def __call__(self, args):
         args = tuple(args)
         if len(args) != self.arity:
             raise ArityError(f"{self.name}: expected {self.arity} args, got {len(args)}")
+        if self.ints is not None:
+            num, den = self.ratio(tuple(as_pair(a, is_exact(a)) for a in args))
+            return Fraction(num, den) if type(num) is int and type(den) is int else num / den
         got = self._memo.get(args)
         if got is None:
             got = self._memo[args] = self.fn(args)
+        return got
+
+    def ratio(self, pairs) -> tuple:
+        """The value at argument pairs, as a pair."""
+        got = self._pair_memo.get(pairs)
+        if got is None:
+            if self.ints is None:
+                v = self(tuple(Fraction(*p) if type(p[0]) is int else p[0] / p[1] for p in pairs))
+                got = as_pair(v, is_exact(v))
+            else:
+                got = self.ints(pairs)
+            self._pair_memo[pairs] = got
         return got
 
     def scaled(self, factor) -> "SymFun":
@@ -66,33 +88,27 @@ def shuffle_product(f: SymFun, g: SymFun) -> SymFun:
     if l == 0:
         return f if _is_one(g) else f.scaled(g(()))
 
-    cross = {}  # (1 - ab)/(a - b) by argument pair, over every evaluation
-
-    def kernel(a, b):
-        got = cross.get((a, b))
-        if got is None:
-            got = cross[a, b] = (1 - a * b) / (a - b)
-        return got
-
-    def ev(args):
-        n = len(args)
-        if len(set(args)) != n:
+    def ints(pairs):
+        n = len(pairs)
+        if len(set(pairs)) != n:
             raise DegeneratePoint("shuffle product needs pairwise distinct arguments")
-        kern_of = [[kernel(a, b) if i != j else None for j, b in enumerate(args)]
-                   for i, a in enumerate(args)]
-        total = 0
+        kern_of = [[pair_ints(a, b, (0, 1))[:2] if i != j else None for j, b in enumerate(pairs)]
+                   for i, a in enumerate(pairs)]
+        total = 0, 1
         idx = range(n)
         for S in combinations(idx, k):
             comp = tuple(i for i in idx if i not in S)
-            kern = 1
+            fn, fd = f.ratio(tuple(pairs[i] for i in S))
+            gn, gd = g.ratio(tuple(pairs[j] for j in comp))
+            num, den = fn * gn, fd * gd
             for i in S:
                 row = kern_of[i]
                 for j in comp:
-                    kern = kern * row[j]
-            total = total + f([args[i] for i in S]) * g([args[j] for j in comp]) * kern
+                    num, den = num * row[j][1], den * row[j][0]  # (1 - ab)/(a - b)
+            total = add_ratio(total, num, den)
         return total
 
-    return SymFun(k + l, ev, name=f"({f.name}*{g.name})")
+    return SymFun(k + l, None, name=f"({f.name}*{g.name})", ints=ints)
 
 
 def shuffle_power(f: SymFun, j: int) -> SymFun:

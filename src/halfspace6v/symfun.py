@@ -16,14 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 
 from .errors import ArityError, ContourInvalid, DegeneratePoint, QuadratureNotConverged
 from .pfaffian import pfaffian
 from .rowops import (
+    _all_exact,
     KIND_A,
     KIND_B,
     OperatorStack,
@@ -35,8 +37,8 @@ from .rowops import (
     partition_F,
     partition_G,
 )
-from .scalars import is_array
-from .triangular import TriangularSpec, z_pfaffian, z_subset_kuperberg
+from .scalars import add_ratio, as_pair, is_array, pair_ints
+from .triangular import TriangularSpec, _alphabet, _z_subset_pair, z_pfaffian
 from .weights import ModelParams, h_func, h_over_ac
 
 # ---------------------------------------------------------------------------
@@ -57,53 +59,62 @@ def g_subset(nu, x_alphabet, params: ModelParams):
     L, n = len(xs), len(nu)
     if L < n:
         raise ArityError(f"need L >= |nu|, got L={L} < {n}")
-    for i in range(L):
-        for j in range(i + 1, L):
-            if xs[i] == xs[j]:
-                raise DegeneratePoint("coinciding x entries")
+    if len(set(xs)) != L:
+        raise DegeneratePoint("coinciding x entries")
     try:
         return _subset_sum(nu, xs, params)
     except ZeroDivisionError as exc:
         raise DegeneratePoint(f"weight pole in the subset formula: {exc}") from exc
 
 
+def _pair_factors(a, b, q):
+    """(x_b - q x_a)/(x_b - x_a) and (1 - x_a x_b)/(1 - q x_a x_b), as pairs."""
+    s, r, t = pair_ints(a, b, q)
+    if s == 0 or t == 0:
+        raise ZeroDivisionError("pair factor pole: x_a = x_b or q x_a x_b = 1")
+    return (q[1] * b[0] * a[1] - q[0] * a[0] * b[1], -q[1] * s), (q[1] * r, t)
+
+
 def _subset_sum(nu, xs, params: ModelParams):
+    """g_subset's sum on the pairs of triangular._alphabet: integers on
+    rational input, added over the lcm of their denominators."""
     L, n = len(xs), len(nu)
-    q = params.q
-    total = 0
+    exact = _all_exact(params, xs)
+    ps, q, hs = _alphabet(xs, params, exact)
+    cross, lift = {}, {}
+    for i, j in permutations(range(L), 2) if n else ():
+        cross[i, j], lift[i, j] = _pair_factors(ps[i], ps[j], q)
+    col = {}  # (1-q) x y_nu/(1 - q x y_nu) prod_{j < nu} (1 - x y_j)/(1 - q x y_j)
+    for k, (i, part) in product(range(L), enumerate(nu)):
+        y = as_pair(params.y_at(part), exact)
+        num, den = (q[1] - q[0]) * ps[k][0] * y[0], pair_ints(ps[k], y, q)[2]
+        for j in range(1, part):
+            _, r, t = pair_ints(ps[k], as_pair(params.y_at(j), exact), q)
+            num, den = num * q[1] * r, den * t
+        if den == 0:
+            raise ZeroDivisionError("column factor pole: q x y_j = 1")
+        col[k, i] = num, den
+    total = 0, 1
     for K in combinations(range(L), n):
         comp = [i for i in range(L) if i not in K]
-        term = z_subset_kuperberg(TriangularSpec([xs[i] for i in comp], params))
+        num, den = _z_subset_pair([ps[i] for i in comp], q, [hs[i] for i in comp], params, exact)
         for i in K:
-            term = term * h_func(xs[i], params)
+            num, den = num * hs[i][0], den * hs[i][2]
             for j in comp:
-                term = (
-                    term
-                    * (xs[j] - q * xs[i])
-                    / (xs[j] - xs[i])
-                    * (1 - xs[i] * xs[j])
-                    / (1 - q * xs[i] * xs[j])
-                )
-        for ai, i in enumerate(K):
-            for j in K[ai + 1 :]:
-                term = term * (1 - xs[i] * xs[j]) / (1 - q * xs[i] * xs[j])
-        sig = 0
-        for sigma in permutations(range(n)):
-            p = 1
-            for i in range(n):
-                for j in range(i + 1, n):
-                    xi, xj = xs[K[sigma[i]]], xs[K[sigma[j]]]
-                    p = p * (xj - q * xi) / (xj - xi)
-            for i in range(n):
-                xk = xs[K[sigma[i]]]
-                y_nu = params.y_at(nu[i])
-                p = p * (1 - q) * xk * y_nu / (1 - q * xk * y_nu)
-                for j in range(1, nu[i]):
-                    yj = params.y_at(j)
-                    p = p * (1 - xk * yj) / (1 - q * xk * yj)
-            sig = sig + p
-        total = total + term * sig
-    return total
+                (a, b), (c, d) = cross[i, j], lift[i, j]
+                num, den = num * a * c, den * b * d
+        for i, j in combinations(K, 2):
+            num, den = num * lift[i, j][0], den * lift[i, j][1]
+        sig = 0, 1
+        for sigma in permutations(K):
+            pn, pd = 1, 1
+            for i, j in combinations(sigma, 2):
+                pn, pd = pn * cross[i, j][0], pd * cross[i, j][1]
+            for i, k in enumerate(sigma):
+                pn, pd = pn * col[k, i][0], pd * col[k, i][1]
+            sig = add_ratio(sig, pn, pd)
+        total = add_ratio(total, num * sig[0], den * sig[1])
+    return Fraction(*total) if exact else total[0] / total[1]
 
 
 # ---------------------------------------------------------------------------
@@ -448,11 +459,15 @@ def g_contour(nu, x_alphabet, params: ModelParams, nodes: int = 256, check_conve
 
     Circles are spectrally accurate for this analytic integrand; with
     check_convergence the node count is doubled once and the relative drift
-    is required to stay below _CONVERGENCE_TOL.
+    is required to stay below _CONVERGENCE_TOL.  With more parts than
+    variables G_nu is exactly 0 (L rows add at most L particles), and no
+    circle is built.
     """
     nu = as_config(nu)
     xs = [complex(x) for x in x_alphabet]
     n = len(nu)
+    if n > len(xs):
+        return 0j
     if n == 0:
         return complex(z_triangular_vec(xs, params))
     poles = _g_contour_poles(nu, xs, params)
@@ -579,10 +594,12 @@ def cauchy_check(mu, nu, x_alphabet, z_alphabet, params: ModelParams, cutoff: in
     guard = guard_cauchy(xs, zs, params).require()
     q = params.q
 
-    factor = 1
-    for z in zs:
-        for x in xs:
-            factor = factor * (x - q * z) / (x - z) * (1 - z * x) / (1 - q * z * x)
+    exact = _all_exact(params, xs + zs)
+    num = den = 1
+    for z, x in product(zs, xs):
+        (a, b), (c, d) = _pair_factors(*(as_pair(v, exact) for v in (z, x, q)))
+        num, den = num * a * c, den * b * d
+    factor = Fraction(num, den) if exact else num / den
     rhs = 0
     for lam in _lambda_candidates(mu):
         f = partition_F(mu, lam, zs, params)

@@ -14,11 +14,18 @@ i and j, and all external edges empty.  Routes:
                       u = 1 recovers Z_m
   z_altform_subset    the same Z_m(u; x) as an explicit sum over subsets
 
-Every single-Pfaffian formula comes from one builder, _pf_over_s:
-prod_{i<j} 1/S(x_i, x_j) times the Pfaffian of a skew kernel, bordered at
-odd size.  h(x_i) and h(x_i)/(ac) are evaluated once per alphabet entry,
-and the subset route takes its Kuperberg Pfaffians as submatrices of one
-kernel matrix built once per alphabet.
+Every single-Pfaffian formula is prod_{i<j} 1/S(x_i, x_j) times the
+Pfaffian of a skew kernel, bordered at odd size; the subset route takes
+its Kuperberg Pfaffians as submatrices of one matrix per alphabet.
+
+On rational input (rowops._all_exact, decided once per call) every route
+is fraction-free and makes one Fraction at the end.  z_enumerate reads
+rowops' integer tables; in the others each x is an integer pair (n, d), h
+and h/(ac) come from weights.h_ints, kernels are integer (num, den) pairs,
+a Pfaffian is taken over the integers once one common denominator clears
+its matrix, and terms add over the lcm of their denominators.  On other
+input z_pfaffian keeps its scalar expressions (_pf_over_s), and the rest
+run the same pair formulas with each value v as (v, 1).
 
 Closed forms at small size:
   Z_0 = 1,  Z_1 = 1 - h(x_1),
@@ -29,15 +36,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 from .errors import CapExceeded, DegeneratePoint
-from .pfaffian import pfaffian
-from .rowops import frontier_value, triangle_states
-from .scalars import is_exact
+from .pfaffian import pfaffian, pfaffian_upper
+from .rowops import _all_exact, frontier_value, triangle_states
+from .scalars import add_ratio, as_pair, is_exact, pair_ints
 from .shuffle import DEFAULT_ARITY_CAP, SymFun, shuffle_power, shuffle_product
-from .weights import ModelParams, h_func, h_over_ac
+from .weights import ModelParams, h_func, h_ints, h_over_ac
 
 ENUM_CAP = 12
 
@@ -71,44 +79,70 @@ def kernel_S(xi, xj):
     return (xi - xj) / den
 
 
-def kernel_M(xi, xj, q):
-    """Kuperberg kernel (1-q)(x_i-x_j)/((1-x_i x_j)(1-q x_i x_j))."""
-    den = (1 - xi * xj) * (1 - q * xi * xj)
-    if den == 0:
-        raise DegeneratePoint("Kuperberg kernel denominator vanished")
-    return (1 - q) * (xi - xj) / den
-
-
-def _h_tables(xs, params: ModelParams):
-    """[h(x_i)] and [h(x_i)/(ac)] over the alphabet, each entry evaluated once."""
-    return [h_func(x, params) for x in xs], [h_over_ac(x, params) for x in xs]
-
-
-def _q_den(xi, xj, q, name):
-    den = 1 - q * xi * xj
-    if den == 0:
-        raise DegeneratePoint(f"1 - q x_i x_j vanished in {name}")
-    return den
-
-
 def kernel_Q(xi, xj, hi, hj, hoa_j, q):
     """Symmetric kernel of the single-Pfaffian formula, from hi = h(x_i),
     hj = h(x_j) and hoa_j = h(x_j)/(ac)."""
-    den = _q_den(xi, xj, q, "Q")
+    den = 1 - q * xi * xj
+    if den == 0:
+        raise DegeneratePoint("1 - q x_i x_j vanished in Q")
     return (1 - hi) * (1 - hj) - hi * hoa_j * (1 - q) * xi * xj / den
 
 
-def kernel_Qe(xi, xj, s, hi, hoa_j, q, u):
-    """Even kernel of the alternative form (q^(1/2) factors cancel), with
-    s = S(x_i, x_j)."""
-    den = _q_den(xi, xj, q, "Q^e")
-    return s + u * u * q * xi * xj * (hi * hoa_j) * (xi - xj) / den
+def _h_triple(p, params: ModelParams, exact: bool):
+    """(H, O, P) = h_ints at the pair p when exact, else (h, h/(ac), 1)."""
+    if exact:
+        return h_ints(*p, params)
+    x = p[0] / p[1]
+    return h_func(x, params), h_over_ac(x, params), 1
 
 
-def kernel_Qo(xi, xj, s, hi, hoa_j, q, u):
-    """Odd kernel of the alternative form, with s = S(x_i, x_j)."""
-    den = _q_den(xi, xj, q, "Q^o")
-    return xi * xj * s + u * u * (hi * hoa_j) * (xi - xj) / den
+def _alphabet(xs, params: ModelParams, exact: bool):
+    """(ps, q, hs): the entries and q by as_pair, and each _h_triple."""
+    ps = [as_pair(x, exact) for x in xs]
+    return ps, as_pair(params.q, exact), [_h_triple(p, params, exact) for p in ps]
+
+
+def _pairs(ps, q, r_pole=True):
+    """{(i, j): pair_ints(ps[i], ps[j], q)} over i < j; coinciding entries,
+    1 - q x_i x_j = 0 and, if r_pole, x_i x_j = 1 raise DegeneratePoint."""
+    out = {}
+    for i, j in combinations(range(len(ps)), 2):
+        s, r, t = out[i, j] = pair_ints(ps[i], ps[j], q)
+        if s == 0 or t == 0 or (r_pole and r == 0):
+            raise DegeneratePoint("coinciding entries, x_i x_j = 1 or 1 - q x_i x_j = 0")
+    return out
+
+
+def _over_lcm(cells, n, exact: bool):
+    """(M, D): the upper triangle M[i][j] = D num/den of order n for cells
+    (i, j): (num, den), D the lcm of the dens when exact, else 1."""
+    D = lcm(*(den for _, den in cells.values())) if exact else 1
+    M = [[0] * n for _ in range(n)]
+    for (i, j), (num, den) in cells.items():
+        M[i][j] = num * (D // den) if exact else num / den
+    return M, D
+
+
+def _pf_pair(ps, pairs, exact: bool, entry, border=None):
+    """prod_{i<j} 1/S(x_i, x_j) * Pf(entry(i, j, *pairs[i, j])), bordered by
+    border(i), as a pair: entries are pairs over one denominator D, and
+    Pf(D K) = D^(n/2) Pf K."""
+    m, cells, num, den = len(ps), {}, 1, 1
+    n = m + (border is not None)
+    for i, j in combinations(range(m), 2):
+        s, r, t = pairs[i, j]
+        cells[i, j] = entry(i, j, s, r, t)
+        num, den = num * r, den * s
+    if border is not None:
+        cells.update(((i, m), border(i)) for i in range(m))
+    M, D = _over_lcm(cells, n, exact)
+    return num * pfaffian_upper(M, exact), den * D ** (n // 2)
+
+
+def _kuperberg(ps, q):
+    """Kuperberg's kernel (1-q)(x_i-x_j)/((1-x_i x_j)(1-q x_i x_j)) as the
+    _pf_pair entry (1-q) q_d s d_i d_j/(q_d r t)."""
+    return lambda i, j, s, r, t: ((q[1] - q[0]) * s * ps[i][1] * ps[j][1], r * t)
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +179,9 @@ def _check_distinct(xs):
 
 
 def _pf_over_s(xs, entry, border=None):
-    """prod_{i<j} 1/S(x_i, x_j) * Pf(entry(i, j, S(x_i, x_j))), the shape of
-    every single-Pfaffian formula: entry fills the upper triangle by index
-    and is mirrored, and a given border appends the column border(i) (odd
-    sizes)."""
+    """prod_{i<j} 1/S(x_i, x_j) * Pf(entry(i, j, S(x_i, x_j))) in the
+    alphabet's own scalars: entry fills the upper triangle by index and is
+    mirrored, and a given border appends the column border(i) (odd sizes)."""
     m = len(xs)
     n = m + (border is not None)
     pref = 1
@@ -173,11 +206,24 @@ def z_pfaffian(spec: TriangularSpec):
     so the border column holds -(1 - h(x_i)) and the prefactor gains
     (-1)^m.  Substituting t = 1 instead would put 0/0 into S when an entry
     is 1 and into Q when an entry is 1/q, although Z is finite there.
+    On rational input S Q = s ((1-h_i)(1-h_j) t - h_i h_j/(ac) (1-q) q_d
+    x_i x_j)/(r t) in the terms of _pf_pair.
     """
     xs, params = spec.x, spec.params
     m = len(xs)
+    if _all_exact(params, xs):
+        ps, q, hs = _alphabet(xs, params, True)
+
+        def entry(i, j, s, r, t):
+            (H, _, P), (Hj, Oj, Pj) = hs[i], hs[j]
+            u = (q[1] - q[0]) * ps[i][0] * ps[j][0]
+            return s * ((P - H) * (Pj - Hj) * t - H * Oj * u), r * P * Pj * t
+
+        border = (lambda i: (hs[i][0] - hs[i][2], hs[i][2])) if m % 2 else None
+        num, den = _pf_pair(ps, _pairs(ps, q), True, entry, border)
+        return Fraction((-1) ** m * num, den)
     _check_distinct(xs)
-    hs, hoa = _h_tables(xs, params)
+    hs, hoa = [h_func(x, params) for x in xs], [h_over_ac(x, params) for x in xs]
     entry = lambda i, j, s: s * kernel_Q(xs[i], xs[j], hs[i], hs[j], hoa[j], params.q)
     border = (lambda i: hs[i] - 1) if m % 2 else None
     return (-1) ** m * _pf_over_s(xs, entry, border)
@@ -193,8 +239,10 @@ def z_kuperberg(xs, q):
     a = 1, c = -1, as a single Pfaffian; vanishes for odd m."""
     if len(xs) % 2 == 1:
         return 0
-    _check_distinct(xs)
-    return prod(xs) * _pf_over_s(xs, lambda i, j, s: kernel_M(xs[i], xs[j], q))
+    exact = all(is_exact(v) for v in (q, *xs))
+    ps, q = [as_pair(x, exact) for x in xs], as_pair(q, exact)
+    num, den = _pf_pair(ps, _pairs(ps, q), exact, _kuperberg(ps, q))
+    return prod(xs) * (Fraction(num, den) if exact else num / den)
 
 
 def z_subset_kuperberg(spec: TriangularSpec):
@@ -208,44 +256,36 @@ def z_subset_kuperberg(spec: TriangularSpec):
     prod_{i<j in S} 1/S(x_i, x_j) and Kuperberg Pfaffian come from the same
     1/S table and one Kuperberg matrix over the whole alphabet.
     """
-    xs, params = spec.x, spec.params
-    m = len(xs)
-    hs = [h_func(x, params) for x in xs]
-    H = 1
-    for h in hs:
-        H = H * (1 - h)
+    exact = _all_exact(spec.params, spec.x)
+    num, den = _z_subset_pair(*_alphabet(spec.x, spec.params, exact), spec.params, exact)
+    return Fraction(num, den) if exact else num / den
+
+
+def _z_subset_pair(ps, q, hs, params: ModelParams, exact: bool):
+    """z_subset_kuperberg on the _alphabet (ps, q, hs), as a pair (num, den)."""
+    num, den = prod(P - H for H, _, P in hs), prod(P for _, _, P in hs)  # prod (1 - h_i)
     if params.c_infinite:
-        return H
-    _check_distinct(xs)
-    for h in hs:
-        if h == 1:
-            raise DegeneratePoint("h(x_i) = 1 makes the subset weights singular")
-    q = params.q
-    inv_ac = -1 / (params.a * params.c)
-    weight = [h * x / (1 - h) for h, x in zip(hs, xs)]
-    # 1/S(x_i, x_j) = (1 - x_i x_j)/(x_i - x_j); the Kuperberg kernel on i < j
-    inv_s = [[(1 - xi * xj) / (xi - xj) if i != j else None for j, xj in enumerate(xs)]
-             for i, xi in enumerate(xs)]
-    K = [[0] * m for _ in range(m)]
-    for i, j in combinations(range(m), 2):
-        K[i][j] = kernel_M(xs[i], xs[j], q)
-        K[j][i] = -K[i][j]
-    total = 0
-    idx = range(m)
-    for r in range(0, m // 2 + 1):
-        for S in combinations(idx, 2 * r):
-            comp = [i for i in idx if i not in S]
-            term = inv_ac**r if r else 1
+        return num, den
+    m, pairs = len(ps), _pairs(ps, q)
+    if any(H == P for H, _, P in hs):
+        raise DegeneratePoint("h(x_i) = 1 makes the subset weights singular")
+    weight = [(H * n, (P - H) * d) for (H, _, P), (n, d) in zip(hs, ps)]  # h x/(1 - h)
+    K, D = _over_lcm({ij: _kuperberg(ps, q)(*ij, *srt) for ij, srt in pairs.items()}, m, exact)
+    (an, ad), (cn, cd) = as_pair(params.a, exact), as_pair(params.c, exact)
+    total = 0, 1
+    for size in range(0, m + 1, 2):
+        for S in combinations(range(m), size):
+            # (-1/(ac))^(size/2) over the D^(size/2) that clears the Pfaffian
+            tn, td = (-ad * cd) ** (size // 2), (an * cn * D) ** (size // 2)
             for i in S:
-                term = term * weight[i]
-                for j in comp:
-                    term = term * inv_s[i][j]
-            for i, j in combinations(S, 2):
-                term = term * inv_s[i][j]
+                tn, td = tn * weight[i][0], td * weight[i][1]
+            for (i, j), (s, r, _) in pairs.items():  # 1/S(x_i, x_j) = r/s, i in S
+                if i in S or j in S:
+                    tn, td = tn * r, td * (s if i in S else -s)
             if S:
-                term = term * pfaffian([[K[i][j] for j in S] for i in S], validate=False)
-            total = total + term
-    return H * total
+                tn *= pfaffian_upper([[K[i][j] for j in S] for i in S], exact)
+            total = add_ratio(total, tn, td)
+    return num * total[0], den * total[1]
 
 
 # ---------------------------------------------------------------------------
@@ -254,27 +294,29 @@ def z_subset_kuperberg(spec: TriangularSpec):
 
 
 def z1_symfun(params: ModelParams) -> SymFun:
-    return SymFun(1, lambda a: 1 - h_func(a[0], params), name="Z1")
+    exact = _all_exact(params, ())
+
+    def ints(args):
+        H, _, P = _h_triple(args[0], params, exact and type(args[0][0]) is int)
+        return P - H, P
+
+    return SymFun(1, None, name="Z1", ints=ints)
 
 
 def z2_symfun(params: ModelParams) -> SymFun:
-    hs = {}  # (h(x), h(x)/(ac)) per argument, each evaluated once
+    """Z_2 = ((1-h_1)(1-h_2) t - h_1 h_2/(ac) (1-q) q_d n_1 n_2)/t on pairs."""
+    exact = _all_exact(params, ())
+    h_of = lru_cache(None)(lambda p: _h_triple(p, params, exact and type(p[0]) is int))
 
-    def h_of(x):
-        got = hs.get(x)
-        if got is None:
-            got = hs[x] = h_func(x, params), h_over_ac(x, params)
-        return got
-
-    def ev(args):
-        x1, x2 = args
-        den = 1 - params.q * x1 * x2
-        if den == 0:
+    def ints(args):
+        (n1, d1), (n2, d2) = args
+        (qn, qd), (H1, _, P1), (H2, O2, P2) = as_pair(params.q, exact), h_of(args[0]), h_of(args[1])
+        t = qd * d1 * d2 - qn * n1 * n2
+        if t == 0:
             raise DegeneratePoint("1 - q x_1 x_2 vanished in Z_2")
-        (h1, _), (h2, hoa2) = h_of(x1), h_of(x2)
-        return (1 - h1) * (1 - h2) - h1 * hoa2 * (1 - params.q) * x1 * x2 / den
+        return (P1 - H1) * (P2 - H2) * t - H1 * O2 * (qd - qn) * n1 * n2, P1 * P2 * t
 
-    return SymFun(2, ev, name="Z2")
+    return SymFun(2, None, name="Z2", ints=ints)
 
 
 def z_shuffle(spec: TriangularSpec):
@@ -289,7 +331,9 @@ def z_shuffle(spec: TriangularSpec):
     f = shuffle_power(z2_symfun(params), half)
     if m % 2 == 1:
         f = shuffle_product(z1_symfun(params), f)
-    return f(xs) / factorial(half)
+    exact = _all_exact(params, xs)
+    num, den = f.ratio(tuple(as_pair(x, exact) for x in xs))
+    return Fraction(num, den * factorial(half)) if exact else num / (den * factorial(half))
 
 
 # ---------------------------------------------------------------------------
@@ -297,85 +341,67 @@ def z_shuffle(spec: TriangularSpec):
 # ---------------------------------------------------------------------------
 
 
-def _z_even_pf(xs, hs, hoa, q, u):
-    """Z^e on an even alphabet, from its h and h/(ac) tables."""
-    return _pf_over_s(xs, lambda i, j, s: kernel_Qe(xs[i], xs[j], s, hs[i], hoa[j], q, u))
-
-
-def _z_odd_pf(xs, hs, hoa, q, u):
-    """Z^o on an odd alphabet: bordered Pfaffian with +-u h(x) edges."""
-    edge = lambda i: -u * hs[i]
-    return _pf_over_s(xs, lambda i, j, s: kernel_Qo(xs[i], xs[j], s, hs[i], hoa[j], q, u), edge)
-
-
 def z_altform(spec: TriangularSpec):
     """Z_m(u; x) = Z^e_m + Z^o_m by the even/odd Pfaffian pair (parities
     off by one are crossed through the value 1); at u = 1 this is Z_m.
-    Finite c only.
+    Finite c only.  Z^e has the kernel S + u^2 q x_i x_j h_i h_j/(ac) (x_i -
+    x_j)/(1 - q x_i x_j), Z^o the kernel x_i x_j S + u^2 h_i h_j/(ac) (x_i -
+    x_j)/(1 - q x_i x_j) and the border -u h(x_i).
     """
-    xs, params, u = spec.x, spec.params, spec.u
+    xs, params = spec.x, spec.params
     if params.c_infinite:
         raise DegeneratePoint("alternative form is implemented for finite c")
     m = len(xs)
     if m == 0:
         return 1
-    one = Fraction(1) if is_exact(params.q) else 1.0
-    ext = xs + (one,)
-    _check_distinct(ext)
-    hs, hoa = _h_tables(ext, params)
-    q = params.q
-    if m % 2 == 0:
-        ze = _z_even_pf(xs, hs, hoa, q, u)
-        zo = _z_odd_pf(ext, hs, hoa, q, u)  # Z^o_m := Z^o_{m+1}(x, 1)
-    else:
-        ze = _z_even_pf(ext, hs, hoa, q, u)  # Z^e_m := Z^e_{m+1}(x, 1)
-        zo = _z_odd_pf(xs, hs, hoa, q, u)
-    return ze + zo
+    exact = _all_exact(params, xs + (spec.u,))
+    (ps, q, hs), u = _alphabet(xs + (1,), params, exact), as_pair(spec.u, exact)
+    pairs = _pairs(ps, q)
+
+    def kernel(odd):
+        def entry(i, j, s, r, t):
+            (H, _, P), (_, Oj, Pj), (ni, di), (nj, dj) = hs[i], hs[j], ps[i], ps[j]
+            A, b, c = u[1] ** 2 * t * P * Pj, ni * nj, di * dj
+            v, w, qk = (b, c, q[1]) if odd else (c, b, q[0])
+            return s * (v * A + u[0] ** 2 * qk * w * H * Oj * r), c * r * A
+
+        return entry
+
+    edge = lambda i: (-u[0] * hs[i][0], u[1] * hs[i][2])
+    # Z^e_m := Z^e_{m+1}(x, 1) at odd m, Z^o_m := Z^o_{m+1}(x, 1) at even m
+    ze = _pf_pair(ps if m % 2 else ps[:m], pairs, exact, kernel(False))
+    zo = _pf_pair(ps[:m] if m % 2 else ps, pairs, exact, kernel(True), edge)
+    num, den = add_ratio(ze, *zo)
+    return Fraction(num, den) if exact else num / den
 
 
 def z_altform_subset(spec: TriangularSpec):
     """Z_m(u; x) as the explicit sum over subsets S with weights g_S, the
-    second route of the alternative form.  Finite c only."""
-    xs, params, u = spec.x, spec.params, spec.u
+    second route of the alternative form, on the pairs of _alphabet (each
+    term a product of integers on rational input).  Finite c only."""
+    xs, params = spec.x, spec.params
     if params.c_infinite:
         raise DegeneratePoint("alternative form is implemented for finite c")
-    m = len(xs)
-    q = params.q
-    hs = [h_func(x, params) for x in xs]
-    hoa = [h_over_ac(x, params) for x in xs]
-    total = 0
-    idx = range(m)
-    for size in range(m + 1):
-        for S in combinations(idx, size):
-            comp = [i for i in idx if i not in S]
+    exact = _all_exact(params, xs + (spec.u,))
+    (ps, q, hs), u = _alphabet(xs, params, exact), as_pair(spec.u, exact)
+    pairs, total = _pairs(ps, q, r_pole=False), (0, 1)
+    for size in range(len(xs) + 1):
+        for S in combinations(range(len(xs)), size):
             r = size // 2
-            term = (-u) ** size * q ** (r * r) if size else 1
-            # q^(r^2)/(ac)^r * prod h(x_i) realised through h/(ac) pairs
-            pick = list(S)
-            for t in range(r):
-                term = term * hs[pick[2 * t]] * hoa[pick[2 * t + 1]]
-            if size % 2 == 1:
-                term = term * hs[pick[-1]]
-            if size % 2 == 0:
-                for i in S:
-                    term = term * xs[i]
-            else:
-                for i in comp:
-                    term = term * xs[i]
-            for i in S:
-                for j in comp:
-                    den = xs[i] - xs[j]
-                    if den == 0:
-                        raise DegeneratePoint("coinciding alphabet entries")
-                    term = term * (xs[i] * xs[j] - 1) / den
-            for ai, i in enumerate(S):
-                for j in S[ai + 1 :]:
-                    den = 1 - q * xs[i] * xs[j]
-                    if den == 0:
-                        raise DegeneratePoint("1 - q x_i x_j vanished")
-                    term = term * (1 - xs[i] * xs[j]) / den
-            total = total + term
-    return total
+            # (-u)^|S| q^(r^2)/(ac)^r prod h(x_i), through h/(ac) at every second pick
+            tn, td = (-u[0]) ** size * q[0] ** (r * r), u[1] ** size * q[1] ** (r * r)
+            for k, i in enumerate(S):
+                tn, td = tn * hs[i][k % 2], td * hs[i][2]
+            for i, (n, d) in enumerate(ps):  # x_i over S at even |S|, else over the rest
+                if (i in S) == (size % 2 == 0):
+                    tn, td = tn * n, td * d
+            for (i, j), (s, rr, t) in pairs.items():
+                if i in S and j in S:  # (1 - x_i x_j)/(1 - q x_i x_j)
+                    tn, td = tn * q[1] * rr, td * t
+                elif i in S or j in S:  # (x_i x_j - 1)/(x_i - x_j), i in S
+                    tn, td = tn * (-rr if i in S else rr), td * s
+            total = add_ratio(total, tn, td)
+    return Fraction(*total) if exact else total[0] / total[1]
 
 
 # ---------------------------------------------------------------------------

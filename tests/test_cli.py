@@ -58,6 +58,25 @@ def test_g_methods_agree(capsys, params_file):
     assert v1 == v2
 
 
+def test_g_subset_and_operators_agree_on_three_variables(capsys, tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(dict(PARAMS, x=["1/2", "-2/5", "7/3"], y=["4/5", "6/5", "1"])))
+    values = []
+    for method in ("subset", "operators"):
+        code, out = run(capsys, ["g", "--nu", "3,1", "--method", method, "--params", str(path)])
+        assert code == 0
+        values.append(json.loads(out)["value"])
+    assert values[0] == values[1] and set(values[0]) == {"num", "den"}
+
+
+def test_g_contour_more_parts_than_variables(capsys, tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"q": 0.3, "a": 3.0, "c": -2.0, "x": [0.6], "y": [1.0]}))
+    argv = ["--backend", "complex", "g", "--nu", "3,2,1", "--method", "contour", "--params", str(path)]
+    code, out = run(capsys, argv)
+    assert code == 0 and json.loads(out)["value"] == {"re": 0.0, "im": 0.0}
+
+
 # the parameter file of the README
 README_PARAMS = {
     "q": "1/4", "a": "3", "c": "-2",

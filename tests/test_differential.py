@@ -23,6 +23,7 @@ from halfspace6v.triangular import (
     z_altform_subset,
     z_enumerate,
     z_pfaffian,
+    z_shuffle,
     z_subset_kuperberg,
 )
 from halfspace6v.weights import ModelParams
@@ -92,7 +93,9 @@ def test_exact_and_complex_pfaffian_agree(M):
     assert abs(approx - complex(exact)) <= 1e-9 * _hadamard_scale(M)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+# entries of either sign, below and above 1, reach every sign and
+# denominator normalisation of the fraction-free routes
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 @settings(SETTINGS, max_examples=10)
 @given(data=st.data())
 def test_z_routes_equal_enumeration(m, data):
@@ -102,13 +105,14 @@ def test_z_routes_equal_enumeration(m, data):
         routes = (
             z_pfaffian(spec),
             z_subset_kuperberg(spec),
+            z_shuffle(spec),
             z_altform(spec),
             z_altform_subset(spec),
         )
     except DegeneratePoint:
         reject()
     expected = z_enumerate(spec)
-    assert all(v == expected for v in routes), (routes, expected)
+    assert all(v == expected and type(v) is type(expected) for v in routes), (routes, expected)
 
 
 # m = 7, 8 need Pfaffians of order 6 and 8 inside one alphabet

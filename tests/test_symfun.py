@@ -30,9 +30,23 @@ from halfspace6v.symfun import (
 )
 from halfspace6v.triangular import TriangularSpec, z_pfaffian, z_subset_kuperberg
 from halfspace6v.weights import ModelParams, h_func
+from test_weights import count_fraction_arithmetic
 
 P = ModelParams(q=F(1, 4), a=F(3), c=F(-2), y=(F(1),))
 P_INHOM = ModelParams(q=F(1, 4), a=F(3), c=F(-2), y=(F(4, 5), F(6, 5), F(1)))
+
+
+def test_g_subset_makes_one_fraction_on_rational_input(monkeypatch):
+    """G_(3,1) of three rational variables by the subset formula: three
+    2-subsets, each with two permutations and a Kuperberg sum on its
+    complement, and a constant count of Fraction operations."""
+    xs = (F(1, 3), F(2, 5), F(3, 7))
+    expected = partition_G((3, 1), (), xs, P_INHOM)
+    with monkeypatch.context() as m:
+        calls = count_fraction_arithmetic(m)
+        got = g_subset((3, 1), xs, P_INHOM)
+    assert got == expected and type(got) is F
+    assert len(calls) <= 2, calls
 
 
 def test_g_subset_empty_is_Z():
@@ -364,6 +378,19 @@ def test_g_contour_on_shrunk_circles(q, xs, nu, nodes):
     p = ModelParams(q=q, a=3.0, c=-2.0, y=(1.0,))
     expected = g_subset(nu, xs, p) if len(nu) <= len(xs) else partition_G(nu, (), xs, p)
     assert abs(g_contour(nu, xs, p, nodes=nodes) - expected) < 1e-8
+
+
+def test_g_contour_more_parts_than_variables_is_zero(monkeypatch):
+    # three parts on one variable: G vanishes, as on the operator route, and
+    # g_contour returns 0 without building a circle (on the circles that
+    # nested_contours would shrink to here, node doubling does not converge)
+    p = ModelParams(q=0.3, a=3.0, c=-2.0, y=(1.0,))
+
+    def no_circles(*args, **kwargs):
+        raise AssertionError("a contour was built")
+
+    monkeypatch.setattr(symfun, "nested_contours", no_circles)
+    assert g_contour((3, 2, 1), (0.6,), p) == 0 == partition_G((3, 2, 1), (), (0.6,), p)
 
 
 def test_nested_contours_no_annulus_raises():

@@ -16,6 +16,7 @@ from halfspace6v.triangular import (
     z_subset_kuperberg,
 )
 from halfspace6v.weights import ModelParams, h_func
+from test_weights import count_fraction_arithmetic
 
 P = ModelParams(q=F(1, 3), a=F(2), c=F(5))
 
@@ -67,6 +68,22 @@ def test_five_routes_equal_enumeration_at_m7():
     ref = z_enumerate(spec)
     for route in (z_pfaffian, z_subset_kuperberg, z_shuffle, z_altform, z_altform_subset):
         assert route(spec) == ref, route.__name__
+
+
+@pytest.mark.parametrize("route", [z_pfaffian, z_subset_kuperberg, z_shuffle, z_altform, z_altform_subset])
+def test_routes_make_one_fraction_on_rational_input(monkeypatch, route):
+    """On rational input the fraction-free routes keep integer numerators and
+    denominators, and make one Fraction at the end: at m = 6 (32 Kuperberg
+    subsets, 15 pairs, an arity-6 shuffle) the count of Fraction operations
+    and constructions is a constant, not one per subset term or kernel
+    entry."""
+    spec = TriangularSpec((F(1, 5), F(10, 21), F(-34, 3), F(7), F(6, 19), F(-11, 10)), P)
+    expected = z_enumerate(spec)
+    with monkeypatch.context() as m:
+        calls = count_fraction_arithmetic(m)
+        got = route(spec)
+    assert got == expected and type(got) is F
+    assert len(calls) <= 2, calls
 
 
 def test_altform_u_zero_is_one():

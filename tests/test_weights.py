@@ -369,3 +369,16 @@ def _disable_fraction_arithmetic(monkeypatch):
 
     for name in FRACTION_OPERATIONS:
         monkeypatch.setattr(F, name, forbidden)
+
+
+def count_fraction_arithmetic(monkeypatch) -> list:
+    """Record every Fraction operation, and making a Fraction, from here on:
+    the returned list gains one entry per call."""
+    calls = []
+    for name in FRACTION_OPERATIONS:
+        def counting(*args, _name=name, _op=getattr(F, name), **kwargs):
+            calls.append(_name)
+            return _op(*args, **kwargs)
+
+        monkeypatch.setattr(F, name, counting)
+    return calls
