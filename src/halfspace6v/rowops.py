@@ -35,18 +35,17 @@ products are evaluated two ways:
   summed one path line at a time; its triangle alone (triangle_states)
   gives the triangular partition function Z_m.
 
+Each move table and each boundary turn is built by weights.bulk_ints and
+weights.k_ints from the (numerator, denominator) pairs of its arguments,
+with x*y_j and x/y_j taken as products of numerators and denominators.
 When q, a, c, the y-alphabet and the spectral values are rational, every
-sweep is fraction-free: each move table and each boundary turn is built
-in integers from the numerators and denominators of its arguments
-(weights.bulk_ints and weights.k_ints, with x*y_j and x/y_j taken as
-products of numerators and denominators), so it holds integer numerators
-over one denominator; the stack's initial frontier is a product of
-integer K tables, every frontier is a map of integers over the product
-of the denominators it has crossed (its zeros found by a truth test),
-the tail is solved over the integers, and the result is reduced to a
-Fraction once, at the close.  Any other input reads weights.bulk_table
-and weights.k_table and carries denominator 1 and its own scalars
-through the same operations.
+sweep is fraction-free: the tables hold integer numerators over one
+denominator, the stack's initial frontier is a product of integer K
+tables, every frontier is a map of integers over the product of the
+denominators it has crossed (its zeros found by a truth test), the tail
+is solved over the integers, and the result is reduced to a Fraction
+once, at the close.  Any other input gives tables over denominator 1 and
+carries its own scalars through the same operations.
 
 Local weights come from one table per argument, each entry evaluated
 once; a bulk-weight pole raises DegeneratePoint only when a state uses
@@ -64,7 +63,7 @@ from operator import floordiv, truediv
 import numpy as np
 
 from .errors import ArityError, DegeneratePoint, GuardViolated, TruncationTooSmall
-from .scalars import is_array, is_exact, is_zero, nonzero, numerator, over_one_den
+from .scalars import as_pair, is_array, is_exact, is_zero, nonzero, numerator, over_one_den
 from .weights import (
     DOTTED,
     ROTATED,
@@ -126,20 +125,16 @@ def _column_moves(kind, x, yj, q, exact: bool):
     weight)]} for every incoming vertical edge eta_in and left channel
     (b, t), with the outgoing edge free: the crossing shape of bulk_table.
     The lower row's rotated weights (z = x/y_j) and the upper row's weights
-    (z = x*y_j) are each evaluated once; when exact, each as bulk_ints
-    numerators over its own denominator, with z's numerator and denominator
-    the products of x's and y_j's, so the weights are integers over the
+    (z = x*y_j) are each evaluated once, as bulk_ints numerators over its
+    own denominator, with z's numerator and denominator the products of the
+    pairs of x and y_j (integers when exact), so the weights are over the
     product den.  A weight pole (e.g. x = y_j/q) raises DegeneratePoint.
     """
     table = {}
+    (xn, xd), (yn, yd), qp = as_pair(x, exact), as_pair(yj, exact), as_pair(q, exact)
     try:
-        if exact:
-            xn, xd, yn, yd = x.numerator, x.denominator, yj.numerator, yj.denominator
-            bot, den_bot = bulk_ints(xn * yd, xd * yn, ROTATED, q.numerator, q.denominator)
-            top, den_top = bulk_ints(xn * yn, xd * yd, _TOP_VARIANT[kind], q.numerator, q.denominator)
-        else:
-            bot, den_bot = bulk_table(x / yj, ROTATED, q), 1
-            top, den_top = bulk_table(x * yj, _TOP_VARIANT[kind], q), 1
+        bot, den_bot = bulk_ints(xn * yd, xd * yn, ROTATED, *qp)
+        top, den_top = bulk_ints(xn * yn, xd * yd, _TOP_VARIANT[kind], *qp)
         for eta_in, b, t in itertools.product((0, 1), repeat=3):
             moves = table[eta_in, (b, t)] = []
             # rotated entries are keyed by (vert_in, right_in); iterate right_in
@@ -158,18 +153,9 @@ def _column_moves(kind, x, yj, q, exact: bool):
 
 def _product_table(u, v, q, exact: bool):
     """The stochastic table at z = u*v as (table, den): bulk_ints numerators
-    over their den, from the products of u's and v's numerators and
-    denominators, when exact; (bulk_table, 1) otherwise."""
-    if exact:
-        return bulk_ints(u.numerator * v.numerator, u.denominator * v.denominator,
-                         STOCHASTIC, q.numerator, q.denominator)
-    return bulk_table(u * v, STOCHASTIC, q), 1
-
-
-def _k_form(x, params: ModelParams, exact: bool):
-    """The K table at x as (table, den): k_ints when exact, (k_table, 1)
-    otherwise."""
-    return k_ints(x.numerator, x.denominator, params) if exact else (k_table(x, params), 1)
+    over their den, from the products of the pairs of u and v."""
+    (un, ud), (vn, vd) = as_pair(u, exact), as_pair(v, exact)
+    return bulk_ints(un * vn, ud * vd, STOCHASTIC, *as_pair(q, exact))
 
 
 def _all_exact(params: ModelParams, values) -> bool:
@@ -234,7 +220,7 @@ class OperatorStack:
         the rows' K tables, each over its own denominator when exact."""
         frontier, den = {(): 1}, 1
         for row in self.rows:
-            K, d = _k_form(row.spectral, self.params, self._exact)
+            K, d = k_ints(*as_pair(row.spectral, self._exact), self.params)
             turns = [((b, t), K[b][t]) for b in (0, 1) for t in (0, 1) if not is_zero(K[b][t])]
             frontier = {g + (bt,): w * k for g, w in frontier.items() for bt, k in turns}
             den *= d
@@ -601,7 +587,7 @@ def triangle_states(xs, params: ModelParams):
     states = {(): 1}, 1
     for i, xi in enumerate(xs):
         try:
-            K, k_den = _k_form(xi, params, exact)
+            K, k_den = k_ints(*as_pair(xi, exact), params)
         except ZeroDivisionError as exc:
             raise DegeneratePoint(f"boundary weight pole at x={xi}: {exc}") from exc
         turn = {v: [((h,), K[v][h]) for h in (0, 1) if not is_zero(K[v][h])] for v in (0, 1)}

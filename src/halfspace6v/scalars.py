@@ -1,9 +1,11 @@
 """Scalar backends: exact rationals and complex floats.
 
-All weight formulas are written as plain arithmetic expressions so they
-evaluate over either backend (and, where noted, over numpy arrays for
-vectorised quadrature).  This module holds parsing/formatting helpers and
-the random rational point generator used by the identity-testing suites.
+Every weight and kernel formula is written once, on (numerator,
+denominator) pairs (as_pair): integer pairs for rationals, and (v, 1) for
+a complex scalar or a numpy array of lanes, so one formula serves every
+ring.  This module also holds the backend checks, the parsing and
+formatting helpers and the random rational point generator used by the
+identity-testing suites.
 """
 
 from __future__ import annotations
@@ -53,8 +55,11 @@ def over_one_den(weights: dict, exact: bool):
 
 
 def as_pair(v, exact: bool) -> tuple:
-    """v as (num, den): integers when exact, else (v, 1)."""
-    return (v.numerator, v.denominator) if exact else (v, 1)
+    """v as (num, den): integers when exact, else (v, 1), an int v made a
+    Fraction so that only an exact pair is all integers."""
+    if exact:
+        return v.numerator, v.denominator
+    return (Fraction(v) if type(v) is int else v), 1
 
 
 def add_ratio(acc: tuple, num, den) -> tuple:

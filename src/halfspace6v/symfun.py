@@ -39,7 +39,7 @@ from .rowops import (
 )
 from .scalars import add_ratio, as_pair, is_array, pair_ints
 from .triangular import TriangularSpec, _alphabet, _z_subset_pair, z_pfaffian
-from .weights import ModelParams, h_func, h_over_ac
+from .weights import ModelParams, h_func, h_ints
 
 # ---------------------------------------------------------------------------
 # Subset formula
@@ -351,10 +351,9 @@ def z_factors(xs, ws, params: ModelParams) -> list:
         params, a=complex(params.a), c=None if params.c is None else complex(params.c)
     )
     ys = [complex(x) for x in xs] + [1 / w for w in ws]
-    hs = [h_func(y, cparams) for y in ys]
+    hs, hoa = zip(*[h_ints(y, 1, cparams)[:2] for y in ys]) if ys else ((), ())
     if params.c_infinite:
         return [1 - h for h in hs]
-    hoa = [h_over_ac(y, cparams) for y in ys]
     L, m = len(xs), len(ys)
 
     def s(i, j):

@@ -18,14 +18,14 @@ Every single-Pfaffian formula is prod_{i<j} 1/S(x_i, x_j) times the
 Pfaffian of a skew kernel, bordered at odd size; the subset route takes
 its Kuperberg Pfaffians as submatrices of one matrix per alphabet.
 
-On rational input (rowops._all_exact, decided once per call) every route
-is fraction-free and makes one Fraction at the end.  z_enumerate reads
-rowops' integer tables; in the others each x is an integer pair (n, d), h
-and h/(ac) come from weights.h_ints, kernels are integer (num, den) pairs,
-a Pfaffian is taken over the integers once one common denominator clears
-its matrix, and terms add over the lcm of their denominators.  On other
-input z_pfaffian keeps its scalar expressions (_pf_over_s), and the rest
-run the same pair formulas with each value v as (v, 1).
+Every route but z_enumerate (which reads rowops' tables) holds each x as
+a pair (n, d) (scalars.as_pair), takes h and h/(ac) from weights.h_ints
+and builds its kernels as (num, den) pairs; a Pfaffian is taken once one
+common denominator clears its matrix, and terms add over the lcm of their
+denominators.  On rational input (rowops._all_exact, decided once per
+call) the pairs are integers, every route is fraction-free and makes one
+Fraction at the end; on any other input each value v is (v, 1) and the
+same formulas run in its own scalars.
 
 Closed forms at small size:
   Z_0 = 1,  Z_1 = 1 - h(x_1),
@@ -41,11 +41,11 @@ from itertools import combinations, permutations
 from math import factorial, lcm, prod
 
 from .errors import CapExceeded, DegeneratePoint
-from .pfaffian import pfaffian, pfaffian_upper
+from .pfaffian import pfaffian_upper
 from .rowops import _all_exact, frontier_value, triangle_states
 from .scalars import add_ratio, as_pair, is_exact, pair_ints
 from .shuffle import DEFAULT_ARITY_CAP, SymFun, shuffle_power, shuffle_product
-from .weights import ModelParams, h_func, h_ints, h_over_ac
+from .weights import ModelParams, h_func, h_ints
 
 ENUM_CAP = 12
 
@@ -72,34 +72,10 @@ class TriangularSpec:
 # ---------------------------------------------------------------------------
 
 
-def kernel_S(xi, xj):
-    den = 1 - xi * xj
-    if den == 0:
-        raise DegeneratePoint("1 - x_i x_j vanished in S")
-    return (xi - xj) / den
-
-
-def kernel_Q(xi, xj, hi, hj, hoa_j, q):
-    """Symmetric kernel of the single-Pfaffian formula, from hi = h(x_i),
-    hj = h(x_j) and hoa_j = h(x_j)/(ac)."""
-    den = 1 - q * xi * xj
-    if den == 0:
-        raise DegeneratePoint("1 - q x_i x_j vanished in Q")
-    return (1 - hi) * (1 - hj) - hi * hoa_j * (1 - q) * xi * xj / den
-
-
-def _h_triple(p, params: ModelParams, exact: bool):
-    """(H, O, P) = h_ints at the pair p when exact, else (h, h/(ac), 1)."""
-    if exact:
-        return h_ints(*p, params)
-    x = p[0] / p[1]
-    return h_func(x, params), h_over_ac(x, params), 1
-
-
 def _alphabet(xs, params: ModelParams, exact: bool):
-    """(ps, q, hs): the entries and q by as_pair, and each _h_triple."""
+    """(ps, q, hs): the entries and q by as_pair, and each h_ints triple."""
     ps = [as_pair(x, exact) for x in xs]
-    return ps, as_pair(params.q, exact), [_h_triple(p, params, exact) for p in ps]
+    return ps, as_pair(params.q, exact), [h_ints(*p, params) for p in ps]
 
 
 def _pairs(ps, q, r_pole=True):
@@ -168,36 +144,6 @@ def z_enumerate(spec: TriangularSpec):
 # ---------------------------------------------------------------------------
 
 
-def _check_distinct(xs):
-    n = len(xs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if xs[i] == xs[j]:
-                raise DegeneratePoint(f"coinciding alphabet entries x={xs[i]}")
-            if 1 - xs[i] * xs[j] == 0:
-                raise DegeneratePoint("x_i x_j = 1 in prefactor")
-
-
-def _pf_over_s(xs, entry, border=None):
-    """prod_{i<j} 1/S(x_i, x_j) * Pf(entry(i, j, S(x_i, x_j))) in the
-    alphabet's own scalars: entry fills the upper triangle by index and is
-    mirrored, and a given border appends the column border(i) (odd sizes)."""
-    m = len(xs)
-    n = m + (border is not None)
-    pref = 1
-    M = [[0] * n for _ in range(n)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            s = kernel_S(xs[i], xs[j])
-            M[i][j] = entry(i, j, s)
-            M[j][i] = -M[i][j]
-            pref = pref / s
-        if border is not None:
-            M[i][m] = border(i)
-            M[m][i] = -M[i][m]
-    return pref * pfaffian(M, validate=False)
-
-
 def z_pfaffian(spec: TriangularSpec):
     """Prefactor times Pf((x_i-x_j)/(1-x_i x_j) * Q(x_i, x_j)).
 
@@ -206,27 +152,23 @@ def z_pfaffian(spec: TriangularSpec):
     so the border column holds -(1 - h(x_i)) and the prefactor gains
     (-1)^m.  Substituting t = 1 instead would put 0/0 into S when an entry
     is 1 and into Q when an entry is 1/q, although Z is finite there.
-    On rational input S Q = s ((1-h_i)(1-h_j) t - h_i h_j/(ac) (1-q) q_d
-    x_i x_j)/(r t) in the terms of _pf_pair.
+    S Q = s ((1-h_i)(1-h_j) t - h_i h_j/(ac) (1-q) q_d x_i x_j)/(r t) in
+    the terms of _pf_pair.  Coinciding entries, x_i x_j = 1 and
+    1 - q x_i x_j = 0 raise DegeneratePoint.
     """
     xs, params = spec.x, spec.params
     m = len(xs)
-    if _all_exact(params, xs):
-        ps, q, hs = _alphabet(xs, params, True)
+    exact = _all_exact(params, xs)
+    ps, q, hs = _alphabet(xs, params, exact)
 
-        def entry(i, j, s, r, t):
-            (H, _, P), (Hj, Oj, Pj) = hs[i], hs[j]
-            u = (q[1] - q[0]) * ps[i][0] * ps[j][0]
-            return s * ((P - H) * (Pj - Hj) * t - H * Oj * u), r * P * Pj * t
+    def entry(i, j, s, r, t):
+        (H, _, P), (Hj, Oj, Pj) = hs[i], hs[j]
+        u = (q[1] - q[0]) * ps[i][0] * ps[j][0]
+        return s * ((P - H) * (Pj - Hj) * t - H * Oj * u), r * P * Pj * t
 
-        border = (lambda i: (hs[i][0] - hs[i][2], hs[i][2])) if m % 2 else None
-        num, den = _pf_pair(ps, _pairs(ps, q), True, entry, border)
-        return Fraction((-1) ** m * num, den)
-    _check_distinct(xs)
-    hs, hoa = [h_func(x, params) for x in xs], [h_over_ac(x, params) for x in xs]
-    entry = lambda i, j, s: s * kernel_Q(xs[i], xs[j], hs[i], hs[j], hoa[j], params.q)
-    border = (lambda i: hs[i] - 1) if m % 2 else None
-    return (-1) ** m * _pf_over_s(xs, entry, border)
+    border = (lambda i: (hs[i][0] - hs[i][2], hs[i][2])) if m % 2 else None
+    num, den = _pf_pair(ps, _pairs(ps, q), exact, entry, border)
+    return Fraction((-1) ** m * num, den) if exact else (-1) ** m * num / den
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +236,8 @@ def _z_subset_pair(ps, q, hs, params: ModelParams, exact: bool):
 
 
 def z1_symfun(params: ModelParams) -> SymFun:
-    exact = _all_exact(params, ())
-
     def ints(args):
-        H, _, P = _h_triple(args[0], params, exact and type(args[0][0]) is int)
+        H, _, P = h_ints(*args[0], params)
         return P - H, P
 
     return SymFun(1, None, name="Z1", ints=ints)
@@ -306,7 +246,7 @@ def z1_symfun(params: ModelParams) -> SymFun:
 def z2_symfun(params: ModelParams) -> SymFun:
     """Z_2 = ((1-h_1)(1-h_2) t - h_1 h_2/(ac) (1-q) q_d n_1 n_2)/t on pairs."""
     exact = _all_exact(params, ())
-    h_of = lru_cache(None)(lambda p: _h_triple(p, params, exact and type(p[0]) is int))
+    h_of = lru_cache(None)(lambda p: h_ints(*p, params))
 
     def ints(args):
         (n1, d1), (n2, d2) = args

@@ -16,12 +16,15 @@ parameterised through
 with the c -> infinity degeneration h(x) = a*(1-x^2)/(a-x) implemented as
 its own table (entries 1-h, h, 0, 1).
 
-Exact tables are built in integers: bulk_ints, k_ints and h_ints take each
-rational argument as its numerator and denominator and return integer
+Each weight is written once, in bulk_ints, k_ints and h_ints, which take
+every argument as a (numerator, denominator) pair (scalars.as_pair) and
+return numerators over one denominator.  Integer pairs give integer
 numerators over one positive denominator, reduced by one gcd, with no
-Fraction arithmetic.  bulk_table, k_table, h_func and h_over_ac are views
-of these on rational input (each entry one Fraction); on any other input
-they evaluate the same formulas in the argument's own scalars.
+Fraction arithmetic; any other pair (a complex scalar or an array of lanes
+over 1) has each numerator divided by the denominator once, in its own
+scalars, over denominator 1.  bulk_table, k_table, h_func and h_over_ac
+are views: one builder call on the pairs of their arguments, exact when
+all of them are rational, with each entry made one Fraction when exact.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import DivisionByZero
-from .scalars import RATIONAL, is_array, is_exact, is_zero, parse_scalar, rand_rational
+from .scalars import RATIONAL, as_pair, is_array, is_exact, is_zero, parse_scalar, rand_rational
 
 STOCHASTIC = "stochastic"
 DOTTED = "dotted"
@@ -114,38 +117,42 @@ def load_params(path: str, backend: str = RATIONAL) -> ModelParams:
 # ---------------------------------------------------------------------------
 
 
-def h_ints(xn: int, xd: int, params: ModelParams):
-    """h(x) and h(x)/(ac) at x = xn/xd as one integer triple (H, O, P):
-    h = H/P and h/(ac) = O/P, with P > 0 and gcd(H, O, P) = 1 (O = 0 when c
-    is infinite).  a and c must be rational.
+def h_ints(xn, xd, params: ModelParams):
+    """h(x) and h(x)/(ac) at x = xn/xd as one triple (H, O, P): h = H/P and
+    h/(ac) = O/P (O = 0 when c is infinite).
 
-    From (1-x^2) xd^2 = xd^2 - xn^2 and (a-x) ad xd = an xd - ad xn:
-    H = an cn (xd^2 - xn^2), O = ad cd (xd^2 - xn^2) and P = (an xd - ad xn)
-    (cn xd - cd xn); at infinite c, H = an (xd^2 - xn^2) and P = xd (an xd -
-    ad xn).  x = +-1 gives (0, 0, 1) before any pole is checked (see h_func).
+    From (1-x^2) xd^2 = (xd-xn)(xd+xn) and (a-x) ad xd = an xd - ad xn:
+    H = an cn (xd-xn)(xd+xn), O = ad cd (xd-xn)(xd+xn) and P = (an xd - ad xn)
+    (cn xd - cd xn); at infinite c, H = an (xd-xn)(xd+xn) and P = xd (an xd -
+    ad xn).  An integer x with rational a and c gives integers reduced by one
+    gcd with P > 0; any other input gives H/P, O/P and 1.  x = +-1 gives h = 0
+    before any pole is checked (see h_func).
     """
     if xd == 0:
         raise ZeroDivisionError(f"x = {xn}/0")
-    s = xd * xd - xn * xn
-    if s == 0:
-        return 0, 0, 1
-    a = params.a
-    bottom = a.numerator * xd - a.denominator * xn
+    u, v = xd - xn, xd + xn
+    if not is_array(u) and (u == 0 or v == 0):
+        return 0 * u, 0 * u, 1
+    a, c = params.a, params.c
+    exact = type(u) is int and is_exact(a) and (params.c_infinite or is_exact(c))
+    an, ad = as_pair(a, exact)
+    bottom = an * xd - ad * xn
     if params.c_infinite:
-        H, O, P = a.numerator * s, 0, xd * bottom
+        H, O, P = an * u * v, 0, xd * bottom
     else:
-        c = params.c
-        H, O = a.numerator * c.numerator * s, a.denominator * c.denominator * s
-        P = bottom * (c.numerator * xd - c.denominator * xn)
-    if P == 0:
-        raise DivisionByZero(f"h(x): pole (a-x) or (c-x) vanishes at x={Fraction(xn, xd)}")
+        cn, cd = as_pair(c, exact)
+        H, O, P = an * cn * u * v, ad * cd * u * v, bottom * (cn * xd - cd * xn)
+    if not is_array(P) and P == 0:
+        raise DivisionByZero(f"h(x): pole (a-x) or (c-x) vanishes at x={xn}/{xd}")
+    if not exact:
+        return H / P, O / P, 1
     g = math.gcd(H, O, P) if P > 0 else -math.gcd(H, O, P)
     return H // g, O // g, P // g
 
 
-def k_ints(xn: int, xd: int, params: ModelParams):
+def k_ints(xn, xd, params: ModelParams):
     """The K table at x = xn/xd as (((1-h, h), (-h/(ac), 1+h/(ac))) numerators,
-    den), integers over den = P of h_ints, reduced."""
+    den), over den = P of h_ints."""
     H, O, P = h_ints(xn, xd, params)
     return ((P - H, H), (-O, P + O)), P
 
@@ -164,48 +171,24 @@ def h_func(x, params: ModelParams):
     Z_{2l-1}(x) = Z_{2l}(x, 1) even at degenerate boundary points like
     a = 1, c = -1.
     """
-    if _k_rational(x, params):
-        H, _, P = h_ints(x.numerator, x.denominator, params)
-        return Fraction(H, P)
-    if not is_array(x) and (x == 1 or x == -1):
-        return 0 * x
-    top = params.a if params.c_infinite else params.a * params.c
-    top = top * (1 - x) * (1 + x)
-    bottom = params.a - x
-    if not params.c_infinite:
-        bottom = bottom * (params.c - x)
-    if not is_array(bottom) and bottom == 0:
-        raise DivisionByZero(f"h(x): pole (a-x) or (c-x) vanishes at x={x}")
-    return top / bottom
+    exact = _k_rational(x, params)
+    H, _, P = h_ints(*as_pair(x, exact), params)
+    return Fraction(H, P) if exact else H
 
 
 def h_over_ac(x, params: ModelParams):
-    """h(x)/(ac) = (1-x^2)/((a-x)(c-x)); identically 0 when c is infinite."""
-    if params.c_infinite:
-        return 0
-    if _k_rational(x, params):
-        try:
-            _, O, P = h_ints(x.numerator, x.denominator, params)
-        except DivisionByZero:
-            raise DivisionByZero(f"h(x)/ac: pole vanishes at x={x}") from None
-        return Fraction(O, P)
-    if not is_array(x) and (x == 1 or x == -1):
-        return 0 * x
-    bottom = (params.a - x) * (params.c - x)
-    if not is_array(bottom) and bottom == 0:
-        raise DivisionByZero(f"h(x)/ac: pole vanishes at x={x}")
-    return (1 - x) * (1 + x) / bottom
+    """h(x)/(ac) = (1-x^2)/((a-x)(c-x)); 0 when c is infinite."""
+    exact = _k_rational(x, params)
+    _, O, P = h_ints(*as_pair(x, exact), params)
+    return Fraction(O, P) if exact else O
 
 
 def k_table(x, params: ModelParams):
-    """The four K-weights at x as K[i][j] (incoming i, outgoing j), with
-    h(x) and h(x)/(ac) each evaluated once: the k_ints table when x, a and c
-    are rational."""
-    if _k_rational(x, params):
-        K, den = k_ints(x.numerator, x.denominator, params)
-        return tuple(tuple(Fraction(k, den) for k in row) for row in K)
-    h, hoa = h_func(x, params), h_over_ac(x, params)
-    return (1 - h, h), (-hoa, 1 + hoa)
+    """The four K-weights at x as K[i][j] (incoming i, outgoing j): the
+    k_ints table."""
+    exact = _k_rational(x, params)
+    K, den = k_ints(*as_pair(x, exact), params)
+    return tuple(tuple(Fraction(k, den) for k in row) for row in K) if exact else K
 
 
 def boundary_weight(i: int, j: int, x, params: ModelParams):
@@ -254,24 +237,28 @@ def _weight_rows(full, left, below, variant) -> WeightTable:
     return WeightTable({ij: [e for e in es if not is_zero(e[2])] for ij, es in rows.items()})
 
 
-def bulk_ints(zn: int, zd: int, variant, qn: int, qd: int):
-    """bulk_table at z = zn/zd and q = qn/qd as (table of integer numerators,
-    den), den > 0 and the gcd of den and the numerators 1.
+def bulk_ints(zn, zd, variant, qn, qd):
+    """bulk_table at z = zn/zd and q = qn/qd as (table of numerators, den).
 
     Over qd zd, the stochastic weights 1, (1-z, z(1-q)) and (q(1-z), 1-q) and
     their denominator 1 - qz have the numerators full = qd zd - qn zn,
     (qd (zd-zn), zn (qd-qn)) and (qn (zd-zn), zd (qd-qn)); the dotted table
-    has the same numerators over (1-z) qd zd = qd (zd - zn).
+    has the same numerators over (1-z) qd zd = qd (zd - zn).  Integer input
+    gives integers reduced by one gcd with den > 0; any other input gives
+    each numerator over den, and den 1, with the weight-1 vertex (whose
+    numerator is den itself) the int 1.
     """
     _check_variant(variant)
-    if zd == 0:
+    if not is_array(zd) and zd == 0:
         raise ZeroDivisionError(f"z = {zn}/0")
-    full = qd * zd - qn * zn
-    den = qd * (zd - zn) if variant == DOTTED else full
-    if den == 0:
+    d, p = zd - zn, qd - qn
+    full, left, below = qd * zd - qn * zn, (qd * d, zn * p), (qn * d, zd * p)
+    den = left[0] if variant == DOTTED else full
+    if not is_array(den) and den == 0:
         return _pole_table(variant), 1
-    left = (qd * (zd - zn), zn * (qd - qn))
-    below = (qn * (zd - zn), zd * (qd - qn))
+    if type(full) is not int:
+        w = [1 if n is den else n / den for n in (full, *left, *below)]
+        return _weight_rows(w[0], w[1:3], w[3:], variant), 1
     g = math.gcd(den, full, *left, *below)
     if den < 0:
         g = -g
@@ -284,24 +271,14 @@ def bulk_table(z, variant, q) -> WeightTable:
     each written once over the variant's one denominator: 1 - qz for the
     stochastic table, 1 - z for the dotted one.  The rotated table is the
     stochastic one with keys (j, i; l, k): (vertical-in, right-in;
-    vertical-out, left-out) of a left-moving lower row.  On rational z and q
-    each weight is its bulk_ints numerator over the table's den."""
-    if is_exact(z) and is_exact(q):
-        table, den = bulk_ints(z.numerator, z.denominator, variant, q.numerator, q.denominator)
-        return WeightTable({ij: [(k, l, Fraction(w, den)) for k, l, w in es]
-                            for ij, es in table.items()})
-    _check_variant(variant)
-    den = 1 - z if variant == DOTTED else 1 - q * z
-    if not is_array(den) and den == 0:
-        return _pole_table(variant)
-    if variant == DOTTED:
-        full = (1 - q * z) / den
-        left, below = (1, z * (1 - q) / den), (q, (1 - q) / den)
-    else:
-        full = 1
-        left = ((1 - z) / den, z * (1 - q) / den)
-        below = (q * (1 - z) / den, (1 - q) / den)
-    return _weight_rows(full, left, below, variant)
+    vertical-out, left-out) of a left-moving lower row.  The bulk_ints
+    table, each weight one Fraction when z and q are rational."""
+    exact = is_exact(z) and is_exact(q)
+    table, den = bulk_ints(*as_pair(z, exact), variant, *as_pair(q, exact))
+    if not exact:
+        return table
+    return WeightTable({ij: [(k, l, Fraction(w, den)) for k, l, w in es]
+                        for ij, es in table.items()})
 
 
 def bulk_weight(i, j, k, l, z, variant, q):
@@ -339,8 +316,10 @@ def _eye(n, diag=1):
 
 
 def _r_of(table):
-    """4x4 R-matrix of a stochastic table; every input is read, so a table
-    at a pole raises DivisionByZero."""
+    """4x4 R-matrix on V1 (horizontal) x V2 (vertical) of a stochastic
+    table: row/column index 2*v1 + v2, entry [(j, i), (l, k)] the vertex
+    weight (i, j; k, l).  Every input is read, so a table at a pole raises
+    DivisionByZero."""
     M = [[0] * 4 for _ in range(4)]
     for i in range(2):
         for j in range(2):
@@ -349,22 +328,9 @@ def _r_of(table):
     return M
 
 
-def r_matrix(z, q):
-    """4x4 R-matrix on V1 (horizontal) x V2 (vertical).
-
-    Row/column index is 2*v1 + v2; entry [(j, i), (l, k)] is the vertex
-    weight (i, j; k, l).
-    """
-    return _r_of(bulk_table(z, STOCHASTIC, q))
-
-
-def k_matrix(x, params: ModelParams):
-    return [list(row) for row in k_table(x, params)]
-
-
 def _embed(M, n_spaces, sites):
     """Embed an operator on the spaces `sites` into n_spaces qubits.  The
-    first site is the leading bit of M's index (as in r_matrix: the
+    first site is the leading bit of M's index (as in _r_of: the
     horizontal space, then the vertical one)."""
     dim = 1 << n_spaces
     out = [[0] * dim for _ in range(dim)]
@@ -398,33 +364,22 @@ def verify_local_relation(relation: str, point: dict) -> tuple[bool, float]:
     matrices.  Returns (equal, max residual); equality is exact in the
     rational backend, within _FLOAT_TOL otherwise.
 
-    Each distinct matrix is built once, as (entries, den).  On a rational
-    point the entries are integers (bulk_ints, k_ints) and every spectral
-    argument a (numerator, denominator) pair, so both sides are integer
-    matrices over the same product of dens: equality is integer equality.
+    Each distinct matrix is built once, as (entries, den), from bulk_ints
+    and k_ints with every spectral argument a (numerator, denominator)
+    pair.  On a rational point the entries are integers, so both sides are
+    integer matrices over the same product of dens and equality is integer
+    equality; on any other point every den is 1.
     """
     exact = all(is_exact(v) for v in point.values() if not isinstance(v, bool))
-    q = point.get("q")
-    x, y, z = (point.get(k) for k in "xyz")
-    if exact:
-        x, y, z = ((v.numerator, v.denominator) if v is not None else None for v in (x, y, z))
-        div = lambda u, v: (u[0] * v[1], u[1] * v[0])
-        mul = lambda u, v: (u[0] * v[0], u[1] * v[1])
-        inv = lambda u: (u[1], u[0])
-        one = (1, 1)
+    x, y, z = (as_pair(v, exact) if v is not None else None for v in map(point.get, "xyz"))
+    div = lambda u, v: (u[0] * v[1], u[1] * v[0])
+    mul = lambda u, v: (u[0] * v[0], u[1] * v[1])
+    inv = lambda u: (u[1], u[0])
+    one = (1, 1)
 
-        def R(w):
-            table, den = bulk_ints(*w, STOCHASTIC, q.numerator, q.denominator)
-            return _r_of(table), den
-
-        K = lambda w, params: k_ints(*w, params)
-    else:
-        div = lambda u, v: u / v
-        mul = lambda u, v: u * v
-        inv = lambda u: 1 / u
-        one = 1
-        R = lambda w: (r_matrix(w, q), 1)
-        K = lambda w, params: (k_matrix(w, params), 1)
+    def R(w):
+        table, den = bulk_ints(*w, STOCHASTIC, *as_pair(point["q"], exact))
+        return _r_of(table), den
 
     if relation == "ybe":
         (R12, d12), (R13, d13), (R23, d23) = R(div(y, x)), R(div(z, x)), R(div(z, y))
@@ -435,7 +390,7 @@ def verify_local_relation(relation: str, point: dict) -> tuple[bool, float]:
     elif relation == "reflection":
         params = _point_params(point)
         (Ra, da), (Rb, db) = R(div(x, y)), R(mul(x, y))
-        (K1, d1), (K2, d2) = K(x, params), K(y, params)
+        (K1, d1), (K2, d2) = k_ints(*x, params), k_ints(*y, params)
         K1, K2 = _embed(K1, 2, (0,)), _embed(K2, 2, (1,))
         lhs = _matmul(_matmul(_matmul(_embed(Ra, 2, (1, 0)), K1), _embed(Rb, 2, (0, 1))), K2)
         rhs = _matmul(_matmul(_matmul(K2, _embed(Rb, 2, (1, 0))), K1), _embed(Ra, 2, (0, 1)))
@@ -447,7 +402,7 @@ def verify_local_relation(relation: str, point: dict) -> tuple[bool, float]:
         rhs = _eye(4, den)
     elif relation == "k_unitarity":
         params = _point_params(point)
-        (Ka, da), (Kb, db) = K(x, params), K(inv(x), params)
+        (Ka, da), (Kb, db) = k_ints(*x, params), k_ints(*inv(x), params)
         lhs = _matmul(Ka, Kb)
         den = da * db
         rhs = _eye(2, den)

@@ -523,6 +523,21 @@ def test_mixed_stack_takes_den_one_path():
         assert isinstance(got, complex) and abs(got - want) <= 1e-14 * max(1.0, abs(want))
 
 
+def test_int_spectral_values_under_a_complex_q():
+    """A plain int spectral value in a complex stack is paired as a value
+    over 1, like any other, so its K table is not taken over an integer
+    denominator that the stack's close would never divide out."""
+    pm = ModelParams(q=0.25 + 0.1j, a=F(3), c=F(-2))
+    ref = ModelParams(q=0.25 + 0.1j, a=3.0, c=-2.0)
+    pairs = [((), ()), ((2,), (1,))]
+    got = OperatorStack([(KIND_A, 2), (KIND_B, F(1, 3))], pm).elements(pairs)
+    want = OperatorStack([(KIND_A, 2.0), (KIND_B, 1 / 3)], ref).elements(pairs)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-14 * abs(w)
+    g, w = (partition_G((1,), (), (x,), p, method="stack") for x, p in ((2, pm), (2.0, ref)))
+    assert abs(g - w) <= 1e-14 * abs(w)
+
+
 @pytest.mark.parametrize("kind", [KIND_A, KIND_B])
 @pytest.mark.parametrize("exact", [True, False])
 def test_column_moves_conserve_charge(kind, exact):

@@ -142,6 +142,28 @@ def test_pfaffian_odd_alphabet_through_1_and_1_over_q(xs):
     assert z_pfaffian(spec) == z_enumerate(spec) == z_subset_kuperberg(spec)
 
 
+PZ = ModelParams(q=complex(0.25), a=complex(3), c=complex(-2))
+
+
+@pytest.mark.parametrize("xs", [(1, F(1, 3), F(2, 7)), (4, F(1, 3), F(2, 7)),
+                                (0.9, 0.7, 0.55, 0.4, 0.3, 0.2, 0.15)])
+def test_complex_pfaffian_matches_the_exact_value(xs):
+    # complex input runs the same pair formulas as rational input: through
+    # x = 1 and x = 1/q = 4 on odd alphabets, and on a float Z_7 alphabet
+    exact = z_enumerate(TriangularSpec(tuple(F(x) for x in xs), ModelParams(
+        q=F(1, 4), a=F(3), c=F(-2))))
+    got = z_pfaffian(TriangularSpec(tuple(complex(x) for x in xs), PZ))
+    assert isinstance(got, complex)
+    assert abs(got - complex(exact)) <= 1e-9 * abs(complex(exact))
+
+
+@pytest.mark.parametrize("xs", [(0.5, 0.5), (2.0, 0.5), (4.0, 1.0)])
+def test_complex_degenerate_point_raises(xs):
+    # coinciding entries, x_i x_j = 1, and 1 - q x_i x_j = 0 at q = 1/4
+    with pytest.raises(DegeneratePoint):
+        z_pfaffian(TriangularSpec(tuple(complex(x) for x in xs), PZ))
+
+
 def test_enumeration_cap():
     xs = tuple(F(1, k + 2) for k in range(13))
     with pytest.raises(CapExceeded):

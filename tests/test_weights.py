@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -339,6 +340,38 @@ def test_mixed_input_takes_the_scalar_path():
     h = 3.0 * -2.0 * (1 - x) * (1 + x) / ((3.0 - x) * (-2.0 - x))
     assert h_func(x, params) == h and isinstance(h_func(x, params), complex)
     assert k_table(x, params)[0] == (1 - h, h)
+
+
+def test_array_input_reads_the_same_builders_lane_by_lane():
+    """On an array of 64 complex lanes every view equals its per-node value
+    in Python complex arithmetic within 1e-15 of max(1, |value|) (the K
+    entries 1 - h and 1 + h/(ac) are differences of O(1) terms), and a lane
+    at x = +-1 has h = 0."""
+    nodes = 0.55 * np.exp(2j * np.pi * (np.arange(64) + 0.3) / 64)
+    q, params = 0.25 + 0.05j, ModelParams(q=0.25 + 0.05j, a=3.0 + 0.5j, c=-2.0 + 0j)
+
+    def close(lanes, scalar):
+        for i, w in enumerate(np.broadcast_to(lanes, nodes.shape)):
+            want = scalar(complex(nodes[i])) if callable(scalar) else scalar[i]
+            assert abs(w - want) <= 1e-15 * max(1.0, abs(want)), i
+
+    for variant in (STOCHASTIC, DOTTED, ROTATED):
+        table = bulk_table(nodes, variant, q)
+        assert set(table) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        for ij, es in table.items():
+            per_node = [bulk_table(complex(x), variant, q)[ij] for x in nodes]
+            for e, (k, l, w) in enumerate(es):
+                assert all(node[e][:2] == (k, l) for node in per_node)
+                close(w, [node[e][2] for node in per_node])
+    K = k_table(nodes, params)
+    for i in (0, 1):
+        for j in (0, 1):
+            close(K[i][j], lambda x: k_table(x, params)[i][j])
+    close(h_func(nodes, params), lambda x: h_func(x, params))
+    close(h_over_ac(nodes, params), lambda x: h_over_ac(x, params))
+    edges = np.concatenate(([1.0 + 0j, -1.0 + 0j], nodes[2:]))
+    assert h_func(edges, params)[:2].tolist() == [0, 0]
+    assert h_over_ac(edges, params)[:2].tolist() == [0, 0]
 
 
 def test_exact_table_builders_run_no_fraction_arithmetic(monkeypatch):
