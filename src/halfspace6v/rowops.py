@@ -26,9 +26,9 @@ products are evaluated two ways:
   C = sum over rows of (b - t) by exactly [j in nu] - [j in mu]; only the
   boundary turns create charge, and a contraction keeps only the initial
   tuples of the one sector that can reach the target.  A family of elements
-  (OperatorStack.elements) is contracted in the order of its column
-  patterns, each resuming from the frontier of the column prefix it
-  shares with the previous one.  apply_double_row reads one row's
+  (OperatorStack.elements) shares the column prefixes of its patterns and
+  crosses each run of empty tail columns before a last column once, as a
+  right vector built from the tail.  apply_double_row reads one row's
   elements on a truncated site window;
 * for an empty initial configuration, the equivalent finite lattice with
   boundary vertices on a staircase, which is cheap for long alphabets,
@@ -43,9 +43,9 @@ sweep is fraction-free: the tables hold integer numerators over one
 denominator, the stack's initial frontier is a product of integer K
 tables, every frontier is a map of integers over the product of the
 denominators it has crossed (its zeros found by a truth test), the tail
-is solved over the integers, and the result is reduced to a Fraction
-once, at the close.  Any other input gives tables over denominator 1 and
-carries its own scalars through the same operations.
+is solved over the integers, and each element is an integer over its
+denominator, reduced once.  Any other input gives tables over
+denominator 1 and carries its own scalars through the same operations.
 
 Local weights come from one table per argument, each entry evaluated
 once; a bulk-weight pole raises DegeneratePoint only when a state uses
@@ -343,24 +343,29 @@ class OperatorStack:
 
     def element(self, mu, nu):
         """<mu| stack |nu> on the semi-infinite lattice (tail exact)."""
-        return self._contract([(mu, nu)], free_top=False)[0]
+        return self.elements([(mu, nu)])[0]
 
     def elements(self, pairs):
         """[<mu| stack |nu> for (mu, nu) in pairs], contracted as one family."""
-        return self._contract(pairs, free_top=False)
+        return [Fraction(n, d) if self._exact and n else n for n, d in self._contract(pairs, False)]
 
     def row_sum(self, mu):
         """sum_nu <mu| stack |nu> over all finite nu (tail exact)."""
-        return self._contract([(mu, ())], free_top=True)[0]
+        (n, d), = self._contract([(mu, ())], free_top=True)
+        return Fraction(n, d) if self._exact and n else n
 
     def _contract(self, pairs, free_top: bool):
-        """Contract the pairs in the order of their patterns: the charge
-        sector, target()'s charge - |nu| + |mu| (None with a free top), whose
-        tuples depth 1 keeps, then the external edges (eta_b, eta_t) of every
-        column.  Each pattern resumes from the frontier after the prefix it
-        shares with the previous one; a frontier is saved only at a depth that
-        a later pattern resumes from (a running minimum of the shared lengths),
-        so one pair saves none.  Each distinct configuration is normalised once."""
+        """Each pair's element as (num, den): integers when exact, else (value, 1).
+
+        A pattern's right part lies past the y-prefix: g empty columns, then
+        the last column's edges e.  Its left part is the charge sector
+        (target()'s charge - |nu| + |mu|, None with a free top), then the
+        edges (eta_b, eta_t) of the other columns.  Each distinct left part is
+        walked once, in sorted order, from the frontier after the prefix it
+        shares with the previous one, saved only if a later one resumes there
+        (so one pair saves none).  Each R(e, g) = T_00^g T_e S is built once,
+        on the tuples its left frontiers hold (collected first, so S is solved
+        once for them); an element is its left frontier summed against R or S."""
         configs = {}
 
         def config(positions):
@@ -370,33 +375,57 @@ class OperatorStack:
                 got = configs[positions] = as_config(positions)
             return got
 
-        patterns = []
+        groups, rights = {}, []  # each distinct left part -> the indices of its pairs
         charge = sum(b - t for b, t in self.target())
+        n_y, empty = len(self.params.y), (0, None if free_top else 0)
         for mu, nu in pairs:
             mu, nu = config(mu), config(nu)
-            n_cols = max(config_max(mu), config_max(nu), len(self.params.y))
-            patterns.append((None if free_top else charge - len(nu) + len(mu), *[
-                (int(j in mu), None if free_top else int(j in nu)) for j in range(1, n_cols + 1)
-            ]))
-        order = sorted(range(len(pairs)), key=patterns.__getitem__)
-        shared = [0] + [_common_prefix(patterns[i], patterns[k]) for i, k in zip(order, order[1:])]
-        keep, minima = [None] * len(order), []
-        for k in reversed(range(len(order))):
+            # the left part ends with the prefix or with the last part before the last column
+            both = mu + nu
+            last = max(both, default=0)
+            end = max([n_y, *[j for j in both if j < last]])
+            # edges as bools, which every table and cache key reads as 0 and 1
+            edges = [(j in mu, None if free_top else j in nu) for j in (*range(1, end + 1), last)]
+            left = (None if free_top else charge - len(nu) + len(mu), *edges[:end])
+            groups.setdefault(left, []).append(len(rights))
+            rights.append((edges[-1], last - end - 1) if last > n_y else None)
+        patterns = sorted(groups)
+        shared = [0] + [_common_prefix(a, b) for a, b in zip(patterns, patterns[1:])]
+        keep, minima = [None] * len(patterns), []
+        for k in reversed(range(len(patterns))):
             keep[k] = set(minima)
             while minima and minima[-1] >= shared[k]:
                 minima.pop()
             minima.append(shared[k])
         out = [None] * len(pairs)
         saved = [(0, self._initial_frontier())] if pairs else []
-        n_y = len(self.params.y)
-        for k, i in enumerate(order):
+        reads = {}  # e -> {g: the tuples R(e, g) is read on}
+        for k, pattern in enumerate(patterns):
             depth, frontier = saved[-1] if shared[k] in keep[k] else saved.pop()
-            for j in range(depth + 1, len(patterns[i]) + 1):
-                frontier = (_in_sector(frontier, patterns[i][0]) if j == 1 else self._column_step(
-                    frontier, *patterns[i][j - 1], min(j - 1, n_y) - 1))
+            for j in range(depth + 1, len(pattern) + 1):
+                frontier = (_in_sector(frontier, pattern[0]) if j == 1 else self._column_step(
+                    frontier, *pattern[j - 1], min(j - 1, n_y) - 1))
                 if j in keep[k]:
                     saved.append((j, frontier))
-            out[i] = self._close(frontier, free_top)
+            for i in groups[pattern]:
+                if rights[i] is None:
+                    out[i] = _dot(frontier, self._tail_on(frontier[0].keys(), free_top), self._zero)
+                else:
+                    out[i], (e, g) = frontier, rights[i]
+                    reads.setdefault(e, {}).setdefault(g, set()).update(frontier[0])
+        if reads:
+            reads = {e: [lv.get(g, set()) for g in range(max(lv) + 1)] for e, lv in reads.items()}
+            ops, right = {e: self._column_op(*e, n_y - 1) for e in (empty, *reads)}, {}
+            for levels in reads.values():
+                for g in reversed(range(1, len(levels))):
+                    levels[g - 1] |= {g2 for s in levels[g] for g2, _ in ops[empty][s]}
+            S = self._tail_on({g2 for e, ls in reads.items() for s in ls[0] for g2, _ in ops[e][s]},
+                              free_top)
+            for e, levels in reads.items():
+                vector = S
+                for g, states in enumerate(levels):
+                    vector = right[e, g] = _right_step(ops[empty if g else e], vector, states)
+            out = [p if r is None else _dot(p, right[r], self._zero) for p, r in zip(out, rights)]
         return out
 
     def _column_step(self, frontier, eta_b, eta_t, col):
@@ -412,21 +441,12 @@ class OperatorStack:
                     new[gamma2] = val
         return nonzero(new), den * op.den
 
-    def _close(self, frontier, free_top: bool):
-        """Sum the frontier against the exact far-right tail; an exact stack
-        reduces the integer total over its denominator once, here.  The tail
-        is kept as its support and its nonzero entries."""
-        values, den = frontier
-        if self._tail is None or self._tail[0] != free_top:
-            self._tail = (free_top, *self._tail_values(values.keys(), free_top))
-        elif not values.keys() <= self._tail[1]:
-            support = set(self._tail[1]) | set(values)
-            self._tail = (free_top, *self._tail_values(support, free_top))
-        _, _, S, s_den = self._tail
-        terms = [w * S[g] for g, w in values.items() if g in S]
-        total = sum(terms, self._zero)
-        # with no term the element is the ring's zero (the int 0 when exact)
-        return Fraction(total, den * s_den) if self._exact and terms else total
+    def _tail_on(self, states, free_top: bool):
+        """The tail S as (nonzero values, den), re-solved to cover new states."""
+        if self._tail is None or self._tail[0] != free_top or not states <= self._tail[1]:
+            kept = self._tail[1] if self._tail and self._tail[0] == free_top else set()
+            self._tail = (free_top, *self._tail_values(set(states) | kept, free_top))
+        return self._tail[2:]
 
 
 class _ColumnOperator(dict):
@@ -455,6 +475,21 @@ def _in_sector(frontier, sector):
     values, den = frontier
     return {g: w for g, w in values.items()
             if sector is None or sum(b - t for b, t in g) == sector}, den
+
+
+def _right_step(op, vector, states):
+    """T v on the given channel tuples, for T a column operator and v =
+    (values, den) a vector held on every tuple T takes them to."""
+    values, den = vector
+    new = {g: sum(wt * values[g2] for g2, wt in op[g] if g2 in values) for g in states}
+    return nonzero(new), den * op.den
+
+
+def _dot(frontier, vector, zero):
+    """A frontier summed against a vector, both (values, den); (zero, 1) if disjoint."""
+    (values, den), (right, r_den) = frontier, vector
+    terms = [w * right[g] for g, w in values.items() if g in right]
+    return (sum(terms, zero), den * r_den) if terms else (zero, 1)
 
 
 def _common_prefix(a, b) -> int:

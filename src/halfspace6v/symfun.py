@@ -34,7 +34,6 @@ from .rowops import (
     configs_bounded,
     g_lattice,
     guard_cauchy,
-    partition_F,
     partition_G,
 )
 from .scalars import add_ratio, as_pair, is_array, pair_ints
@@ -599,9 +598,11 @@ def cauchy_check(mu, nu, x_alphabet, z_alphabet, params: ModelParams, cutoff: in
         (a, b), (c, d) = _pair_factors(*(as_pair(v, exact) for v in (z, x, q)))
         num, den = num * a * c, den * b * d
     factor = Fraction(num, den) if exact else num / den
+    g_stack = OperatorStack([(KIND_A, x) for x in xs], params)
+    f_stack = OperatorStack([(KIND_B, z) for z in zs], params)
     rhs = 0
-    for lam in _lambda_candidates(mu):
-        f = partition_F(mu, lam, zs, params)
+    lams = _lambda_candidates(mu)
+    for lam, f in zip(lams, f_stack.elements([(mu, lam) for lam in lams])):
         if f == 0:
             continue
         if lam == () and nu == ():
@@ -615,17 +616,21 @@ def cauchy_check(mu, nu, x_alphabet, z_alphabet, params: ModelParams, cutoff: in
     kappas = sorted(
         configs_bounded(cutoff, len(mu) + len(xs)), key=lambda k: (config_max(k), k)
     )
-    g_stack = OperatorStack([(KIND_A, x) for x in xs], params)
-    f_stack = OperatorStack([(KIND_B, z) for z in zs], params)
-    gs = g_stack.elements([(mu, kappa) for kappa in kappas])
-    terms = [(k, g) for k, g in zip(kappas, gs) if g != 0]
-    fs = f_stack.elements([(kappa, nu) for kappa, _ in terms])
+    gs = g_stack._contract([(mu, kappa) for kappa in kappas], free_top=False)
+    terms = [(k, g) for k, g in zip(kappas, gs) if g[0] != 0]
+    fs = f_stack._contract([(kappa, nu) for kappa, _ in terms], free_top=False)
+    by_cut = {}
+    for (kappa, (gn, gd)), (fn, fd) in zip(terms, fs):
+        # (num, den) pairs, added over one denominator; a ring value on either
+        # side makes the product its value over 1
+        term = (gn * fn, gd * fd) if exact else (gn / gd * (fn / fd), 1)
+        by_cut.setdefault(config_max(kappa), []).append(term)
     residuals = []
-    lhs = 0
+    acc = (0, 1)
     for cut in range(0, cutoff + 1):
-        for (kappa, g), f in zip(terms, fs):
-            if config_max(kappa) == cut:
-                lhs = lhs + g * f
+        for n, d in by_cut.get(cut, ()):
+            acc = add_ratio(acc, n, d)
+        lhs = Fraction(*acc) if exact else acc[0]
         residuals.append((cut, float(abs(lhs - rhs))))
     final = residuals[-1][1]
     tail = [r for _, r in residuals[-6:]]

@@ -3,6 +3,7 @@
 import itertools
 import random
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -611,3 +612,50 @@ def test_unreachable_charge_sector_is_exactly_zero():
     assert g_lattice((4, 2, 1), xs, P_INHOM) == 0
     pc = ModelParams(q=1 / 3, a=2.0, c=5.0, y=(0.75, 1.25, 1.0))
     assert OperatorStack([(KIND_A, 0.5 + 0.1j)], pc).element((1,), (3, 2, 1)) == 0
+
+
+# parts inside the three-column y-prefix and up to 10 past it, so that the
+# last column follows a run of up to 8 empty tail columns
+GAP_CONFIGS = [as_config(c) for c in ((), (1,), (3, 2), (6,), (10,), (5, 1), (10, 4), (9, 7, 2))]
+GAP_ROWS = {
+    "A": ((KIND_A, F(1, 2)), (KIND_A, F(2, 5))),
+    "Bdot": ((KIND_B, F(1, 3)), (KIND_B, F(2, 7))),
+    "mixed": ((KIND_A, F(1, 2)), (KIND_B, F(2, 7))),
+}
+
+
+@pytest.mark.parametrize("backend", ["fraction", "complex", "grid"])
+@pytest.mark.parametrize("rows", GAP_ROWS.values(), ids=GAP_ROWS.keys())
+def test_family_across_long_tail_gaps_matches_lone_elements(rows, backend):
+    """Every <mu|.|nu> over configurations with parts far past the y-prefix,
+    as one family, gives each pair's lone element and what the same stack
+    gives with the y-tail written out to column 10, where no column lies
+    past the prefix; so do the stack's row sums after the family.  Equal as
+    Fractions; within 1e-14 relative on complex lanes, and on an open grid
+    against its flattened lanes."""
+    if backend != "fraction":
+        rows = [(kind, complex(v) * (1 + 0.05j)) for kind, v in rows]
+    ref_rows = rows
+    if backend == "grid":
+        rows = [(kind, (v + np.array([0, 0.01 * (r + 1)])).reshape((2, 1) if r == 0 else (1, 2)))
+                for r, (kind, v) in enumerate(rows)]
+        flat = [a.ravel() for a in np.broadcast_arrays(*(v for _, v in rows))]
+        ref_rows = [(kind, v) for (kind, _), v in zip(rows, flat)]
+    pairs = [(mu, nu) for mu in GAP_CONFIGS for nu in GAP_CONFIGS]
+    stack = OperatorStack(rows, P_INHOM)
+    got = stack.elements(pairs) + [stack.row_sum(mu) for mu in GAP_CONFIGS]
+    lone = [OperatorStack(ref_rows, P_INHOM).element(mu, nu) for mu, nu in pairs]
+    lone += [OperatorStack(ref_rows, P_INHOM).row_sum(mu) for mu in GAP_CONFIGS]
+    written = OperatorStack(rows, replace(P_INHOM, y=P_INHOM.y + (P_INHOM.y[-1],) * 7))
+    prefix = written.elements(pairs) + [written.row_sum(mu) for mu in GAP_CONFIGS]
+    # a pair with a part 10 crosses up to 8 empty tail columns before it
+    assert any(np.any(ref != 0) for (mu, nu), ref in zip(pairs, lone) if 10 in mu + nu)
+    for case, g, *refs in zip(pairs + GAP_CONFIGS, got, lone, prefix):
+        for ref in refs:
+            if backend == "fraction":
+                assert g == ref, case
+            else:
+                err = np.max(np.abs(np.ravel(g) - np.ravel(ref)))
+                assert err <= 1e-14 * max(1.0, np.max(np.abs(ref))), case
+    if backend == "fraction" and all(kind == KIND_A for kind, _ in rows):
+        assert got[len(pairs):] == [1] * len(GAP_CONFIGS)

@@ -6,7 +6,7 @@ from functools import partial, reduce
 import numpy as np
 import pytest
 
-from halfspace6v import symfun
+from halfspace6v import rowops, symfun
 from halfspace6v.errors import (
     ArityError,
     ContourInvalid,
@@ -14,7 +14,15 @@ from halfspace6v.errors import (
     GuardViolated,
     QuadratureNotConverged,
 )
-from halfspace6v.rowops import KIND_B, OperatorStack, partition_G
+from halfspace6v.rowops import (
+    KIND_A,
+    KIND_B,
+    OperatorStack,
+    config_max,
+    configs_bounded,
+    partition_F,
+    partition_G,
+)
 from halfspace6v.symfun import (
     ContourSpec,
     cauchy_check,
@@ -439,6 +447,50 @@ def test_cauchy_check_decays():
     assert rep["decay_ok"] and rep["final_residual"] < 1e-7
     rep = cauchy_check((), (1,), xs, zs, P, cutoff=10)
     assert rep["decay_ok"] and rep["final_residual"] < 1e-7
+
+
+@pytest.mark.parametrize("mu,nu,params", [
+    ((), (), P),
+    ((), (1,), P),
+    ((1,), (), P),
+    ((1,), (1,), P_INHOM),
+])
+def test_cauchy_lhs_is_the_sum_of_lone_elements(mu, nu, params):
+    """At every cutoff, the lhs that cauchy_check sums from its two stack
+    families over one denominator is the Fraction sum of
+    G_{kappa/mu}(x) F_{kappa/nu}(z), each factor a lone element (G by the
+    staircase lattice when mu is empty)."""
+    xs, zs = (F(9, 10), F(19, 20)), (F(1, 5), F(1, 4))
+    cutoff = 6
+    kappas = list(configs_bounded(cutoff, len(mu) + len(xs)))
+    terms = {k: partition_G(k, mu, xs, params) * partition_F(k, nu, zs, params)
+             for k in kappas}
+    for cut in range(cutoff + 1):
+        lhs = cauchy_check(mu, nu, xs, zs, params, cutoff=cut)["lhs"]
+        assert type(lhs) is F
+        assert lhs == sum(t for k, t in terms.items() if config_max(k) <= cut), cut
+
+
+@pytest.mark.parametrize("cutoff", [12, 24])
+def test_cauchy_families_cross_each_tail_gap_once(monkeypatch, cutoff):
+    """A stack family over every kappa with at most 2 parts <= c applies at
+    most 4c column operators: left frontier steps plus right-vector levels.
+    The gap between kappa's parts is crossed once per family, not once per
+    kappa (per-kappa walks took 166 steps at c = 12 and 622 at c = 24)."""
+    applied = []
+    for owner, name in ((OperatorStack, "_column_step"), (rowops, "_right_step")):
+        step = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, step=step: applied.append(1) or step(*a))
+    kappas = list(configs_bounded(cutoff, 2))
+    families = (
+        ([(KIND_A, F(9, 10)), (KIND_A, F(19, 20))], [((), k) for k in kappas]),
+        ([(KIND_B, F(1, 5)), (KIND_B, F(1, 4))], [(k, (1,)) for k in kappas]),
+    )
+    for rows, pairs in families:
+        applied.clear()
+        values = OperatorStack(rows, P).elements(pairs)
+        assert len(applied) <= 4 * cutoff, len(applied)
+        assert sum(v != 0 for v in values) > cutoff
 
 
 def test_cauchy_guard_violation():

@@ -331,7 +331,7 @@ def test_integer_tables_at_poles():
 
 def test_mixed_input_takes_the_scalar_path():
     """A rational argument under a complex q (or a complex boundary) is
-    evaluated by the plain expressions, in complex arithmetic."""
+    evaluated by the pair builders on (v, 1) pairs, in complex arithmetic."""
     z, q = F(1, 3), 0.25 + 0.1j
     table = bulk_table(z, STOCHASTIC, q)
     assert table[1, 0] == [(1, 0, q * (1 - z) / (1 - q * z)), (0, 1, (1 - q) / (1 - q * z))]
